@@ -40,7 +40,6 @@ from .system import (
     subintervals,
 )
 from .propagation import (
-    FundamentalMatrix,
     PiecewiseSolution,
     SolutionRow,
     VectorFunction,

@@ -11,14 +11,19 @@ families of conditions act on that stack:
 Together with the projector that removes norm-zero solutions they form the
 rectangular constraint matrix and the source maps whose (pseudo)inverse yields
 the Weyl matrix.
+
+Every builder takes one spectral parameter or a 1-D array of them; for an
+array each parameter-dependent block carries a leading axis over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import numpy as np
 
 from .engine import Engine
+from .propagation import SolutionRow
 from .errors import ConfigError, TheoryViolationError
 from .system import BoundaryConditions, SystemSpec, jump_matrices
 
@@ -43,22 +48,31 @@ def _kernel_basis(mat: np.ndarray, rel_tol: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def jump_system(sys: SystemSpec, lam: complex, *, engine: Engine | None = None):
+def _per_lam(fn, lam) -> np.ndarray:
+    """``fn`` of one spectral parameter, stacked over an array ``lam``."""
+    if np.ndim(lam):
+        return np.stack([fn(one) for one in lam])
+    return fn(lam)
+
+
+def jump_system(sys: SystemSpec, lam, *, engine: Engine | None = None, row: SolutionRow | None = None):
     """Junction matrices ``(defect, mean)`` acting on stacked coefficients.
 
     ``defect @ c`` evaluates ``B_plus u_plus - B_minus u_minus`` at every
     partition point for the solution family with coefficients ``c``;
     ``mean @ c`` evaluates ``B_plus u_plus + B_minus u_minus``.  For ``N = 0``
-    both have zero rows.
+    both have zero rows.  ``row`` is the solution row at ``lam`` when the
+    caller already holds it.
     """
     eng = engine or Engine.get(sys)
     n = sys.dim
     N = len(eng.sing.partition)
     width = n * (N + 1)
     if N == 0:
-        z = np.zeros((0, width), dtype=complex)
+        z = np.zeros(np.shape(lam) + (0, width), dtype=complex)
         return z, z.copy()
-    row = eng.row(lam)
+    if row is None:
+        row = eng.row(lam)
     bplus = []
     bplus_conj_star = []
     u_right = []
@@ -67,7 +81,7 @@ def jump_system(sys: SystemSpec, lam: complex, *, engine: Engine | None = None):
         _, bp = jump_matrices(sys, xk, lam)
         bplus.append(bp)
         _, bp_c = jump_matrices(sys, xk, np.conj(lam))
-        bplus_conj_star.append(bp_c.conj().T)
+        bplus_conj_star.append(np.swapaxes(bp_c, -1, -2).conj())
         u_right.append(row.fundamentals[k].right(xk))
         u_left.append(row.fundamentals[k - 1].left(xk))
 
@@ -83,16 +97,15 @@ def jump_system(sys: SystemSpec, lam: complex, *, engine: Engine | None = None):
 
 
 def _block_diag(blocks) -> np.ndarray:
-    if not blocks:
-        return np.zeros((0, 0), dtype=complex)
-    n = sum(b.shape[0] for b in blocks)
-    m = sum(b.shape[1] for b in blocks)
-    out = np.zeros((n, m), dtype=complex)
+    """Block-diagonal matrix of equally stacked blocks."""
+    n = sum(b.shape[-2] for b in blocks)
+    m = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(blocks[0].shape[:-2] + (n, m), dtype=complex)
     r = c = 0
     for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
+        out[..., r : r + b.shape[-2], c : c + b.shape[-1]] = b
+        r += b.shape[-2]
+        c += b.shape[-1]
     return out
 
 
@@ -134,13 +147,21 @@ def transform_range_dim(sys: SystemSpec, *, engine: Engine | None = None):
     return dim_b, dim_b == ran_p
 
 
-def deficiency_projectors(sys: SystemSpec, lam: complex, *, engine: Engine | None = None):
+def deficiency_projectors(sys: SystemSpec, lam, *, engine: Engine | None = None):
     """Projectors onto coefficients of square-integrable solutions near the ends.
 
     Regular endpoints give the identity.  Singular endpoints require the span
-    supplied with the endpoint data (constant or as a function of ``lam``).
+    supplied with the endpoint data (constant or as a function of ``lam``);
+    only a span that depends on ``lam`` gives a stacked projector.
     """
     n = sys.dim
+
+    def projector(span) -> np.ndarray:
+        mat = np.asarray(span, dtype=complex)
+        if mat.size == 0:
+            return np.zeros((n, n), dtype=complex)
+        q, _ = np.linalg.qr(mat.reshape(n, -1))
+        return q @ q.conj().T
 
     def one(ep) -> np.ndarray:
         if ep.regular:
@@ -148,12 +169,9 @@ def deficiency_projectors(sys: SystemSpec, lam: complex, *, engine: Engine | Non
         span = ep.l2_span
         if span is None:
             raise ConfigError("singular endpoint needs an l2 span", field="endpoints")
-        mat = np.asarray(span(lam) if callable(span) else span, dtype=complex)
-        if mat.size == 0:
-            return np.zeros((n, n), dtype=complex)
-        mat = mat.reshape(n, -1)
-        q, _ = np.linalg.qr(mat)
-        return q @ q.conj().T
+        if callable(span):
+            return _per_lam(lambda one_lam: projector(span(one_lam)), lam)
+        return projector(span)
 
     return one(sys.endpoint_a), one(sys.endpoint_b)
 
@@ -161,31 +179,35 @@ def deficiency_projectors(sys: SystemSpec, lam: complex, *, engine: Engine | Non
 def boundary_blocks(
     sys: SystemSpec,
     bc: BoundaryConditions,
-    lam: complex,
+    lam,
     *,
     engine: Engine | None = None,
+    row: SolutionRow | None = None,
 ):
     """Endpoint blocks ``(A_minus, A_plus, script_A_minus, script_A_plus)``.
 
     ``A_minus = -Ga U_0^+(a) P_minus`` and ``A_plus = Gb U_N^-(b) P_plus``;
     the script variants embed them into the first/last block column of the
-    stacked coefficient space.
+    stacked coefficient space.  ``row`` is as in :func:`jump_system`.
     """
     eng = engine or Engine.get(sys)
     bc.validate(sys)
     n = sys.dim
     N = len(eng.sing.partition)
+    lead = np.shape(lam)
     p_minus, p_plus = deficiency_projectors(sys, lam, engine=eng)
-    row = eng.row(lam)
+    if row is None:
+        row = eng.row(lam)
     a, b = sys.interval
 
     if sys.endpoint_a.regular:
         u0a = row.fundamentals[0].right(a)
         a_minus = -bc.Ga @ u0a @ p_minus
     elif sys.endpoint_a.boundary_limit is not None:
-        a_minus = -np.atleast_2d(np.asarray(sys.endpoint_a.boundary_limit(lam), dtype=complex))
+        a_minus = -_per_lam(lambda one: np.atleast_2d(np.asarray(
+            sys.endpoint_a.boundary_limit(one), dtype=complex)), lam)
     elif not np.any(p_minus):
-        a_minus = np.zeros((bc.count, n), dtype=complex)  # projector annihilates
+        a_minus = np.zeros(lead + (bc.count, n), dtype=complex)  # projector annihilates
     else:
         raise ConfigError("singular endpoint a needs a boundary_limit evaluator")
 
@@ -193,29 +215,32 @@ def boundary_blocks(
         unb = row.fundamentals[-1].left(b)
         a_plus = bc.Gb @ unb @ p_plus
     elif sys.endpoint_b.boundary_limit is not None:
-        a_plus = np.atleast_2d(np.asarray(sys.endpoint_b.boundary_limit(lam), dtype=complex))
+        a_plus = _per_lam(lambda one: np.atleast_2d(np.asarray(
+            sys.endpoint_b.boundary_limit(one), dtype=complex)), lam)
     elif not np.any(p_plus):
-        a_plus = np.zeros((bc.count, n), dtype=complex)  # projector annihilates
+        a_plus = np.zeros(lead + (bc.count, n), dtype=complex)  # projector annihilates
     else:
         raise ConfigError("singular endpoint b needs a boundary_limit evaluator")
 
-    rows = a_minus.shape[0]
-    script_minus = np.hstack([a_minus, np.zeros((rows, n * N), dtype=complex)])
-    script_plus = np.hstack([np.zeros((rows, n * N), dtype=complex), a_plus])
+    pad = np.zeros(lead + (a_minus.shape[-2], n * N), dtype=complex)
+    script_minus = np.concatenate([a_minus, pad], axis=-1)
+    script_plus = np.concatenate([pad, a_plus], axis=-1)
     return a_minus, a_plus, script_minus, script_plus
 
 
 @dataclass
 class BlockAssembly:
-    """All block matrices of one spectral parameter.
+    """All block matrices of one spectral parameter, or stacked over an array.
 
     ``constraints`` stacks the junction rows, the two square-integrability
     rows, the boundary rows and the norm-zero projector complement; the three
-    source maps are the right-hand sides of the one-sided and averaged
-    representations.  ``row_slices`` names the block rows for diagnostics.
+    source maps, built from ``x_rows``/``y_rows`` on first use, are the
+    right-hand sides of the one-sided and averaged representations.
+    ``row_slices`` names the block rows for diagnostics.  ``projector`` does
+    not depend on the parameter and is never stacked.
     """
 
-    lam: complex
+    lam: complex | np.ndarray
     jump_defect: np.ndarray
     jump_mean: np.ndarray
     q_minus: np.ndarray
@@ -226,44 +251,66 @@ class BlockAssembly:
     script_a_plus: np.ndarray
     projector: np.ndarray
     constraints: np.ndarray
-    source_left: np.ndarray
-    source_right: np.ndarray
-    source_mean: np.ndarray
-    x_rows: list[np.ndarray] = field(default_factory=list)
-    y_rows: list[np.ndarray] = field(default_factory=list)
+    x_rows: list[np.ndarray]
+    y_rows: list[np.ndarray]
     row_slices: dict = field(default_factory=dict)
 
     @property
     def coeff_dim(self) -> int:
-        return self.constraints.shape[1]
+        return self.constraints.shape[-1]
+
+    def _source(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """``blocks`` stacked over zero rows in place of the projector rows."""
+        width = self.coeff_dim
+        zero = np.zeros(self.constraints.shape[:-2] + (width, width), dtype=complex)
+        return np.concatenate(blocks + [zero], axis=-2)
+
+    @cached_property
+    def source_left(self) -> np.ndarray:
+        return -self._source(self.y_rows)
+
+    @cached_property
+    def source_right(self) -> np.ndarray:
+        return self._source(self.x_rows)
+
+    @cached_property
+    def source_mean(self) -> np.ndarray:
+        return 0.5 * (self.source_left + self.source_right)
 
 
 def assemble_blocks(
     sys: SystemSpec,
     bc: BoundaryConditions,
-    lam: complex,
+    lam,
     *,
     engine: Engine | None = None,
     check_rank: bool = True,
 ) -> BlockAssembly:
     """Build the constraint matrix and source maps at ``lam``.
 
-    For nonreal ``lam`` away from the exceptional set the constraint matrix
-    must have full column rank; a deficiency there signals either a modelling
-    bug or a parameter too close to an exceptional point and raises
-    :class:`TheoryViolationError` (unless ``check_rank=False``, used when the
-    caller scans real parameters).
+    ``lam`` is one spectral parameter or a 1-D array of them; an array is
+    assembled in one pass and gives stacked fields, with both checks below
+    applied to each parameter.  For nonreal ``lam`` away from the exceptional
+    set the constraint matrix must have full column rank; a deficiency there
+    signals either a modelling bug or a parameter too close to an exceptional
+    point and raises :class:`TheoryViolationError` (unless
+    ``check_rank=False``, used when the caller scans real parameters).
     """
     eng = engine or Engine.get(sys, bc)
     n = sys.dim
     N = len(eng.sing.partition)
     width = n * (N + 1)
+    lead = np.shape(lam)
 
-    defect, mean = jump_system(sys, lam, engine=eng)
+    row = eng.row(lam)  # built once: an array of parameters is not cached
+    defect, mean = jump_system(sys, lam, engine=eng, row=row)
     p_minus, p_plus = deficiency_projectors(sys, lam, engine=eng)
-    q_minus = np.hstack([np.eye(n) - p_minus] + [np.zeros((n, n))] * N).astype(complex)
-    q_plus = np.hstack([np.zeros((n, n))] * N + [np.eye(n) - p_plus]).astype(complex)
-    a_minus, a_plus, s_minus, s_plus = boundary_blocks(sys, bc, lam, engine=eng)
+    a_minus, a_plus, s_minus, s_plus = boundary_blocks(sys, bc, lam, engine=eng, row=row)
+    del row  # a stacked row is large; nothing below needs it
+    q_minus = np.zeros(lead + (n, width), dtype=complex)
+    q_minus[..., :n] = np.eye(n) - p_minus
+    q_plus = np.zeros(lead + (n, width), dtype=complex)
+    q_plus[..., width - n :] = np.eye(n) - p_plus
     _, proj = norm_zero_space(sys, engine=eng)
     comp = np.eye(width, dtype=complex) - proj
 
@@ -271,36 +318,49 @@ def assemble_blocks(
     left_part = 0.5 * (defect - mean)    # B(conj)^* U^- E_bot
     right_part = 0.5 * (defect + mean)   # B U^+ E_top
 
-    constraints = np.vstack([defect, q_minus, q_plus, s_minus + s_plus, comp])
-    zeros_bc = np.zeros_like(s_plus)
+    comp_rows = np.broadcast_to(comp, lead + comp.shape) if lead else comp
+    bnd = s_minus + s_plus
     zeros_q = np.zeros_like(q_minus)
-    source_left = -np.vstack([left_part, zeros_q, q_plus, s_plus, np.zeros_like(comp)])
-    source_right = np.vstack([right_part, q_minus, zeros_q, s_minus, np.zeros_like(comp)])
-    source_mean = 0.5 * (source_left + source_right)
+    constraints = np.concatenate([defect, q_minus, q_plus, bnd, comp_rows], axis=-2)
 
+    j = defect.shape[-2]
     rows = {
-        "junction": (0, defect.shape[0]),
-        "q_minus": (defect.shape[0], defect.shape[0] + n),
-        "q_plus": (defect.shape[0] + n, defect.shape[0] + 2 * n),
-        "boundary": (defect.shape[0] + 2 * n, defect.shape[0] + 2 * n + s_plus.shape[0]),
-        "projector": (constraints.shape[0] - width, constraints.shape[0]),
+        "junction": (0, j),
+        "q_minus": (j, j + n),
+        "q_plus": (j + n, j + 2 * n),
+        "boundary": (j + 2 * n, j + 2 * n + bnd.shape[-2]),
+        "projector": (constraints.shape[-2] - width, constraints.shape[-2]),
     }
 
     # boundary rows must annihilate norm-zero solutions; rows that do not are
     # not induced by square-integrable solution pairs and break the theory
-    bnd = s_minus + s_plus
     if bnd.size:
-        resid = float(np.max(np.abs(bnd @ comp)))
-        scale = max(1.0, float(np.max(np.abs(bnd))))
-        if resid > 1e-8 * scale:
+        flat = bnd.reshape((-1,) + bnd.shape[-2:])
+        resid = np.max(np.abs(flat @ comp), axis=(1, 2))
+        bad = resid > 1e-8 * np.maximum(1.0, np.max(np.abs(flat), axis=(1, 2)))
+        if bad.any():
             raise TheoryViolationError(
                 "boundary rows do not annihilate the norm-zero solution space "
-                f"(residual {resid:.3e}); they cannot come from square-integrable "
+                f"(residual {resid[np.argmax(bad)]:.3e}); they cannot come from square-integrable "
                 "solution pairs of the equation"
             )
 
-    asm = BlockAssembly(
-        lam=complex(lam),
+    lams = np.ravel(np.asarray(lam, dtype=complex))
+    nonreal = np.flatnonzero(lams.imag != 0.0) if check_rank else []
+    if len(nonreal):
+        flat = constraints.reshape((-1,) + constraints.shape[-2:])[nonreal]
+        s = np.linalg.svd(flat, compute_uv=False)
+        bad = s[:, -1] <= sys.tols.rank_rel * s[:, 0] if s.shape[1] == width else np.ones(len(s), bool)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise TheoryViolationError(
+                f"constraint matrix is column-rank deficient at lambda={complex(lams[nonreal[k]])!r} "
+                f"(sigma_min/sigma_max = {s[k, -1] / s[k, 0]:.3e}); the parameter may "
+                "sit on the exceptional set or the model is inconsistent"
+            )
+
+    return BlockAssembly(
+        lam=np.asarray(lam, dtype=complex) if lead else complex(lam),
         jump_defect=defect,
         jump_mean=mean,
         q_minus=q_minus,
@@ -311,20 +371,7 @@ def assemble_blocks(
         script_a_plus=s_plus,
         projector=proj,
         constraints=constraints,
-        source_left=source_left,
-        source_right=source_right,
-        source_mean=source_mean,
         x_rows=[right_part, q_minus, zeros_q, s_minus],
         y_rows=[left_part, zeros_q, q_plus, s_plus],
         row_slices=rows,
     )
-
-    if check_rank and lam.imag != 0.0:
-        s = np.linalg.svd(constraints, compute_uv=False)
-        if s.size < width or s[width - 1] <= sys.tols.rank_rel * s[0]:
-            raise TheoryViolationError(
-                f"constraint matrix is column-rank deficient at lambda={lam!r} "
-                f"(sigma_min/sigma_max = {s[-1] / s[0]:.3e}); the parameter may "
-                "sit on the exceptional set or the model is inconsistent"
-            )
-    return asm

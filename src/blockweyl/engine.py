@@ -96,7 +96,14 @@ class Engine:
 
     # -- fundamental rows ----------------------------------------------------
 
-    def row(self, lam: complex) -> SolutionRow:
+    def row(self, lam: complex | np.ndarray) -> SolutionRow:
+        """Solution row at one cached parameter, or stacked over an array.
+
+        An array of parameters (an eigen-scan grid) is built in one pass and
+        bypasses the cache: no later call revisits it.
+        """
+        if np.ndim(lam):
+            return solution_row(self.sys, lam, sing=self.sing, anchors=self.anchors)
         lam = complex(lam)
         with self._lock:
             if lam in self._rows:

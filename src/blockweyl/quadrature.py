@@ -134,7 +134,6 @@ def integrate(
         v2, e2, r2 = _panel(f, mid, b, vectorized)
         total = total - val + v1 + v2
         total_err = total_err - err + e1 + e2
-        resabs_total += 0.0  # keep the initial scale; refinement only shrinks error
         heapq.heappush(heap, (-e1, counter, a, mid, v1))
         counter += 1
         heapq.heappush(heap, (-e2, counter, mid, b, v2))

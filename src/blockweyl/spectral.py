@@ -196,9 +196,11 @@ class EigenPoint:
 
 
 def _solution_constraints(sys, bc, s, eng) -> np.ndarray:
+    """Constraint rows without the projector, stacked over an array ``s``."""
     asm = assemble_blocks(sys, bc, s, engine=eng, check_rank=False)
-    return np.vstack(
-        [asm.jump_defect, asm.q_minus, asm.q_plus, asm.script_a_minus + asm.script_a_plus]
+    return np.concatenate(
+        [asm.jump_defect, asm.q_minus, asm.q_plus, asm.script_a_minus + asm.script_a_plus],
+        axis=-2,
     )
 
 
@@ -217,18 +219,19 @@ def eigen_scan(
     The constraint stack (junction, integrability and boundary rows, without
     the norm-zero row) restricted to the complement of the norm-zero space
     loses rank exactly at eigenvalues.  The smallest restricted singular value
-    is scanned on a grid; every local minimum is refined by bounded
-    minimization and accepted when it collapses to the noise floor.  When the
-    restriction is square with real entries a signed determinant provides
-    bracketing sign changes instead; both detectors feed the same refinement.
+    is scanned on a grid, assembled for all grid points in one batched pass;
+    every local minimum is refined by bounded minimization and accepted when
+    it collapses to the noise floor.  When the restriction is square with real
+    entries a signed determinant provides bracketing sign changes instead;
+    both detectors feed the same refinement.
     """
     eng = engine or Engine.get(sys, bc)
     basis_p = _range_basis(norm_zero_space(sys, engine=eng)[1], sys.tols.rank_rel)
     if basis_p.shape[1] == 0:
         return []
 
-    def reduced(s: float) -> np.ndarray:
-        return _solution_constraints(sys, bc, float(s), eng) @ basis_p
+    def reduced(s) -> np.ndarray:
+        return _solution_constraints(sys, bc, s, eng) @ basis_p
 
     def smin(s: float) -> float:
         sv = np.linalg.svd(reduced(s), compute_uv=False)
@@ -236,8 +239,8 @@ def eigen_scan(
 
     npts = max(9, int(np.ceil((lam_max - lam_min) / grid_step)) + 1)
     grid = np.linspace(lam_min, lam_max, npts)
-    samples = [reduced(s) for s in grid]
-    svals = np.array([np.linalg.svd(m, compute_uv=False)[-1] for m in samples])
+    samples = reduced(grid)  # (grid points, rows, r)
+    svals = np.linalg.svd(samples, compute_uv=False)[:, -1]
     scale = float(np.median(svals)) or 1.0
 
     candidates: list[float] = []
@@ -245,14 +248,14 @@ def eigen_scan(
     # rows that vanish identically over the grid are structural zeros; when the
     # surviving rows form a square real matrix a signed determinant provides
     # sign-change brackets
-    row_peak = np.max(np.stack([np.max(np.abs(m), axis=1) for m in samples]), axis=0)
+    row_peak = np.max(np.abs(samples), axis=(0, 2))
     live = row_peak > 1e-12 * max(1.0, float(np.max(row_peak)))
     use_det = int(np.sum(live)) == r
     if use_det:
         def det_at(s: float) -> complex:
             return complex(np.linalg.det(reduced(s)[live]))
 
-        dets = np.array([np.linalg.det(m[live]) for m in samples])
+        dets = np.linalg.det(samples[:, live])
         if np.max(np.abs(dets.imag)) <= 1e-9 * max(float(np.max(np.abs(dets.real))), 1e-300):
             dre = dets.real
             for i in range(len(grid)):

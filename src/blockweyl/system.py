@@ -82,20 +82,28 @@ class SystemSpec:
         if not rw.ok:
             raise StructuralError(f"w fails nonnegative validation: {rw.violations[0]}")
 
+        # constant data read on every propagation step, computed once
+        J_inv = np.linalg.inv(J)
+        J_inv.setflags(write=False)
+        object.__setattr__(self, "_J_inv", J_inv)
+        atoms = sorted(set(self.q.atom_locations).union(self.w.atom_locations))
+        object.__setattr__(self, "_atoms", tuple(atoms))
+        object.__setattr__(self, "_atom_set", frozenset(atoms))
+
     @property
     def dim(self) -> int:
         return self.J.shape[0]
 
     @property
     def J_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.J)
+        return self._J_inv
 
     def atom_positions(self) -> list[float]:
-        """Union of atom locations of q and w (ascending)."""
-        return sorted(set(self.q.atom_locations).union(self.w.atom_locations))
+        """Union of atom locations of q and w (ascending), as a fresh list."""
+        return list(self._atoms)
 
     def is_atom(self, x: float) -> bool:
-        return any(loc == x for loc in self.atom_positions())
+        return float(x) in self._atom_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,15 +170,15 @@ class SingularitySet:
     isolated_points_hypothesis: bool = True  # finite atom count makes this automatic
 
 
-def jump_matrices(sys: SystemSpec, x: float, lam: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Both jump matrices ``(B_minus, B_plus)`` at ``x``.
+def jump_matrices(sys: SystemSpec, x: float, lam: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both jump matrices ``(B_minus, B_plus)`` at ``x``, stacked over an array ``lam``.
 
     The identity ``B_minus(x, lam) = -B_plus(x, conj(lam))^*`` holds exactly
     for hermitian atom data.
     """
     dq = sys.q.atom_at(x)
     dw = sys.w.atom_at(x)
-    step = 0.5 * (dq - lam * dw)
+    step = 0.5 * (dq - np.asarray(lam)[..., None, None] * dw)
     return sys.J - step, sys.J + step
 
 

@@ -1,0 +1,195 @@
+"""Batched spectral parameters: stacked propagation and assembly against a per-parameter loop."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import J2
+from blockweyl.assembly import assemble_blocks
+from blockweyl.engine import Engine
+from blockweyl.errors import BlockweylError, SingularTransferError
+from blockweyl.measures import MatrixMeasure, Segment
+from blockweyl.propagation import solution_row
+from blockweyl.system import BoundaryConditions, EndpointSpec, SystemSpec, partition_points
+
+BC = BoundaryConditions(Ga=np.array([[1.0, 0.0], [0.0, 0.0]]), Gb=np.array([[0.0, 0.0], [1.0, 0.0]]))
+NILPOTENT_Q = np.array([[0.0, 0.0], [0.0, -1.0]])   # J^-1 (-q) squares to zero: expm fallback
+PARTITION_ATOM = (np.diag([0.0, 2.0]), np.diag([2.0, 0.0]))  # B_plus degenerates at lam = 1
+
+
+def _hermitian(draw, scale):
+    re = draw(st.lists(st.floats(-scale, scale), min_size=3, max_size=3))
+    im = draw(st.floats(-scale, scale))
+    return np.array([[re[0], re[1] + 1j * im], [re[1] - 1j * im, re[2]]])
+
+
+@st.composite
+def batched_cases(draw):
+    """A system with constant q/w densities and q/w atoms, plus a batch of parameters."""
+    length = draw(st.floats(1.0, 3.0))
+    q_kind = draw(st.sampled_from(["nilpotent", "zero", "random"]))
+    if q_kind == "nilpotent":
+        q_dens, w_dens = NILPOTENT_Q, None
+    else:
+        # a zero q density makes the stretch matrix vanish at lam = 0
+        q_dens = np.zeros((2, 2)) if q_kind == "zero" else _hermitian(draw, 1.0)
+        root = _hermitian(draw, 1.0)
+        w_dens = root @ root + 0.1 * np.eye(2)
+    spots = draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=3, unique=True))
+    atoms = sorted({round(length * t, 3) for t in spots})
+    partition = draw(st.booleans())
+    q_atoms, w_atoms = [], []
+    for k, x in enumerate(atoms):
+        if partition and k == 0:
+            dq, dw = PARTITION_ATOM
+        else:
+            dq = 0.3 * _hermitian(draw, 1.0)
+            mass = draw(st.floats(0.0, 1.0))
+            dw = np.diag([mass, draw(st.floats(0.0, 1.0))])
+        q_atoms.append((x, dq))
+        w_atoms.append((x, dw))
+    sysm = SystemSpec(
+        J=J2,
+        q=MatrixMeasure(dim=2, segments=(Segment((0.0, length), lambda x, m=q_dens: m, degree=0),),
+                        atoms=tuple(q_atoms)),
+        w=MatrixMeasure(
+            dim=2,
+            segments=() if w_dens is None else (Segment((0.0, length), lambda x, m=w_dens: m, degree=0),),
+            atoms=tuple(w_atoms),
+        ),
+        interval=(0.0, length),
+    )
+    reals = draw(st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=5))
+    imags = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, -1.0, 2.0]), min_size=len(reals),
+                          max_size=len(reals)))
+    lams = np.array([complex(r, i) for r, i in zip(reals, imags)] + [0.0])
+    return sysm, lams
+
+
+def _outcome(fn):
+    """Result, or the type and message of the library error it raised."""
+    try:
+        return fn()
+    except BlockweylError as exc:
+        return type(exc), str(exc)
+
+
+def _close(a, b):
+    return np.max(np.abs(a - b), initial=0.0) <= 1e-13 * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batched_cases())
+def test_batched_rows_and_assembly_match_loop(case):
+    sysm, lams = case
+    batch = _outcome(lambda: solution_row(sysm, lams))
+    loop = [_outcome(lambda lam=lam: solution_row(sysm, lam)) for lam in lams]
+    failures = [r for r in loop if isinstance(r, tuple)]
+    if failures:
+        assert batch == failures[0]
+        return
+    for i, single in enumerate(loop):
+        for fund_b, fund_s in zip(batch.fundamentals, single.fundamentals):
+            for x in fund_s.points:
+                assert _close(fund_b.left(x)[i], fund_s.left(x))
+                assert _close(fund_b.right(x)[i], fund_s.right(x))
+        mid = 0.5 * (single.fundamentals[0].lo + single.fundamentals[0].points[1])
+        assert _close(batch.balanced(mid)[i], single.balanced(mid))
+
+    eng = Engine(sysm, BC)
+    asm = _outcome(lambda: assemble_blocks(sysm, BC, lams, engine=eng, check_rank=False))
+    loop = [_outcome(lambda lam=lam: assemble_blocks(sysm, BC, lam, engine=eng, check_rank=False))
+            for lam in lams]
+    failures = [r for r in loop if isinstance(r, tuple)]
+    if failures:
+        assert asm == failures[0]
+        return
+    for i, single in enumerate(loop):
+        for field in ("constraints", "source_left", "source_right", "source_mean", "jump_mean"):
+            assert _close(getattr(asm, field)[i], getattr(single, field))
+
+
+def test_cases_cover_partition_points_and_expm_fallback():
+    """The two structural cases the property test must reach exist as drawn."""
+    sysm = SystemSpec(
+        J=J2,
+        q=MatrixMeasure(dim=2, segments=(Segment((0.0, 2.0), lambda x: NILPOTENT_Q, degree=0),),
+                        atoms=((0.5, PARTITION_ATOM[0]),)),
+        w=MatrixMeasure(dim=2, atoms=((0.5, PARTITION_ATOM[1]),)),
+        interval=(0.0, 2.0),
+    )
+    assert partition_points(sysm).partition == [0.5]
+    row = solution_row(sysm, np.array([0.3, 1.0 + 1j]))
+    flows = [p.flow for fund in row.fundamentals for p in fund.pieces]
+    assert {flow.kind for flow in flows} == {"expm"}
+
+
+def test_singular_transfer_in_batch_reports_the_loop_parameter():
+    # B_minus is singular at x=-0.5 for lam = 1-2i (crossed going left from the
+    # anchor), B_plus at x=0.5 for lam = 3+2i (crossed first, going right)
+    sysm = SystemSpec(
+        J=np.array([[1j]]),
+        q=MatrixMeasure(dim=1, atoms=((-0.5, np.array([[1.0]])), (0.5, np.array([[3.0]])))),
+        w=MatrixMeasure(dim=1, atoms=((-0.5, np.array([[1.0]])), (0.5, np.array([[1.0]])))),
+        interval=(-1.0, 1.0),
+    )
+    lams = np.array([0.3, 1 - 2j, 3 + 2j])
+    with pytest.raises(SingularTransferError) as scalar:
+        for lam in lams:
+            solution_row(sysm, lam)
+    with pytest.raises(SingularTransferError) as batch:
+        solution_row(sysm, lams)
+    assert scalar.value.lam == batch.value.lam == 1 - 2j
+    assert scalar.value.x == batch.value.x == -0.5
+    bc = BoundaryConditions(Ga=np.zeros((1, 1)), Gb=np.zeros((1, 1)))
+    with pytest.raises(SingularTransferError) as asm:
+        assemble_blocks(sysm, bc, lams, engine=Engine(sysm, bc), check_rank=False)
+    assert asm.value.lam == 1 - 2j
+
+
+def test_batched_assembly_with_parameter_dependent_endpoint_data():
+    # singular endpoints with callable spans and boundary limits, evaluated
+    # once per parameter (the infinite-line point interaction of test_transform
+    # with spans that depend on lam)
+    sysm = SystemSpec(
+        J=J2,
+        q=MatrixMeasure.point(0.0, np.diag([0.0, 2.0])),
+        w=MatrixMeasure.point(0.0, np.diag([2.0, 0.0])),
+        interval=(-np.inf, np.inf),
+        endpoint_a=EndpointSpec(
+            regular=False, l2_span=lambda lam: np.array([[1.0, lam], [0.0, 1.0]]),
+            boundary_limit=lambda lam: np.array([[0.0, -1.0]]),
+        ),
+        endpoint_b=EndpointSpec(
+            regular=False, l2_span=lambda lam: np.array([[1.0], [lam]]),
+            boundary_limit=lambda lam: np.array([[1.0, 0.0]]),
+        ),
+        anchors=(-1.0, 1.0),
+    )
+    bc = BoundaryConditions(Ga=np.array([[0.0, -1.0]]), Gb=np.array([[1.0, 0.0]]))
+    eng = Engine(sysm, bc)
+    lams = np.array([0.5 + 1j, -2.0 + 0.3j, 1j])
+    batch = assemble_blocks(sysm, bc, lams, engine=eng)
+    for i, lam in enumerate(lams):
+        single = assemble_blocks(sysm, bc, lam, engine=eng)
+        for field in ("constraints", "source_left", "source_right", "source_mean"):
+            assert np.array_equal(getattr(batch, field)[i], getattr(single, field))
+
+
+def test_batched_rows_on_smooth_stretches_integrate_each_parameter():
+    # a non-constant weight takes the adaptive integrator, once per parameter
+    sysm = SystemSpec(
+        J=J2,
+        q=MatrixMeasure.point(0.4, np.diag([0.5, 0.0])),
+        w=MatrixMeasure(dim=2, segments=(
+            Segment((0.0, 1.0), lambda x: (1.0 + 0.5 * x) * np.eye(2), degree=1),)),
+        interval=(0.0, 1.0),
+    )
+    lams = np.array([0.5 + 1j, 2.0])
+    batch = solution_row(sysm, lams)
+    for i, lam in enumerate(lams):
+        single = solution_row(sysm, lam)
+        for x in (0.0, 0.2, 0.4, 0.7, 1.0):
+            assert np.array_equal(batch.left(x)[i], single.left(x))
+            assert np.array_equal(batch.balanced(x)[i], single.balanced(x))
