@@ -23,7 +23,6 @@ from .measures import (
     MatrixMeasure,
     Segment,
     Tolerances,
-    atom_at,
     integrate_bv,
     validate_measure,
 )

@@ -64,7 +64,7 @@ def jump_system(sys: SystemSpec, lam, *, engine: Engine | None = None, row: Solu
     both have zero rows.  ``row`` is the solution row at ``lam`` when the
     caller already holds it.
     """
-    eng = engine or Engine.get(sys)
+    eng = engine or Engine(sys)
     n = sys.dim
     N = len(eng.sing.partition)
     width = n * (N + 1)
@@ -118,7 +118,7 @@ def norm_zero_space(sys: SystemSpec, *, engine: Engine | None = None):
     kernel is precisely the set of vectors whose solution has zero norm).
     Returns ``(basis, projector)`` with orthonormal basis columns.
     """
-    eng = engine or Engine.get(sys)
+    eng = engine or Engine(sys)
 
     def build():
         defect, _ = jump_system(sys, 0.0, engine=eng)
@@ -138,7 +138,7 @@ def transform_range_dim(sys: SystemSpec, *, engine: Engine | None = None):
     ``lam = 0`` (the dimension does not depend on the spectral parameter).
     Also reports whether it equals the rank of the norm-zero projector.
     """
-    eng = engine or Engine.get(sys)
+    eng = engine or Engine(sys)
     gram = eng.gram(0.0)
     ker = _kernel_basis(gram, sys.tols.rank_rel)
     dim_b = eng.coeff_dim - ker.shape[1]
@@ -190,8 +190,8 @@ def boundary_blocks(
     the script variants embed them into the first/last block column of the
     stacked coefficient space.  ``row`` is as in :func:`jump_system`.
     """
-    eng = engine or Engine.get(sys)
-    bc.validate(sys)
+    eng = engine or Engine(sys)
+    eng.memo(("validated", bc), lambda: bc.validate(sys))  # a failure is not cached
     n = sys.dim
     N = len(eng.sing.partition)
     lead = np.shape(lam)
@@ -296,7 +296,7 @@ def assemble_blocks(
     point and raises :class:`TheoryViolationError` (unless
     ``check_rank=False``, used when the caller scans real parameters).
     """
-    eng = engine or Engine.get(sys, bc)
+    eng = engine or Engine(sys, bc)
     n = sys.dim
     N = len(eng.sing.partition)
     width = n * (N + 1)

@@ -345,7 +345,7 @@ def _cmd_validate(cfg: ProblemConfig, out: Path) -> int:
 
 def _cmd_analyze(cfg: ProblemConfig, out: Path) -> int:
     sysm = _require_system(cfg)
-    eng = Engine.get(sysm, cfg.boundary)
+    eng = Engine(sysm, cfg.boundary)
     sing = eng.sing
     dim_b, equal = transform_range_dim(sysm, engine=eng)
     basis, proj = norm_zero_space(sysm, engine=eng)
@@ -384,7 +384,7 @@ def _require_boundary(cfg: ProblemConfig) -> BoundaryConditions:
 
 def _cmd_mfun(cfg: ProblemConfig, out: Path) -> int:
     sysm, bc = _require_system(cfg), _require_boundary(cfg)
-    eng = Engine.get(sysm, bc)
+    eng = Engine(sysm, bc)
     grid = cfg.lambda_grid or [complex(s, e) for s in np.arange(-3.0, 3.25, 0.25) for e in (0.1, 1.0)]
     width = eng.coeff_dim
     header = ["re_lambda", "im_lambda"]
@@ -413,7 +413,7 @@ def _cmd_mfun(cfg: ProblemConfig, out: Path) -> int:
 def _cmd_eigen(cfg: ProblemConfig, out: Path) -> int:
     sysm, bc = _require_system(cfg), _require_boundary(cfg)
     lo, hi = cfg.scan_range
-    points = eigen_scan(sysm, bc, lo, hi, engine=Engine.get(sysm, bc))
+    points = eigen_scan(sysm, bc, lo, hi, engine=Engine(sysm, bc))
     rows = [
         [float(p.value), p.multiplicity, float(np.real(np.trace(p.weight)))]
         for p in points
@@ -425,7 +425,7 @@ def _cmd_eigen(cfg: ProblemConfig, out: Path) -> int:
 
 def _cmd_tau(cfg: ProblemConfig, out: Path) -> int:
     sysm, bc = _require_system(cfg), _require_boundary(cfg)
-    eng = Engine.get(sysm, bc)
+    eng = Engine(sysm, bc)
     model = spectral_measure_model(sysm, bc, cfg.scan_range, engine=eng, eps_schedule=cfg.eps_schedule)
     result = {
         "name": cfg.name,
@@ -455,7 +455,7 @@ def _cmd_expand(cfg: ProblemConfig, out: Path) -> int:
     sysm, bc = _require_system(cfg), _require_boundary(cfg)
     if not cfg.expand:
         raise ConfigError("config has no 'expand' section", field="expand")
-    eng = Engine.get(sysm, bc)
+    eng = Engine(sysm, bc)
     f = _piecewise_vector(cfg.expand["f"], sysm.dim, "expand.f")
     trunc = float(cfg.expand.get("truncation", cfg.scan_range[1]))
     model = spectral_measure_model(
@@ -554,7 +554,7 @@ def _cmd_fatou_demo(cfg: ProblemConfig, out: Path) -> int:
 
 def _verify_rows(cfg: ProblemConfig) -> list[dict]:
     sysm, bc = _require_system(cfg), _require_boundary(cfg)
-    eng = Engine.get(sysm, bc)
+    eng = Engine(sysm, bc)
     rng = np.random.default_rng(0)
     rows: list[dict] = []
 

@@ -1,16 +1,22 @@
-"""Shared per-problem workspace.
+"""Per-problem workspace owned by its caller.
 
 Building block matrices for many spectral parameters repeats the same
 fundamental-matrix solves; an :class:`Engine` memoizes them (and everything
-derived from them) per ``(system, boundary)`` pair.  All cached objects are
-immutable after construction, so concurrent readers are safe; cache insertion
-is guarded by a lock.
+derived from them) for one system.  The caller owns the engine: passing one
+engine to several calls is how they share work, and a library entry point
+given none builds a short-lived engine of its own.  There is no global state.
+
+Both caches are bounded LRU stores served by one lookup: solution rows
+(:data:`ROW_CAPACITY` entries) and every other derived value
+(:data:`MEMO_CAPACITY` entries: Weyl samples keyed by their boundary data,
+Gram matrices, the norm-zero space, boundary validation).  Cached objects are
+immutable after construction, so concurrent readers are safe; cache access is
+guarded by a lock.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from typing import Callable
 
@@ -24,38 +30,42 @@ from .system import (
     SystemSpec,
     choose_anchors,
     partition_points,
-    subintervals,
 )
 
-_REGISTRY: "weakref.WeakKeyDictionary[SystemSpec, dict]" = weakref.WeakKeyDictionary()
-_REGISTRY_LOCK = threading.Lock()
+#: solution rows kept per engine (a row with a smooth stretch holds dense ODE output)
+ROW_CAPACITY = 256
+#: other derived values kept per engine; windows of one problem reuse them
+MEMO_CAPACITY = 4096
 
 
 class Engine:
     """Memoized builders bound to one system (and optionally its boundary data)."""
 
-    def __init__(self, sys: SystemSpec, bc: BoundaryConditions | None = None, max_rows: int = 256):
+    def __init__(self, sys: SystemSpec, bc: BoundaryConditions | None = None):
         self.sys = sys
         self.bc = bc
         self._lock = threading.RLock()
         self._rows: OrderedDict[complex, SolutionRow] = OrderedDict()
-        self._max_rows = max_rows
-        self._memo: dict = {}
+        self._memo: OrderedDict = OrderedDict()
         self._sing: SingularitySet | None = None
         self._anchors: list[float] | None = None
 
-    # -- registry ----------------------------------------------------------
+    def _lookup(self, store: OrderedDict, capacity: int, key, factory: Callable[[], object]):
+        """``store[key]``, built by ``factory`` on a miss; least recently used entries go first.
 
-    @staticmethod
-    def get(sys: SystemSpec, bc: BoundaryConditions | None = None) -> "Engine":
-        with _REGISTRY_LOCK:
-            per_sys = _REGISTRY.setdefault(sys, {})
-            key = id(bc) if bc is not None else None
-            eng = per_sys.get(key)
-            if eng is None:
-                eng = Engine(sys, bc)
-                per_sys[key] = eng
-            return eng
+        The factory runs outside the lock; when two threads race on one key
+        the first value stored wins.
+        """
+        with self._lock:
+            if key in store:
+                store.move_to_end(key)
+                return store[key]
+        value = factory()
+        with self._lock:
+            value = store.setdefault(key, value)
+            while len(store) > capacity:
+                store.popitem(last=False)
+            return value
 
     # -- structural analysis -------------------------------------------------
 
@@ -74,21 +84,12 @@ class Engine:
             return self._anchors
 
     @property
-    def intervals(self) -> list[tuple[float, float]]:
-        return subintervals(self.sys, self.sing)
-
-    @property
     def block_count(self) -> int:
         return len(self.sing.partition) + 1
 
     @property
     def coeff_dim(self) -> int:
         return self.sys.dim * self.block_count
-
-    @property
-    def J_blocks(self) -> np.ndarray:
-        """Block-diagonal structure matrix of coefficient-space size."""
-        return np.kron(np.eye(self.block_count), self.sys.J)
 
     @property
     def J_blocks_inv(self) -> np.ndarray:
@@ -105,60 +106,47 @@ class Engine:
         if np.ndim(lam):
             return solution_row(self.sys, lam, sing=self.sing, anchors=self.anchors)
         lam = complex(lam)
-        with self._lock:
-            if lam in self._rows:
-                self._rows.move_to_end(lam)
-                return self._rows[lam]
-        built = solution_row(self.sys, lam, sing=self.sing, anchors=self.anchors)
-        with self._lock:
-            self._rows[lam] = built
-            if len(self._rows) > self._max_rows:
-                self._rows.popitem(last=False)
-        return built
+        return self._lookup(
+            self._rows, ROW_CAPACITY, lam,
+            lambda: solution_row(self.sys, lam, sing=self.sing, anchors=self.anchors),
+        )
 
-    # -- norm-zero solutions ---------------------------------------------------
+    # -- derived values --------------------------------------------------------
+
+    def memo(self, key, factory: Callable[[], object]):
+        """Value cached under ``key``, built by ``factory`` on a miss."""
+        return self._lookup(self._memo, MEMO_CAPACITY, key, factory)
 
     def gram(self, lam: complex = 0.0) -> np.ndarray:
         """Weighted Gram matrix of the solution row at ``conj(lam)``."""
-        key = ("gram", complex(lam))
-        with self._lock:
-            if key in self._memo:
-                return self._memo[key]
-        row = self.row(np.conj(lam))
-        a, b = self.sys.interval
-        w = self.sys.w
-        tols = self.sys.tols
-        width = self.coeff_dim
+        lam = complex(lam)
 
-        def quadratic(xs: np.ndarray) -> np.ndarray:
-            vals = row.balanced_many(xs)       # (m, n, width)
-            dens = w.density_many(xs)          # (m, n, n)
-            return np.einsum("mia,mij,mjb->mab", np.conj(vals), dens, vals)
+        def build() -> np.ndarray:
+            row = self.row(np.conj(lam))
+            a, b = self.sys.interval
+            w = self.sys.w
+            tols = self.sys.tols
+            width = self.coeff_dim
 
-        val = np.zeros((width, width), dtype=complex)
-        breaks = self.sys.atom_positions()
-        for seg in w.segments:
-            s_lo, s_hi = max(seg.interval[0], a), min(seg.interval[1], b)
-            if s_hi <= s_lo:
-                continue
-            part, _ = quadrature.integrate(
-                quadratic, s_lo, s_hi, breakpoints=breaks,
-                rel_tol=tols.quad_rel, abs_tol=tols.quad_abs, vectorized=True,
-            )
-            val = val + part
-        for x, dw in w.atoms:
-            v = row.balanced(x)
-            val = val + v.conj().T @ dw @ v
-        val = 0.5 * (val + val.conj().T)  # PSD by construction; symmetrize roundoff
-        with self._lock:
-            self._memo[key] = val
-        return val
+            def quadratic(xs: np.ndarray) -> np.ndarray:
+                vals = row.balanced_many(xs)       # (m, n, width)
+                dens = w.density_many(xs)          # (m, n, n)
+                return np.einsum("mia,mij,mjb->mab", np.conj(vals), dens, vals)
 
-    def memo(self, key, factory: Callable[[], object]):
-        with self._lock:
-            if key in self._memo:
-                return self._memo[key]
-        value = factory()
-        with self._lock:
-            self._memo.setdefault(key, value)
-            return self._memo[key]
+            val = np.zeros((width, width), dtype=complex)
+            breaks = self.sys.atom_positions()
+            for seg in w.segments:
+                s_lo, s_hi = max(seg.interval[0], a), min(seg.interval[1], b)
+                if s_hi <= s_lo:
+                    continue
+                part, _ = quadrature.integrate(
+                    quadratic, s_lo, s_hi, breakpoints=breaks,
+                    rel_tol=tols.quad_rel, abs_tol=tols.quad_abs, vectorized=True,
+                )
+                val = val + part
+            for x, dw in w.atoms:
+                v = row.balanced(x)
+                val = val + v.conj().T @ dw @ v
+            return 0.5 * (val + val.conj().T)  # PSD by construction; symmetrize roundoff
+
+        return self.memo(("gram", lam), build)

@@ -166,11 +166,6 @@ class MatrixMeasure:
         return MatrixMeasure(dim=w.shape[0], atoms=((x, w),))
 
 
-def atom_at(m: MatrixMeasure, x: float) -> np.ndarray:
-    """Weight of the atom of ``m`` at ``x``; zero matrix if there is none."""
-    return m.atom_at(x)
-
-
 @dataclass
 class ValidationReport:
     """Structured list of invariant violations found by :func:`validate_measure`."""

@@ -125,7 +125,7 @@ class ResolventFunction:
             raise StructuralError("the resolvent needs a nonreal spectral parameter")
         self.sys = sys
         self.lam = complex(lam)
-        eng = engine or Engine.get(sys, bc)
+        eng = engine or Engine(sys, bc)
         self.engine = eng
         self.row = eng.row(self.lam)
         self.partial = PartialTransform(sys, f, self.lam, eng)
@@ -225,7 +225,7 @@ def eigen_scan(
     entries a signed determinant provides bracketing sign changes instead;
     both detectors feed the same refinement.
     """
-    eng = engine or Engine.get(sys, bc)
+    eng = engine or Engine(sys, bc)
     basis_p = _range_basis(norm_zero_space(sys, engine=eng)[1], sys.tols.rank_rel)
     if basis_p.shape[1] == 0:
         return []
@@ -371,7 +371,7 @@ def atom_weight(
     negativity raises :class:`TheoryViolationError`; a non-shrinking
     extrapolation spread is reported through the ``converged`` flag.
     """
-    eng = engine or Engine.get(sys, bc)
+    eng = engine or Engine(sys, bc)
     eps = sorted((float(e) for e in eps_schedule), reverse=True)
     if not eps:
         raise ValueError("empty eps schedule")
@@ -419,7 +419,7 @@ def stieltjes_inversion(
     """
     if not c < d:
         raise StructuralError("need c < d")
-    eng = engine or Engine.get(sys, bc)
+    eng = engine or Engine(sys, bc)
     eps = sorted((float(e) for e in eps_schedule), reverse=True)
     if refine_at is None and sys.endpoint_a.regular and sys.endpoint_b.regular:
         margin = 2.0 * eps[0]
@@ -521,7 +521,7 @@ def spectral_measure_model(
     endpoints fall back to inversion-only atoms located at peaks of the
     sampled density and are marked accordingly.
     """
-    eng = engine or Engine.get(sys, bc)
+    eng = engine or Engine(sys, bc)
     lo, hi = lam_range
     model = SpectralMeasureModel(scan_range=(float(lo), float(hi)))
     if hi <= lo:

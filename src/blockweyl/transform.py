@@ -10,7 +10,7 @@ transform side, the other way the spectral projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def forward_transform(
     by shrinking truncations until the transform increments become Cauchy
     (raising :class:`AccuracyError` if they fail to shrink).
     """
-    eng = engine or Engine.get(sys, bc)
+    eng = engine or Engine(sys, bc)
     support = [a.s for a in model.atoms]
     if not support:
         return TauVector(model, np.zeros((0, eng.coeff_dim), dtype=complex))
@@ -189,23 +189,20 @@ def inverse_transform(
     bc: BoundaryConditions | None = None,
 ) -> SpectralSynthesis:
     """Synthesize the balanced BV function with spectral coefficients ``ghat``."""
-    eng = engine or Engine.get(sys, bc)
+    eng = engine or Engine(sys, bc)
     return SpectralSynthesis(sys, model, ghat, eng)
 
 
 def eigen_projection(
     sys: SystemSpec,
     model: SpectralMeasureModel,
-    coeffs: Sequence[complex] | None = None,
     *,
-    fhat: TauVector | None = None,
+    fhat: TauVector,
     within: float | None = None,
     engine: Engine | None = None,
 ) -> SpectralSynthesis:
     """Truncated spectral projection built directly from the model atoms."""
-    eng = engine or Engine.get(sys)
-    if fhat is None:
-        raise ValueError("pass the transform samples via fhat")
+    eng = engine or Engine(sys)
     values = fhat.values.copy()
     for i, atom in enumerate(model.atoms):
         if within is not None and abs(atom.s) > within:
@@ -236,7 +233,7 @@ def parseval_check(
     quadrature spot check of eigenfunction orthonormality (the reported
     ``orthonormality_defect`` bounds the substitution error).
     """
-    eng = engine or Engine.get(sys, bc)
+    eng = engine or Engine(sys, bc)
     fhat = forward_transform(sys, bc, model, f, engine=eng)
     tau_sq = fhat.norm_sq(within=truncation)
     half_sq = fhat.norm_sq(within=truncation / 2.0)
@@ -302,7 +299,7 @@ def multiplication_check(
     the weighted metric of the spectral measure (transform values are only
     determined modulo the kernel of the atom weights).
     """
-    eng = engine or Engine.get(sys, bc)
+    eng = engine or Engine(sys, bc)
     fu = forward_transform(sys, bc, model, u, engine=eng)
     ff = forward_transform(sys, bc, model, f, engine=eng)
     worst = 0.0

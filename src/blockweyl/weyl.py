@@ -66,7 +66,7 @@ def symmetry_witness(
     from the one-sided row decomposition (junction, q_minus, q_plus, boundary
     labels 1..4; the projector block row is identically zero).
     """
-    eng = engine or Engine.get(sys, bc)
+    eng = engine or Engine(sys, bc)
     asm = assemble_blocks(sys, bc, lam, engine=eng, check_rank=False)
     asm_c = assemble_blocks(sys, bc, np.conj(lam), engine=eng, check_rank=False)
     Jinv = eng.J_blocks_inv
@@ -96,9 +96,9 @@ def m_function(
     with_witness: bool = True,
 ) -> WeylSample:
     """Weyl matrices ``(M_left, M_right, M)`` at a nonreal parameter."""
-    eng = engine or Engine.get(sys, bc)
+    eng = engine or Engine(sys, bc)
     lam = complex(lam)
-    key = ("weyl", lam, with_witness)
+    key = ("weyl", bc, lam, with_witness)
 
     def build() -> WeylSample:
         asm = assemble_blocks(sys, bc, lam, engine=eng)
@@ -182,7 +182,7 @@ def nevanlinna_diagnostics(
     difference quotients along the real and imaginary directions at two step
     sizes.
     """
-    eng = engine or Engine.get(sys, bc)
+    eng = engine or Engine(sys, bc)
     report = NevanlinnaReport()
     for lam in grid:
         lam = complex(lam)

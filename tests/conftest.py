@@ -44,19 +44,19 @@ def p4():
 
 @pytest.fixture(scope="session")
 def e1(p1):
-    return Engine.get(*p1)
+    return Engine(*p1)
 
 
 @pytest.fixture(scope="session")
 def e2(p2):
-    return Engine.get(*p2)
+    return Engine(*p2)
 
 
 @pytest.fixture(scope="session")
 def e3(p3):
-    return Engine.get(*p3)
+    return Engine(*p3)
 
 
 @pytest.fixture(scope="session")
 def e4(p4):
-    return Engine.get(*p4)
+    return Engine(*p4)

@@ -86,7 +86,7 @@ def test_criterion_02_wronskian_suite(p1, p2, p3, p4):
     t0 = time.perf_counter()
     worst = 0.0
     for sysm, _ in (p1, p2, p3, p4):
-        eng = Engine.get(sysm)
+        eng = Engine(sysm)
         for j in range(eng.block_count):
             for lam in (0.0, 1.0, 1j, 2 + 1j):
                 worst = max(

@@ -144,7 +144,7 @@ def test_assembly_p1_structure(p1):
 
 def test_assembly_p4_shape_rank_and_identities(p4):
     sysm, bc = p4
-    eng = Engine.get(sysm, bc)
+    eng = Engine(sysm, bc)
     asm = assemble_blocks(sysm, bc, 1j, engine=eng)
     # junction (2) + two integrability rows (2+2) + one boundary row + projector (4)
     assert asm.constraints.shape == (11, 4)

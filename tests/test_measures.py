@@ -8,7 +8,6 @@ from blockweyl.measures import (
     IntervalSpec,
     MatrixMeasure,
     Segment,
-    atom_at,
     integrate_bv,
     validate_measure,
 )
@@ -46,12 +45,12 @@ def test_density_samples_checked():
 
 def test_atom_at_examples():
     q4 = MatrixMeasure.point(0.0, np.diag([0.0, 2.0]))
-    assert np.array_equal(atom_at(q4, 0.0), np.diag([0.0, 2.0]))
-    assert np.array_equal(atom_at(q4, 0.3), np.zeros((2, 2)))
+    assert np.array_equal(q4.atom_at(0.0), np.diag([0.0, 2.0]))
+    assert np.array_equal(q4.atom_at(0.3), np.zeros((2, 2)))
     # additivity of weights models the sum of two measures sharing an atom
     combined = MatrixMeasure.point(0.0, np.diag([0.0, 2.0]) + np.diag([1.0, 0.0]))
     assert np.array_equal(
-        atom_at(combined, 0.0), atom_at(q4, 0.0) + np.diag([1.0, 0.0])
+        combined.atom_at(0.0), q4.atom_at(0.0) + np.diag([1.0, 0.0])
     )
 
 

@@ -192,7 +192,7 @@ def test_wronskian_polynomial_density_ode_path():
 def test_transform_kernel_dimension_is_lambda_independent(p4):
     from blockweyl.engine import Engine
 
-    eng = Engine.get(p4[0])
+    eng = Engine(p4[0])
     dims = []
     for lam in (0.0, 1j, 1 + 1j):
         gram = eng.gram(lam)

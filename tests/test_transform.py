@@ -241,7 +241,7 @@ def test_truncation_exhaustion_on_unbounded_interval():
         anchors=(-1.0, 1.0),
     )
     bc = BoundaryConditions(Ga=np.array([[0.0, -1.0]]), Gb=np.array([[1.0, 0.0]]))
-    eng = Engine.get(sysm, bc)
+    eng = Engine(sysm, bc)
     model = spectral_measure_model(sysm, bc, (-2.0, 2.0), engine=eng)
     assert not model.verified  # inversion-only path
     assert len(model.atoms) == 1 and abs(model.atoms[0].s + 1.0) < 1e-8

@@ -81,7 +81,7 @@ def test_range_inclusion_under_vanishing_witness(p1, p4):
     from blockweyl.engine import Engine
 
     for sysm, bc in (p1, p4):
-        eng = Engine.get(sysm, bc)
+        eng = Engine(sysm, bc)
         asm = assemble_blocks(sysm, bc, 0.9j, engine=eng)
         F = asm.constraints
         u, s, _ = np.linalg.svd(F, full_matrices=False)
