@@ -44,6 +44,7 @@ from .propagation import (
     VectorFunction,
     forward_transform_compact,
     fundamental_matrix,
+    row_integrand,
     solution_row,
     solve_ivp,
     wronskian_defect,
@@ -71,7 +72,6 @@ from .spectral import (
     SpectralMeasureModel,
     atom_weight,
     eigen_scan,
-    resolvent_apply,
     spectral_measure_model,
     stieltjes_inversion,
 )

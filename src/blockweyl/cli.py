@@ -40,7 +40,7 @@ from .errors import (
     TheoryViolationError,
 )
 from .measures import DEFAULT_TOLS, IntervalSpec, MatrixMeasure, Segment, Tolerances, integrate_bv, validate_measure
-from .propagation import VectorFunction, wronskian_defect
+from .propagation import VectorFunction, row_integrand, wronskian_defect
 from .spectral import eigen_scan, spectral_measure_model
 from .system import BoundaryConditions, EndpointSpec, SystemSpec, jump_matrices
 from .transform import forward_transform, inverse_transform, parseval_check, w_norm
@@ -515,22 +515,18 @@ def _cmd_fatou_demo(cfg: ProblemConfig, out: Path) -> int:
     mu = fatou_mod.ScalarMeasureModel(segments=tuple(segments), atoms=atoms)
 
     fdata = data["f"]
-    pieces = [
-        (float(p["interval"][0]), float(p["interval"][1]), [ _as_complex(c, "fatou.f") for c in p["coeffs"] ])
-        for p in fdata.get("pieces", [])
-    ]
-    overrides = {float(i["x"]): _as_complex(i["value"], "fatou.f") for i in fdata.get("values_at", [])}
+    vf = _piecewise_vector(
+        {
+            "pieces": [{**p, "coeffs": [p["coeffs"]]} for p in fdata.get("pieces", [])],
+            "values_at": [{**i, "value": [i["value"]]} for i in fdata.get("values_at", [])],
+        },
+        1, "fatou.f",
+    )
 
-    class F:
-        breakpoints = tuple(sorted({p[0] for p in pieces} | {p[1] for p in pieces} | set(overrides)))
+    def f(t: float) -> complex:
+        return complex(vf(t)[0])
 
-        def __call__(self, t: float) -> complex:
-            if t in overrides:
-                return overrides[t]
-            hits = [sum(c * t ** i for i, c in enumerate(cs)) for lo, hi, cs in pieces if lo <= t <= hi]
-            return sum(hits) / len(hits) if hits else 0j
-
-    f = F()
+    f.breakpoints = vf.breakpoints
     rows = []
     for s in data.get("s_values", [0.0]):
         rep = fatou_mod.fatou_convergence_scan(
@@ -637,10 +633,10 @@ def _verify_rows(cfg: ProblemConfig) -> list[dict]:
     g = VectorFunction(fn=lambda x, v=rng.standard_normal(sysm.dim): v.astype(complex))
     a0, b0 = sysm.interval
     mid = 0.5 * (a0 + b0) + 0.1 * (b0 - a0) * 0.37
-    row = eng.row(1j).balanced
-    full = integrate_bv(lambda x: row(x).conj().T, sysm.w, IntervalSpec(a0, b0), rhs=g, breakpoints=sysm.atom_positions(), tols=sysm.tols)
-    left = integrate_bv(lambda x: row(x).conj().T, sysm.w, IntervalSpec(a0, mid, include_upper=True), rhs=g, breakpoints=sysm.atom_positions(), tols=sysm.tols)
-    right = integrate_bv(lambda x: row(x).conj().T, sysm.w, IntervalSpec(mid, b0, include_lower=False), rhs=g, breakpoints=sysm.atom_positions(), tols=sysm.tols)
+    row_g = row_integrand(eng.row(1j), g)
+    full = integrate_bv(row_g, sysm.w, IntervalSpec(a0, b0), breakpoints=sysm.atom_positions(), tols=sysm.tols)
+    left = integrate_bv(row_g, sysm.w, IntervalSpec(a0, mid, include_upper=True), breakpoints=sysm.atom_positions(), tols=sysm.tols)
+    right = integrate_bv(row_g, sysm.w, IntervalSpec(mid, b0, include_lower=False), breakpoints=sysm.atom_positions(), tols=sysm.tols)
     add("measure_additivity", float(np.max(np.abs(full - left - right))), 1e-9)
     return rows
 

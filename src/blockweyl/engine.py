@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import quadrature
+from .measures import IntervalSpec, integrate_bv
 from .propagation import SolutionRow, solution_row
 from .system import (
     BoundaryConditions,
@@ -124,29 +124,15 @@ class Engine:
         def build() -> np.ndarray:
             row = self.row(np.conj(lam))
             a, b = self.sys.interval
-            w = self.sys.w
-            tols = self.sys.tols
-            width = self.coeff_dim
 
-            def quadratic(xs: np.ndarray) -> np.ndarray:
+            def quadratic(xs: np.ndarray, dws: np.ndarray) -> np.ndarray:
                 vals = row.balanced_many(xs)       # (m, n, width)
-                dens = w.density_many(xs)          # (m, n, n)
-                return np.einsum("mia,mij,mjb->mab", np.conj(vals), dens, vals)
+                return np.einsum("mia,mij,mjb->mab", np.conj(vals), dws, vals)
 
-            val = np.zeros((width, width), dtype=complex)
-            breaks = self.sys.atom_positions()
-            for seg in w.segments:
-                s_lo, s_hi = max(seg.interval[0], a), min(seg.interval[1], b)
-                if s_hi <= s_lo:
-                    continue
-                part, _ = quadrature.integrate(
-                    quadratic, s_lo, s_hi, breakpoints=breaks,
-                    rel_tol=tols.quad_rel, abs_tol=tols.quad_abs, vectorized=True,
-                )
-                val = val + part
-            for x, dw in w.atoms:
-                v = row.balanced(x)
-                val = val + v.conj().T @ dw @ v
+            val = integrate_bv(
+                quadratic, self.sys.w, IntervalSpec(a, b),
+                breakpoints=self.sys.atom_positions(), tols=self.sys.tols,
+            )
             return 0.5 * (val + val.conj().T)  # PSD by construction; symmetrize roundoff
 
         return self.memo(("gram", lam), build)

@@ -2,11 +2,13 @@
 
 A coefficient here is an ``n x n`` matrix whose entries are measures with an
 absolutely continuous part (given per segment by a density evaluator) and a
-finite set of point masses.  Integration against such a measure combines
-adaptive quadrature of the density part with exact atom sums, where the
-integrand contributes its *balanced* value (mean of one-sided limits) at every
-atom.  Only finitely many atoms are supported; the countable case is reported
-as out of scope by :func:`validate_measure`.
+finite set of point masses.  :func:`integrate_bv` is the one routine that
+integrates against such a measure: the transforms, the resolvent's prefix
+integrals and the Gram matrix pass it their integrands.  It combines adaptive
+quadrature of the density part with exact atom sums, where the integrand
+contributes its *balanced* value (mean of one-sided limits) at every atom.
+Only finitely many atoms are supported; the countable case is reported as out
+of scope by :func:`validate_measure`.
 """
 
 from __future__ import annotations
@@ -225,52 +227,32 @@ def validate_measure(
 
 
 def integrate_bv(
-    g: Callable[[float], np.ndarray],
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     m: MatrixMeasure,
     iv: IntervalSpec,
     *,
-    rhs: Callable[[float], np.ndarray] | None = None,
     breakpoints: Sequence[float] = (),
     tols: Tolerances = DEFAULT_TOLS,
-    g_many: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Integrate ``g dm`` (or ``g dm rhs`` when ``rhs`` is given) over ``iv``.
+    """Integrate ``integrand`` against ``dm`` over ``iv``.
 
-    ``g`` (and ``rhs``) must return *balanced* values at every atom of ``m``
-    inside ``iv``; plain smooth functions satisfy this trivially.  Atoms at the
-    interval endpoints enter exactly when the matching ``include_*`` flag is
-    set.  The density part uses adaptive Gauss-Kronrod quadrature with panel
-    edges pinned at atoms, segment edges and any caller-supplied breakpoints;
-    supplying ``g_many`` (an array-of-points evaluator for ``g``) lets the
-    quadrature batch its node evaluations.
+    ``integrand(xs, dms)`` gets an ascending array of points and the stacked
+    measure values there, and returns the stacked values of a quantity linear
+    in ``dms``.  On a segment the points are quadrature nodes and ``dms`` the
+    density matrices at them; at an atom of ``m`` inside ``iv`` the point is
+    the atom and ``dms`` its weight, as a stack of one.  Whatever the integrand
+    pairs with ``dms`` must take its *balanced* value at an atom; plain smooth
+    functions do so trivially.  Atoms at the interval endpoints enter exactly
+    when the matching ``include_*`` flag is set.  The density part uses
+    adaptive Gauss-Kronrod quadrature with panel edges pinned at atoms,
+    segment edges and any caller-supplied breakpoints.
     """
     lo, hi = iv.lower, iv.upper
 
-    def sample(x: float) -> np.ndarray:
-        base = np.asarray(g(x), dtype=complex) @ m.density_at(x)
-        return base if rhs is None else base @ np.asarray(rhs(x), dtype=complex)
+    def on_nodes(xs: np.ndarray) -> np.ndarray:
+        return integrand(xs, m.density_many(xs))
 
-    def sample_many(xs: np.ndarray) -> np.ndarray:
-        gs = np.asarray(g_many(xs), dtype=complex)
-        dens = m.density_many(xs)
-        base = np.einsum("mij,mjk->mik", gs, dens)
-        if rhs is None:
-            return base
-        rv = np.stack([np.asarray(rhs(float(x)), dtype=complex) for x in xs])
-        if rv.ndim == 2:  # vector-valued rhs
-            return np.einsum("mik,mk->mi", base, rv)
-        return np.einsum("mik,mkj->mij", base, rv)
-
-    if np.isfinite(lo) and np.isfinite(hi):
-        probe_x = 0.5 * (lo + hi)
-    elif np.isfinite(lo):
-        probe_x = lo + 1.0
-    elif np.isfinite(hi):
-        probe_x = hi - 1.0
-    else:
-        probe_x = 0.0
-    total = np.zeros_like(sample(probe_x))
-
+    parts = []
     inner_breaks = list(breakpoints) + [x for x, _ in m.atoms]
     for seg in m.segments:
         s_lo = max(seg.interval[0], lo)
@@ -278,21 +260,31 @@ def integrate_bv(
         if s_hi <= s_lo or not (np.isfinite(s_lo) and np.isfinite(s_hi)):
             continue
         val, _ = quadrature.integrate(
-            sample_many if g_many is not None else sample,
+            on_nodes,
             s_lo,
             s_hi,
             breakpoints=inner_breaks,
             rel_tol=tols.quad_rel,
             abs_tol=tols.quad_abs,
-            vectorized=g_many is not None,
+            vectorized=True,
         )
-        total = total + val
-
+        parts.append(val)
     for x, w in m.atoms:
-        if not iv.contains_atom(x):
-            continue
-        term = np.asarray(g(x), dtype=complex) @ w
-        if rhs is not None:
-            term = term @ np.asarray(rhs(x), dtype=complex)
-        total = total + term
+        if iv.contains_atom(x):
+            parts.append(integrand(np.array([x]), w[None])[0])
+
+    if not parts:  # nothing to integrate: probe the integrand for its shape
+        if np.isfinite(lo) and np.isfinite(hi):
+            probe_x = 0.5 * (lo + hi)
+        elif np.isfinite(lo):
+            probe_x = lo + 1.0
+        elif np.isfinite(hi):
+            probe_x = hi - 1.0
+        else:
+            probe_x = 0.0
+        zero = np.zeros((1, m.dim, m.dim), dtype=complex)
+        parts.append(np.zeros_like(integrand(np.array([probe_x]), zero)[0]))
+    total = np.zeros(np.shape(parts[0]), dtype=complex)
+    for val in parts:
+        total = total + val
     return total

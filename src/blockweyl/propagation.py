@@ -658,6 +658,24 @@ def solution_row(
     return row if np.ndim(lam) else row[0]
 
 
+def row_integrand(
+    row: SolutionRow, f: Callable[[float], np.ndarray]
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Integrand ``row^* dm f`` of :func:`blockweyl.measures.integrate_bv`.
+
+    With ``row`` built at ``conj(lam)`` its integral is the transform of ``f``
+    at ``lam``.  The row is evaluated once per batch of points, ``f`` point by
+    point; ``f`` must evaluate to balanced values at atoms of the measure.
+    """
+
+    def integrand(xs: np.ndarray, dms: np.ndarray) -> np.ndarray:
+        paired = np.einsum("mji,mjk->mik", np.conj(row.balanced_many(xs)), dms)
+        fs = np.stack([np.asarray(f(float(x)), dtype=complex) for x in xs])
+        return np.einsum("mik,mk->mi", paired, fs)
+
+    return integrand
+
+
 def forward_transform_compact(
     sys: SystemSpec,
     f: Callable[[float], np.ndarray],
@@ -670,7 +688,9 @@ def forward_transform_compact(
     """Transform ``f`` against the solution row: ``int row(., conj(lam))^* w f``.
 
     ``f`` must be compactly supported (or the interval finite) and evaluate to
-    balanced values at atoms of ``w``.
+    balanced values at atoms of ``w``.  The integral is
+    :func:`blockweyl.measures.integrate_bv` of :func:`row_integrand` over the
+    support of ``f`` clipped to the interval.
     """
     if row_conj is None:
         row_conj = solution_row(sys, np.conj(lam), sing=sing, anchors=anchors)
@@ -681,16 +701,9 @@ def forward_transform_compact(
     if hi <= lo:
         return np.zeros(sys.dim * row_conj.blocks, dtype=complex)
     breaks = list(getattr(f, "breakpoints", ())) + sys.atom_positions()
-
-    def g(x: float) -> np.ndarray:
-        return row_conj.balanced(x).conj().T
-
-    def g_many(xs: np.ndarray) -> np.ndarray:
-        return np.conj(np.swapaxes(row_conj.balanced_many(xs), -1, -2))
-
-    iv = IntervalSpec(lo, hi, include_lower=True, include_upper=True)
     return integrate_bv(
-        g, sys.w, iv, rhs=f, breakpoints=breaks, tols=sys.tols, g_many=g_many
+        row_integrand(row_conj, f), sys.w, IntervalSpec(lo, hi),
+        breakpoints=breaks, tols=sys.tols,
     )
 
 

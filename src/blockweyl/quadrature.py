@@ -90,8 +90,7 @@ def integrate(
     when the panel budget is exhausted before the tolerance is met.
     """
     if hi <= lo:
-        x0 = 0.5 * (lo + hi) if hi > lo else lo
-        probe = np.asarray(f(np.array([x0]))[0] if vectorized else f(x0), dtype=complex)
+        probe = np.asarray(f(np.array([lo]))[0] if vectorized else f(lo), dtype=complex)
         return np.zeros_like(probe), 0.0
     edges = [lo]
     for b in sorted(set(float(b) for b in breakpoints)):

@@ -26,6 +26,8 @@ from . import quadrature
 from .assembly import assemble_blocks, norm_zero_space
 from .engine import Engine
 from .errors import StructuralError, TheoryViolationError
+from .measures import IntervalSpec, integrate_bv
+from .propagation import row_integrand
 from .system import BoundaryConditions, SystemSpec
 from .weyl import m_function
 
@@ -37,13 +39,13 @@ DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4)
 
 
 class PartialTransform:
-    """Prefix integrals ``int_(a,x) row(., conj lam)^* w f`` with cheap queries."""
+    """Prefix integrals ``int_[a,x) row(., conj lam)^* w f`` with cheap queries."""
 
     def __init__(self, sys: SystemSpec, f: Callable[[float], np.ndarray], lam: complex, engine: Engine):
         self.sys = sys
-        self.f = f
         self.row_c = engine.row(np.conj(lam))
         self.width = engine.coeff_dim
+        self._row_f = row_integrand(self.row_c, f)
         a, b = sys.interval
         pts = {a, b}
         pts.update(sys.atom_positions())
@@ -54,59 +56,32 @@ class PartialTransform:
         if supp is not None:
             pts.update(p for p in supp if a < p < b)
         self.edges = sorted(pts)
-
-        tols = sys.tols
-        vals = []
-        for lo, hi in zip(self.edges[:-1], self.edges[1:]):
-            if self._has_density(lo, hi):
-                val, _ = quadrature.integrate(
-                    self._integrand, lo, hi, rel_tol=tols.quad_rel, abs_tol=tols.quad_abs
-                )
-            else:
-                val = np.zeros(self.width, dtype=complex)
-            vals.append(val)
+        # prefix[i] integrates over [edges[0], edges[i])
         self.prefix = [np.zeros(self.width, dtype=complex)]
-        for v in vals:
-            self.prefix.append(self.prefix[-1] + v)
-        self.atom_points = [x for x, _ in sys.w.atoms]
-        self.atom_values = [self.atom_term(x) for x in self.atom_points]
+        for lo, hi in zip(self.edges[:-1], self.edges[1:]):
+            self.prefix.append(self.prefix[-1] + self._upto(lo, hi))
 
-    def _has_density(self, lo: float, hi: float) -> bool:
-        return any(s.interval[0] < hi and s.interval[1] > lo for s in self.sys.w.segments)
-
-    def _integrand(self, x: float) -> np.ndarray:
-        return self.row_c.balanced(x).conj().T @ self.sys.w.density_at(x) @ self.f(x)
+    def _upto(self, lo: float, hi: float) -> np.ndarray:
+        """Integral over ``[lo, hi)``."""
+        iv = IntervalSpec(lo, hi, include_upper=False)
+        return integrate_bv(self._row_f, self.sys.w, iv, tols=self.sys.tols)
 
     def atom_term(self, x: float) -> np.ndarray:
         dw = self.sys.w.atom_at(x)
         if not np.any(dw):
             return np.zeros(self.width, dtype=complex)
-        return self.row_c.balanced(x).conj().T @ dw @ np.asarray(self.f(x), dtype=complex)
+        return self._row_f(np.array([x]), dw[None])[0]
 
     def below(self, x: float) -> np.ndarray:
-        """Integral over ``(a, x)``; an atom exactly at ``x`` is excluded."""
+        """Integral over ``[a, x)``; an atom exactly at ``x`` is excluded."""
         i = bisect.bisect_left(self.edges, x)
         if i == 0:
             return np.zeros(self.width, dtype=complex)
-        base = self.prefix[i - 1].copy()
-        lo = self.edges[i - 1]
-        if x > lo and self._has_density(lo, min(x, self.edges[min(i, len(self.edges) - 1)])):
-            val, _ = quadrature.integrate(
-                self._integrand, lo, x,
-                rel_tol=self.sys.tols.quad_rel, abs_tol=self.sys.tols.quad_abs,
-            )
-            base = base + val
-        for xa, va in zip(self.atom_points, self.atom_values):
-            if xa < x:
-                base = base + va
-        return base
+        return self.prefix[i - 1] + self._upto(self.edges[i - 1], x)
 
     @property
     def total(self) -> np.ndarray:
-        out = self.prefix[-1].copy()
-        for va in self.atom_values:
-            out = out + va
-        return out
+        return self.prefix[-1].copy()
 
 
 class ResolventFunction:
@@ -162,22 +137,6 @@ class ResolventFunction:
     __call__ = balanced
 
 
-def resolvent_apply(
-    sys: SystemSpec,
-    bc: BoundaryConditions,
-    lam: complex,
-    f: Callable[[float], np.ndarray],
-    x: float,
-    *,
-    side: str = "balanced",
-    engine: Engine | None = None,
-) -> np.ndarray:
-    """Evaluate ``(R_lam f)(x)``.  For many evaluation points build a
-    :class:`ResolventFunction` once and reuse it."""
-    res = ResolventFunction(sys, bc, lam, f, engine=engine)
-    return getattr(res, side)(x)
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue scan (independent oracle for regular problems)
 
@@ -226,7 +185,7 @@ def eigen_scan(
     both detectors feed the same refinement.
     """
     eng = engine or Engine(sys, bc)
-    basis_p = _range_basis(norm_zero_space(sys, engine=eng)[1], sys.tols.rank_rel)
+    basis_p = _range_basis(norm_zero_space(sys, engine=eng)[1])
     if basis_p.shape[1] == 0:
         return []
 
@@ -292,19 +251,19 @@ def eigen_scan(
         top = sv[0] if sv.size else 1.0
         if sv.size and sv[-1] > sigma_accept * max(top, scale):
             continue
-        vecs = _gram_normalized_kernel(sys, bc, s, mat, basis_p, eng)
+        vecs = _gram_normalized_kernel(s, mat, basis_p, eng)
         if vecs.shape[1]:
             points.append(EigenPoint(value=s, multiplicity=vecs.shape[1], vectors=vecs))
     return points
 
 
-def _range_basis(projector: np.ndarray, rel_tol: float) -> np.ndarray:
+def _range_basis(projector: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(projector)
     keep = vals > 0.5
     return vecs[:, keep]
 
 
-def _gram_normalized_kernel(sys, bc, s, reduced_mat, basis_p, eng) -> np.ndarray:
+def _gram_normalized_kernel(s, reduced_mat, basis_p, eng) -> np.ndarray:
     u, sv, vh = np.linalg.svd(reduced_mat)
     top = sv[0] if sv.size else 1.0
     null_dim = int(np.sum(sv <= 1e-6 * max(top, 1.0))) + (reduced_mat.shape[1] - sv.size)

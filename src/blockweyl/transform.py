@@ -22,18 +22,18 @@ from .spectral import SpectralMeasureModel
 from .system import BoundaryConditions, SystemSpec
 
 
-def w_inner(sys: SystemSpec, g1, g2, *, tols=None) -> complex:
+def w_inner(sys: SystemSpec, g1, g2) -> complex:
     """Weighted inner product ``int g1^* w g2``."""
     a, b = sys.interval
     breaks = list(getattr(g1, "breakpoints", ())) + list(getattr(g2, "breakpoints", ()))
     breaks += sys.atom_positions()
 
-    def left(x: float) -> np.ndarray:
-        return np.conj(np.asarray(g1(x), dtype=complex)).reshape(1, -1)
+    def pairing(xs: np.ndarray, dws: np.ndarray) -> np.ndarray:
+        G1 = np.stack([np.asarray(g1(float(x)), dtype=complex) for x in xs])
+        G2 = np.stack([np.asarray(g2(float(x)), dtype=complex) for x in xs])
+        return (np.conj(G1)[:, None, :] @ dws) @ G2[:, :, None]
 
-    val = integrate_bv(
-        left, sys.w, IntervalSpec(a, b), rhs=g2, breakpoints=breaks, tols=tols or sys.tols
-    )
+    val = integrate_bv(pairing, sys.w, IntervalSpec(a, b), breakpoints=breaks, tols=sys.tols)
     return complex(val.reshape(-1)[0])
 
 

@@ -55,6 +55,13 @@ def test_memo_eviction_bounds_the_store_and_keeps_results(p1, monkeypatch):
     assert np.array_equal(bounded[0], full[0]) and bounded[1] == full[1]
 
 
+def test_gram_of_rotation_rows_on_p1(p1):
+    # P1 rows at real s are rotations and w = I dx on (0, pi): the Gram matrix is pi I
+    eng = Engine(*p1)
+    for s in (0.0, 1.5, 40.0, 79.5):
+        assert np.max(np.abs(eng.gram(s) - np.pi * np.eye(2))) < 1e-12
+
+
 @pytest.mark.parametrize("name", ["P1", "P2", "P4"])
 def test_shared_engine_under_threads_matches_serial_run(name):
     cfg = ProblemConfig.load(name)

@@ -13,6 +13,21 @@ from blockweyl.measures import (
 )
 
 
+def pointwise(g, rhs=None):
+    """Integrand ``g dm`` (or ``g dm rhs``) of integrate_bv, one point at a time."""
+
+    def integrand(xs, dms):
+        terms = []
+        for x, dm in zip(xs, dms):
+            term = np.asarray(g(float(x)), dtype=complex) @ dm
+            if rhs is not None:
+                term = term @ np.asarray(rhs(float(x)), dtype=complex)
+            terms.append(term)
+        return np.stack(terms)
+
+    return integrand
+
+
 def test_nonnegative_degenerate_atom_is_valid():
     m = MatrixMeasure.point(0.0, np.array([[2.0, 0.0], [0.0, 0.0]]))
     assert validate_measure(m, "nonnegative").ok
@@ -71,7 +86,7 @@ def test_structural_errors():
 
 def test_integrate_constant_identity():
     m = MatrixMeasure.constant(np.eye(2), (0.0, np.pi))
-    val = integrate_bv(lambda x: np.eye(2), m, IntervalSpec(0.0, np.pi))
+    val = integrate_bv(pointwise(lambda x: np.eye(2)), m, IntervalSpec(0.0, np.pi))
     assert np.max(np.abs(val - np.pi * np.eye(2))) < 1e-12
 
 
@@ -85,11 +100,11 @@ def test_integrate_balanced_step_against_atom():
         return 0.5 * np.eye(2)
 
     m = MatrixMeasure.point(0.0, np.diag([2.0, 0.0]))
-    val = integrate_bv(g, m, IntervalSpec(-1.0, 1.0))
+    val = integrate_bv(pointwise(g), m, IntervalSpec(-1.0, 1.0))
     assert np.max(np.abs(val - np.diag([1.0, 0.0]))) < 1e-14
 
     # open lower endpoint at the atom excludes it
-    val2 = integrate_bv(g, m, IntervalSpec(0.0, 1.0, include_lower=False))
+    val2 = integrate_bv(pointwise(g), m, IntervalSpec(0.0, 1.0, include_lower=False))
     assert np.max(np.abs(val2)) == 0.0
 
 
@@ -97,7 +112,7 @@ def test_endpoint_inclusion_flags_govern_atoms():
     m = MatrixMeasure.point(0.5, np.eye(2))
     for lower_inc in (True, False):
         val = integrate_bv(
-            lambda x: np.eye(2), m, IntervalSpec(0.5, 1.0, include_lower=lower_inc)
+            pointwise(lambda x: np.eye(2)), m, IntervalSpec(0.5, 1.0, include_lower=lower_inc)
         )
         expect = np.eye(2) if lower_inc else np.zeros((2, 2))
         assert np.array_equal(val, expect)
@@ -116,9 +131,9 @@ def test_additivity_over_split(split, atom_x, mass):
         atoms=((atom_x, mass * np.eye(2)),),
     )
     g = lambda x: np.array([[np.cos(x), 0.1 * x], [0.0, 1.0]])
-    whole = integrate_bv(g, m, IntervalSpec(0.0, 3.0))
-    left = integrate_bv(g, m, IntervalSpec(0.0, split, include_upper=True))
-    right = integrate_bv(g, m, IntervalSpec(split, 3.0, include_lower=False))
+    whole = integrate_bv(pointwise(g), m, IntervalSpec(0.0, 3.0))
+    left = integrate_bv(pointwise(g), m, IntervalSpec(0.0, split, include_upper=True))
+    right = integrate_bv(pointwise(g), m, IntervalSpec(split, 3.0, include_lower=False))
     assert np.max(np.abs(whole - left - right)) < 1e-9
 
 
@@ -137,6 +152,6 @@ def test_conjugate_symmetry_for_hermitian_measure(seed):
     g = lambda x: G * np.exp(0.3 * x)
     gstar = lambda x: g(x).conj().T
     iv = IntervalSpec(0.0, 1.0)
-    lhs = integrate_bv(g, m, iv).conj().T
-    rhs = integrate_bv(lambda x: np.eye(2), m, iv, rhs=gstar)
+    lhs = integrate_bv(pointwise(g), m, iv).conj().T
+    rhs = integrate_bv(pointwise(lambda x: np.eye(2), rhs=gstar), m, iv)
     assert np.max(np.abs(lhs - rhs)) < 1e-10

@@ -4,12 +4,13 @@ import pytest
 from conftest import J2, rotation
 from blockweyl.assembly import jump_system, norm_zero_space
 from blockweyl.errors import StructuralError, TheoryViolationError
-from blockweyl.propagation import VectorFunction, solve_ivp
+from blockweyl.measures import IntervalSpec, integrate_bv
+from blockweyl.propagation import VectorFunction, row_integrand, solve_ivp
 from blockweyl.spectral import (
+    PartialTransform,
     ResolventFunction,
     atom_weight,
     eigen_scan,
-    resolvent_apply,
     spectral_measure_model,
     stieltjes_inversion,
 )
@@ -193,12 +194,30 @@ def test_resolvent_identity(p1, e1):
         assert np.max(np.abs(resid)) < 1e-6
 
 
-def test_resolvent_apply_single_point(p2, e2):
-    sysm, bc = p2
-    f = VectorFunction(lambda x: np.array([1.0, 0.0]))
-    val = resolvent_apply(sysm, bc, 1j, f, 1.0, engine=e2)
-    R = ResolventFunction(sysm, bc, 1j, f, engine=e2)
-    assert np.array_equal(val, R.balanced(1.0))
+@pytest.mark.parametrize("name", ["p2", "p3", "p4"])
+def test_partial_transform_prefixes_match_direct_integrals(name, request):
+    # P3 has a w atom at 1 and P4 one at 0: a miscounted atom misses by O(1)
+    sysm, _ = request.getfixturevalue(name)
+    eng = request.getfixturevalue("e" + name[1])
+    a, b = sysm.interval
+    f = VectorFunction(lambda x: np.array([1.0 + x, np.cos(x)]))
+    points = sysm.atom_positions() + [a + 0.3 * (b - a), a + 0.71 * (b - a)]
+    for lam in (1j, 2.5 + 0.3j):
+        pt = PartialTransform(sysm, f, lam, eng)
+        row_f = row_integrand(eng.row(np.conj(lam)), f)
+
+        def direct(iv):
+            return integrate_bv(
+                row_f, sysm.w, iv, breakpoints=sysm.atom_positions(), tols=sysm.tols
+            )
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+        assert close(pt.total, direct(IntervalSpec(a, b)))
+        for x in points:
+            assert close(pt.below(x), direct(IntervalSpec(a, x, include_upper=False)))
+            assert close(pt.below(x) + pt.atom_term(x), direct(IntervalSpec(a, x)))
 
 
 def test_resolvent_transform_identity(p1, e1):
