@@ -11,7 +11,15 @@ class BlockweylError(Exception):
 
 
 class StructuralError(BlockweylError, ValueError):
-    """Malformed input data: segment ordering, atom placement, shape mismatches."""
+    """Malformed input data: segment ordering, atom placement, shape mismatches.
+
+    ``report``, when set, is a :class:`~blockweyl.measures.ValidationReport`
+    of every violation found; the message is the first.
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class ConfigError(BlockweylError, ValueError):

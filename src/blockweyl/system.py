@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import StructuralError
-from .measures import DEFAULT_TOLS, MatrixMeasure, Tolerances, validate_measure
+from .measures import DEFAULT_TOLS, MatrixMeasure, Tolerances, ValidationReport, validate_measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +41,15 @@ class EndpointSpec:
 
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
-    """The spectral problem ``J u' + (q - lam w) u = w f`` on ``(a, b)``."""
+    """The spectral problem ``J u' + (q - lam w) u = w f`` on ``(a, b)``.
+
+    ``J`` must be square, skew-hermitian and invertible; ``q`` and ``w`` of its
+    dimension, hermitian and non-negative, with their atoms inside the open
+    interval; the interval nonempty and a regular endpoint finite.  Otherwise
+    construction raises :class:`StructuralError` with the first violation as
+    its message and all of them, each naming its config field, as its
+    ``report``.  ``notes`` keeps that report's caveats.
+    """
 
     J: np.ndarray
     q: MatrixMeasure
@@ -56,31 +64,42 @@ class SystemSpec:
     def __post_init__(self):
         J = np.asarray(self.J, dtype=complex)
         object.__setattr__(self, "J", J)
+        report = ValidationReport()
+        found = report.violations
         n = J.shape[0]
         if J.shape != (n, n):
-            raise StructuralError("J must be square")
-        tol = self.tols.structural * max(1.0, float(np.linalg.norm(J)))
-        if np.max(np.abs(J + J.conj().T)) > tol:
-            raise StructuralError("J must be skew-hermitian")
-        if abs(np.linalg.det(J)) <= tol:
-            raise StructuralError("J must be invertible")
-        if self.q.dim != n or self.w.dim != n:
-            raise StructuralError("coefficient dimensions do not match J")
+            found.append(_violation("J", "square", 0.0, "J must be square"))
+        else:
+            tol = self.tols.structural * max(1.0, float(np.linalg.norm(J)))
+            if (skew := float(np.max(np.abs(J + J.conj().T)))) > tol:
+                found.append(_violation("J", "skew-hermitian", skew, "J must be skew-hermitian"))
+            if (det := abs(np.linalg.det(J))) <= tol:
+                found.append(_violation("J", "invertible", det, "J must be invertible"))
+        measures = (("q", self.q, "hermitian"), ("w", self.w, "nonnegative"))
+        found += [
+            _violation(label, "dimension", 0.0, "coefficient dimensions do not match J")
+            for label, m, _ in measures if m.dim != n
+        ]
         a, b = self.interval
         if not a < b:
-            raise StructuralError("interval must be nonempty")
-        for x, _ in list(self.q.atoms) + list(self.w.atoms):
-            if not a < x < b:
-                raise StructuralError(f"atom at {x} lies outside the open interval")
-        for ep, point in ((self.endpoint_a, a), (self.endpoint_b, b)):
-            if ep.regular and not np.isfinite(point):
-                raise StructuralError("a regular endpoint must be finite")
-        rq = validate_measure(self.q, "hermitian", self.tols.structural)
-        if not rq.ok:
-            raise StructuralError(f"q fails hermitian validation: {rq.violations[0]}")
-        rw = validate_measure(self.w, "nonnegative", self.tols.structural)
-        if not rw.ok:
-            raise StructuralError(f"w fails nonnegative validation: {rw.violations[0]}")
+            found.append(_violation("interval", "nonempty", a - b, "interval must be nonempty"))
+        found += [
+            _violation(label, "atom-location", max(a - x, x - b), f"atom at {x} lies outside the open interval", x)
+            for label, m, _ in measures for x, _ in m.atoms if not a < x < b
+        ]
+        found += [
+            _violation(f"endpoints.{side}", "finite", 0.0, "a regular endpoint must be finite")
+            for side, ep, point in zip("ab", (self.endpoint_a, self.endpoint_b), self.interval)
+            if ep.regular and not np.isfinite(point)
+        ]
+        for label, m, kind in measures:
+            rep = validate_measure(m, kind, self.tols.structural)
+            found += [{**v, "field": label, "detail": f"{label} fails {kind} validation: {v['detail']}"}
+                      for v in rep.violations]
+            report.notes += [f"{label}: {note}" for note in rep.notes]
+        if found:
+            raise StructuralError(found[0]["detail"], report)
+        object.__setattr__(self, "notes", tuple(report.notes))
 
         # constant data read on every propagation step, computed once
         J_inv = np.linalg.inv(J)
@@ -136,15 +155,29 @@ class BoundaryConditions:
         gap = self.Gb @ Jinv @ self.Gb.conj().T - self.Ga @ Jinv @ self.Ga.conj().T
         return float(np.max(np.abs(gap))) if gap.size else 0.0
 
+    def violations(self, J: np.ndarray, tols: Tolerances) -> list[dict]:
+        """Violated boundary hypotheses for a square invertible ``J``: ``n``
+        columns, and the self-adjointness identity at the structural
+        tolerance scaled by ``|Ga| + |Gb|``."""
+        if self.Ga.shape[1] != J.shape[0]:
+            return [_violation("boundary", "shape", 0.0, "boundary rows must have n columns")]
+        defect = self.selfadjointness_defect(J)
+        if defect <= tols.structural * max(1.0, float(np.linalg.norm(self.Ga) + np.linalg.norm(self.Gb))):
+            return []
+        detail = f"boundary data fails the self-adjointness identity (defect {defect:.3e})"
+        return [_violation("boundary", "self-adjointness", defect, detail)]
+
     def validate(self, sys: SystemSpec) -> None:
-        if self.Ga.shape[1] != sys.dim:
-            raise StructuralError("boundary rows must have n columns")
-        defect = self.selfadjointness_defect(sys.J)
-        tol = sys.tols.structural * max(1.0, float(np.linalg.norm(self.Ga) + np.linalg.norm(self.Gb)))
-        if defect > tol:
-            raise StructuralError(
-                f"boundary data fails the self-adjointness identity (defect {defect:.3e})"
-            )
+        """Raise :class:`StructuralError` on the first of :meth:`violations`."""
+        found = self.violations(sys.J, sys.tols)
+        if found:
+            raise StructuralError(found[0]["detail"])
+
+
+def _violation(field: str, kind: str, magnitude: float, detail: str, location=None) -> dict:
+    """One entry of a :class:`ValidationReport`; ``magnitude`` is 0 where a
+    violation has no size (a wrong shape, an infinite regular endpoint)."""
+    return {"field": field, "kind": kind, "location": location, "magnitude": float(magnitude), "detail": detail}
 
 
 @dataclass

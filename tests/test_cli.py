@@ -6,7 +6,17 @@ from pathlib import Path
 import pytest
 
 from blockweyl import cli
-from blockweyl.errors import ConfigError
+from blockweyl.config import ProblemConfig
+from blockweyl.errors import ConfigError, TheoryViolationError
+from blockweyl.verify import verify_battery
+
+VERIFY_CRITERIA = [
+    "q_hermitian", "w_nonnegative", "boundary_selfadjoint", "jump_conjugation",
+    "lambda_conjugation_symmetry", "wronskian_identities", "norm_zero_annihilation",
+    "source_structure_identity", "constraint_condition", "symmetry_witness",
+    "weyl_symmetry", "herglotz_min_eig", "weyl_mean_identity", "projector_absorption",
+    "range_inclusion", "measure_additivity",
+]
 
 
 def run_cli(*args):
@@ -17,8 +27,8 @@ def run_cli(*args):
     )
 
 
-def write_config(tmp_path, mutate=None, name="custom.json"):
-    base = json.loads(Path(cli.resolve_config_path("P1")).read_text())
+def write_config(tmp_path, mutate=None, name="custom.json", base="P1"):
+    base = json.loads(Path(cli.resolve_config_path(base)).read_text())
     if mutate:
         mutate(base)
     path = tmp_path / name
@@ -46,6 +56,82 @@ def test_validate_rejects_nonhermitian_q(tmp_path):
     report = json.loads((tmp_path / "validate.json").read_text())
     fields = {v["field"] for v in report["violations"]}
     assert "q" in fields
+
+
+def _set(*path_and_value):
+    """A config mutation: set the entry at ``path`` (keys and indices) to ``value``."""
+    *path, key, value = path_and_value
+
+    def mutate(c):
+        for k in path:
+            c = c[k]
+        c[key] = value
+    return mutate
+
+
+def _delete(*path):
+    def mutate(c):
+        for k in path[:-1]:
+            c = c[k]
+        del c[path[-1]]
+    return mutate
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize(
+    "mutate, flags, field",
+    [
+        (_delete("boundary", "Gb"), [], "boundary.Gb"),
+        (_delete("expand", "f", "pieces", 0, "interval"), [], "expand.f.pieces[0].interval"),
+        (_set("w", "atoms", [{"x": 1.0}]), [], "w.atoms[0].matrix"),
+        (_set("lambda_grid", "real", [-3.0, 3.0, 0.0]), [], "lambda_grid"),
+        (_set("range", [0.0]), [], "range"),
+        (_set("eps_schedule", ["x"]), [], "eps_schedule"),
+        (None, ["--tol-override", "quad_rel=abc"], "--tol-override quad_rel"),
+        (None, ["--lambda-grid", "1:0:0.5@0.1"], "--lambda-grid"),
+        (None, ["--lambda-grid", "0:1:0@0.1"], "--lambda-grid"),
+    ],
+    ids=["boundary-Gb", "expand-interval", "w-atom-matrix", "grid-step-0", "range-1",
+         "eps-schedule-x", "tol-override", "flag-grid-empty", "flag-grid-step-0"],
+)
+def test_malformed_input_exits_4(tmp_path, capsys, command, mutate, flags, field):
+    cfg = write_config(tmp_path, mutate)
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path), *flags])
+    assert rc == 4
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate, fields",
+    [
+        (_set("q", "atoms", [{"x": 99.0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}]), {"q"}),
+        (_set("interval", [1.0, 0.0]), {"interval"}),
+        (
+            lambda c: c.update(
+                tolerances={"structural": 1e-14},
+                q={"atoms": [{"x": 1.0, "matrix": [[[1, 0], [1e-12, 0]], [[0, 0], [0, 0]]]}]},
+            ),
+            {"q"},
+        ),
+        (_set("J", [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]), {"J"}),
+        (
+            # invertible but not skew-hermitian J: the boundary is still checked
+            lambda c: c.update(
+                J=[[[1, 0], [-1, 0]], [[1, 0], [0, 0]]],
+                boundary={"Ga": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "Gb": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]},
+            ),
+            {"J", "boundary"},
+        ),
+    ],
+    ids=["atom-outside", "empty-interval", "config-tolerance", "singular-J", "J-and-boundary"],
+)
+def test_validate_reports_what_the_loader_rejects(tmp_path, mutate, fields):
+    cfg = write_config(tmp_path, mutate)
+    assert cli.run("validate", cfg, tmp_path) == 1
+    report = json.loads((tmp_path / "validate.json").read_text())
+    assert not report["ok"]
+    assert fields <= {v["field"] for v in report["violations"]}
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
 
 def test_config_errors_exit_4(tmp_path):
@@ -132,6 +218,25 @@ def test_verify_passes_and_is_byte_identical(tmp_path):
     assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
     data = json.loads((out1 / "verify.json").read_text())
     assert data["all_passed"] is True
+    assert [c["name"] for c in data["criteria"]] == VERIFY_CRITERIA
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4"])
+def test_verify_battery_in_process(name):
+    cfg = ProblemConfig.load(name)
+    rows = verify_battery(cfg.system, cfg.boundary)
+    assert [r["name"] for r in rows] == VERIFY_CRITERIA
+    assert all(r["passed"] for r in rows), [r for r in rows if not r["passed"]]
+
+
+def test_verify_battery_raises_on_bad_boundary_rows(tmp_path):
+    path = write_config(tmp_path, _set("boundary", {
+        "Ga": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "Gb": [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+    }), base="P3")
+    cfg = ProblemConfig.load(path)
+    with pytest.raises(TheoryViolationError):
+        verify_battery(cfg.system, cfg.boundary)
 
 
 def test_verify_detects_bad_boundary_rows(tmp_path):
@@ -165,6 +270,13 @@ def test_cli_entry_point_flags(tmp_path):
     assert proc.returncode == 0
     lines = (tmp_path / "eigen.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 3  # eigenvalues -1, 0, 1
+    # the flag's grid is real-major (the config's is imaginary-major)
+    proc = run_cli("mfun", "--config", "P1", "--out", str(tmp_path), "--lambda-grid", "0:0.5:0.5@0.1,1")
+    assert proc.returncode == 0
+    lines = (tmp_path / "mfun.csv").read_text().strip().splitlines()[1:]
+    assert [tuple(float(v) for v in line.split(",")[:2]) for line in lines] == [
+        (0.0, 0.1), (0.0, 1.0), (0.5, 0.1), (0.5, 1.0),
+    ]
 
 
 def test_fatou_demo_csv(tmp_path):
