@@ -30,7 +30,8 @@ import numpy as np
 
 from .assembly import norm_zero_space, transform_range_dim
 from .config import (
-    ProblemConfig, builtin_configs, parameter_grid, parse_floats, resolve_config_path, validate_config,
+    ProblemConfig, builtin_configs, parameter_grid, parse_eps_schedule, parse_floats, parse_range,
+    resolve_config_path, validate_config,
 )
 from .engine import Engine
 from .errors import AccuracyError, BlockweylError, ConfigError, TheoryViolationError
@@ -216,7 +217,7 @@ def _cmd_expand(cfg: ProblemConfig, out: Path) -> int:
             breakpoints=tuple(sysm.atom_positions()) + tuple(f.breakpoints),
         ),
     )
-    pars = parseval_check(sysm, bc, model, f, truncation=trunc, engine=eng)
+    pars = parseval_check(sysm, bc, model, f, truncation=trunc, engine=eng, fhat=fhat)
     width = eng.coeff_dim
     header = ["s", "multiplicity"] + [f"{p}_c{i}" for i in range(width) for p in ("re", "im")]
     rows = []
@@ -329,9 +330,9 @@ def main(argv: list[str] | None = None) -> int:
             overrides[key] = parse_floats([value], f"--tol-override {key}")[0]
         kwargs = {}
         if args.eps_schedule:
-            kwargs["eps_schedule"] = parse_floats(args.eps_schedule.split(","), "--eps-schedule")
+            kwargs["eps_schedule"] = parse_eps_schedule(args.eps_schedule.split(","), "--eps-schedule")
         if args.scan_range:
-            kwargs["scan_range"] = parse_floats(args.scan_range.split(","), "--range", 2)
+            kwargs["scan_range"] = parse_range(args.scan_range.split(","), "--range")
         if args.lambda_grid:  # "lo:hi:step@eps1,eps2", real part outer
             real, _, eps = args.lambda_grid.partition("@")
             kwargs["lambda_grid"] = parameter_grid(

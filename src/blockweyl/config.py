@@ -50,6 +50,22 @@ def parse_floats(values, field: str, count: int | None = None) -> tuple[float, .
     return out
 
 
+def parse_range(values, field: str) -> tuple[float, float]:
+    """A scan range ``lo, hi``; it must have ``lo < hi``."""
+    lo, hi = parse_floats(values, field, 2)
+    if not lo < hi:
+        raise ConfigError(f"needs lo < hi, got {lo}, {hi}", field=field)
+    return lo, hi
+
+
+def parse_eps_schedule(values, field: str) -> tuple[float, ...]:
+    """Imaginary offsets of the Stieltjes inversion; at least one."""
+    out = parse_floats(values, field)
+    if not out:
+        raise ConfigError("empty eps schedule", field=field)
+    return out
+
+
 def parameter_grid(
     real: Sequence[float], imag: Sequence[float], field: str, *, real_major: bool
 ) -> list[complex]:
@@ -297,8 +313,8 @@ def validate_config(
         system=system,
         boundary=boundary,
         lambda_grid=grid,
-        eps_schedule=parse_floats(raw.get("eps_schedule", (1e-2, 1e-3, 1e-4)), "eps_schedule"),
-        scan_range=parse_floats(raw.get("range", (-3.0, 3.0)), "range", 2),
+        eps_schedule=parse_eps_schedule(raw.get("eps_schedule", (1e-2, 1e-3, 1e-4)), "eps_schedule"),
+        scan_range=parse_range(raw.get("range", (-3.0, 3.0)), "range"),
         expand_f=expand_f,
         truncation=truncation,
         fatou=_fatou(raw["fatou"]) if "fatou" in raw else None,

@@ -32,7 +32,7 @@ from .system import (
     partition_points,
 )
 
-#: solution rows kept per engine (a row with a smooth stretch holds dense ODE output)
+#: solution rows kept per engine (a row with a smooth stretch holds its Magnus meshes)
 ROW_CAPACITY = 256
 #: other derived values kept per engine; windows of one problem reuse them
 MEMO_CAPACITY = 4096

@@ -29,7 +29,7 @@ class Tolerances:
     structural: float = 1e-10      # hermiticity / PSD / self-adjointness checks
     quad_rel: float = 1e-10        # quadrature relative tolerance
     quad_abs: float = 1e-13
-    ode_rtol: float = 1e-10        # adaptive integrator relative tolerance
+    ode_rtol: float = 1e-10        # relative tolerance of the Magnus meshes on smooth stretches
     ode_atol: float = 1e-13
     rank_rel: float = 1e-10        # SVD rank cutoff (relative to sigma_max)
     pinv_rel: float = 1e-12        # pseudoinverse cutoff (relative to sigma_max)
@@ -68,9 +68,11 @@ class IntervalSpec:
 class Segment:
     """One smooth stretch of the density.
 
-    ``density`` maps a point to an ``n x n`` complex matrix; ``degree`` is a
-    polynomial-degree hint (0 marks a constant density, enabling closed-form
-    propagation; None means generic smooth).
+    ``density`` maps a point to an ``n x n`` complex matrix.  ``degree``,
+    when given, bounds its polynomial degree: 0 marks a constant density,
+    propagated in closed form, and any degree lets propagation interpolate
+    the density from ``degree + 1`` values per stretch.  None means generic
+    smooth.
     """
 
     interval: tuple[float, float]
@@ -143,9 +145,6 @@ class MatrixMeasure:
             pts.update(seg.interval)
         pts.update(x for x, _ in self.atoms)
         return sorted(pts)
-
-    def is_zero(self) -> bool:
-        return not self.segments and not self.atoms
 
     # -- constructors ------------------------------------------------------
 

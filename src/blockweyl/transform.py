@@ -218,10 +218,12 @@ def parseval_check(
     truncation: float,
     *,
     engine: Engine | None = None,
+    fhat: TauVector | None = None,
     quadrature_norm_max_atoms: int = 64,
 ) -> dict:
     """Compare the truncated transform-side and function-side Parseval sums.
 
+    ``fhat`` is the forward transform of ``f``; it is computed when not given.
     Returns the transform-side sum, the weighted norm of the truncated
     spectral projection, and a tail estimate from the truncation increments.
     ``tail_estimate`` is the tau-mass of the transform on
@@ -234,7 +236,8 @@ def parseval_check(
     ``orthonormality_defect`` bounds the substitution error).
     """
     eng = engine or Engine(sys, bc)
-    fhat = forward_transform(sys, bc, model, f, engine=eng)
+    if fhat is None:
+        fhat = forward_transform(sys, bc, model, f, engine=eng)
     tau_sq = fhat.norm_sq(within=truncation)
     half_sq = fhat.norm_sq(within=truncation / 2.0)
     tail_estimate = max(tau_sq - half_sq, 0.0)

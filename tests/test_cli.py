@@ -90,9 +90,13 @@ def _delete(*path):
         (None, ["--tol-override", "quad_rel=abc"], "--tol-override quad_rel"),
         (None, ["--lambda-grid", "1:0:0.5@0.1"], "--lambda-grid"),
         (None, ["--lambda-grid", "0:1:0@0.1"], "--lambda-grid"),
+        (_set("range", [2.0, -2.0]), [], "range"),
+        (_set("eps_schedule", []), [], "eps_schedule"),
+        (None, ["--range=2,-2"], "--range"),
     ],
     ids=["boundary-Gb", "expand-interval", "w-atom-matrix", "grid-step-0", "range-1",
-         "eps-schedule-x", "tol-override", "flag-grid-empty", "flag-grid-step-0"],
+         "eps-schedule-x", "tol-override", "flag-grid-empty", "flag-grid-step-0",
+         "range-reversed", "eps-schedule-empty", "flag-range-reversed"],
 )
 def test_malformed_input_exits_4(tmp_path, capsys, command, mutate, flags, field):
     cfg = write_config(tmp_path, mutate)
@@ -208,6 +212,22 @@ def test_expand_outputs(tmp_path):
     assert summary["transform_norm_sq"] == pytest.approx(summary["projection_norm_sq"], abs=1e-8)
     lines = (tmp_path / "expand.csv").read_text().strip().splitlines()
     assert len(lines) == 2
+
+
+def test_expand_computes_the_transform_once(tmp_path, monkeypatch):
+    from blockweyl import transform
+
+    calls = []
+    original = transform.forward_transform
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "forward_transform", counted)
+    monkeypatch.setattr(cli, "forward_transform", counted)
+    assert cli.run("expand", "P4", tmp_path) == 0
+    assert len(calls) == 1
 
 
 def test_verify_passes_and_is_byte_identical(tmp_path):

@@ -1,0 +1,144 @@
+"""The sixth-order Magnus flow on stretches with non-constant coefficients."""
+
+import numpy as np
+import pytest
+import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import J2
+from blockweyl.errors import AccuracyError
+from blockweyl.measures import MatrixMeasure, Segment, Tolerances
+from blockweyl.propagation import VectorFunction, fundamental_matrix, solve_ivp, wronskian_defect
+from blockweyl.system import SystemSpec, jump_matrices
+
+LENGTH = 1.5
+ANCHOR = 0.6
+W_LINEAR = Segment((0.0, LENGTH), lambda x: (1.0 + 0.5 * x) * np.eye(2), degree=1)
+
+
+def smooth_system(q_coeffs, *, tols=Tolerances()) -> SystemSpec:
+    """``w = (1 + x/2) I`` and a ``q`` density: the polynomial with ``q_coeffs``
+    (ascending, symmetric 2x2 each) or, for None, ``diag(sin 3x, cos x)``."""
+    if q_coeffs is None:
+        q_seg = Segment((0.0, LENGTH), lambda x: np.diag([np.sin(3 * x), np.cos(x)]))
+    else:
+        c = np.asarray(q_coeffs, dtype=float)
+        q_seg = Segment((0.0, LENGTH), lambda x: sum(ck * x**k for k, ck in enumerate(c)), degree=len(c) - 1)
+    return SystemSpec(
+        J=J2,
+        q=MatrixMeasure(dim=2, segments=(q_seg,)),
+        w=MatrixMeasure(dim=2, segments=(W_LINEAR,)),
+        interval=(0.0, LENGTH),
+        tols=tols,
+    )
+
+
+def reference(sysm, lam, x0, Y0, xs, drive=None):
+    """DOP853 at ``rtol=1e-13`` from ``(x0, Y0)`` to the points ``xs`` on one side of ``x0``."""
+    shape = np.shape(Y0)
+
+    def rhs(x, y):
+        A = sysm.J_inv @ (lam * sysm.w.density_at(x) - sysm.q.density_at(x))
+        out = A @ y.reshape(shape)
+        if drive is not None:
+            out = out + sysm.J_inv @ sysm.w.density_at(x) @ drive(x)
+        return out.reshape(-1)
+
+    end = max(xs, key=lambda x: abs(x - x0))
+    sol = scipy.integrate.solve_ivp(
+        rhs, (x0, end), np.asarray(Y0, dtype=complex).reshape(-1),
+        method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True,
+    )
+    assert sol.success
+    return [sol.sol(x).reshape(shape) for x in xs]
+
+
+def assert_close(value, ref, rel=1e-9):
+    assert np.max(np.abs(value - ref)) <= rel * np.max(np.abs(ref))
+
+
+symmetric = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(lambda t: [[t[0], t[1]], [t[1], t[2]]])
+q_coefficients = st.one_of(st.none(), st.lists(symmetric, min_size=1, max_size=3))
+spectral_parameters = st.builds(
+    complex, st.floats(-15.0, 15.0), st.one_of(st.just(0.0), st.floats(0.25, 2.0))
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    q_coefficients,
+    spectral_parameters,
+    st.lists(st.floats(0.01, LENGTH - 0.01), min_size=3, max_size=3),
+)
+def test_rows_match_tight_dop853(q_coeffs, lam, interior):
+    sysm = smooth_system(q_coeffs)
+    U = fundamental_matrix(sysm, 0, lam, anchor=ANCHOR)
+    eye = np.eye(2, dtype=complex)
+    for side in ([0.0] + [x for x in interior if x < ANCHOR], [LENGTH] + [x for x in interior if x > ANCHOR]):
+        for x, ref in zip(side, reference(sysm, lam, ANCHOR, eye, side)):
+            assert_close(U(x), ref)
+
+
+@pytest.mark.parametrize("lam", [1.5 + 0.5j, -9.0 + 2.0j, 14.0 + 0.25j, 6.0])
+@pytest.mark.parametrize("q_coeffs", [None, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 0.0]]]],
+                         ids=["sin-cos", "polynomial"])
+def test_wronskian_at_roundoff(q_coeffs, lam):
+    # lam and conj(lam) share their meshes, so the identity does not see the tolerance
+    assert wronskian_defect(smooth_system(q_coeffs), 0, lam, 30, anchor=ANCHOR) <= 1e-12
+
+
+def test_wronskian_at_roundoff_on_quadratic_density():
+    sysm = SystemSpec(
+        J=J2,
+        q=MatrixMeasure(dim=2, segments=(Segment((0.0, 2.0), lambda x: np.diag([x * x, -x]), degree=2),)),
+        w=MatrixMeasure(dim=2, segments=(Segment((0.0, 2.0), lambda x: (1 + 0.5 * x) * np.eye(2), degree=1),)),
+        interval=(0.0, 2.0),
+    )
+    assert wronskian_defect(sysm, 0, 1.5 + 0.5j, 30) <= 1e-12
+
+
+def test_inhomogeneous_solve_on_smooth_stretch():
+    # a drive f through a non-constant weight with an atom: the augmented flow
+    # matches the reference before the atom and meets the jump condition at it
+    atom = np.diag([2.0, 0.0])
+    sysm = SystemSpec(
+        J=J2,
+        q=MatrixMeasure(dim=2, segments=(Segment((0.0, 1.0), lambda x: np.diag([x, 1.0 - x * x]), degree=2),)),
+        w=MatrixMeasure(dim=2, segments=(Segment((0.0, 1.0), lambda x: (1.0 + 0.5 * x) * np.eye(2), degree=1),),
+                        atoms=((0.5, atom),)),
+        interval=(0.0, 1.0),
+    )
+    f = VectorFunction(lambda x: np.array([1.0, np.cos(x)]))
+    lam = 2.7 + 0.4j
+    u0 = np.array([1.0, 1.0])
+    sol = solve_ivp(sysm, 0, lam, 0.0, u0, f=f)
+    xs = [0.2, 0.35, 0.5]
+    for x, ref in zip(xs, reference(sysm, lam, 0.0, u0, xs, drive=f)):
+        assert_close(sol.left(x), ref)
+    bm, bp = jump_matrices(sysm, 0.5, lam)
+    resid = bp @ sol.right(0.5) - bm @ sol.left(0.5) - atom @ f(0.5)
+    assert np.max(np.abs(resid)) < 1e-10
+
+
+def test_mesh_cap_raises_accuracy_error():
+    # no mesh reaches a tolerance below roundoff: refinement stops at the cap
+    sysm = smooth_system(None, tols=Tolerances(ode_rtol=1e-30, ode_atol=0.0))
+    with pytest.raises(AccuracyError, match="Magnus mesh"):
+        fundamental_matrix(sysm, 0, 2.0 + 1.0j, anchor=ANCHOR)
+
+
+def test_conjugate_parameters_share_their_mesh():
+    # on a complex 4x4 system the Richardson estimates of lam and conj(lam)
+    # differ by up to 40%; the mesh test takes the larger, so no tolerance of
+    # a fine sweep separates the two and the Wronskian stays at roundoff
+    rng = np.random.default_rng(7)
+    herm = [(lambda m: 0.3 * (m + m.conj().T))(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            for _ in range(3)]
+    q = MatrixMeasure(dim=4, segments=(Segment((0.0, 1.0), lambda x: herm[0] + herm[1] * x + herm[2] * x * x,
+                                               degree=2),))
+    w = MatrixMeasure(dim=4, segments=(Segment((0.0, 1.0), lambda x: (1.0 + 0.5 * x) * np.eye(4), degree=1),))
+    for rtol in np.geomspace(1e-10, 1e-7, 61):
+        sysm = SystemSpec(J=np.kron(np.eye(2), J2), q=q, w=w, interval=(0.0, 1.0),
+                          tols=Tolerances(ode_rtol=float(rtol), ode_atol=0.0))
+        assert wronskian_defect(sysm, 0, 3.0 + 1.0j, 5, anchor=0.0) <= 1e-12

@@ -173,7 +173,7 @@ def test_wronskian_defect_examples(p1, p2):
 
 
 def test_wronskian_polynomial_density_ode_path():
-    # non-constant density exercises the adaptive integrator
+    # non-constant density exercises the Magnus flow
     sysm = SystemSpec(
         J=J2,
         q=MatrixMeasure(
