@@ -106,11 +106,13 @@ def _poly_evaluator(coeff_table, n: int, field: str):
         [[_as_complex(c, field) for c in coeff_table[i][j]] for j in range(n)]
         for i in range(n)
     ]
-    deg = max((len(c) for row in coeffs for c in row), default=1) - 1
+    # the degree is that of the last nonzero coefficient: trailing exact zeros
+    # must not send a constant density down the non-constant path
+    deg = max((k for row in coeffs for c in row for k, ck in enumerate(c) if ck != 0), default=0)
     packed = np.zeros((deg + 1, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            for k, c in enumerate(coeffs[i][j]):
+            for k, c in enumerate(coeffs[i][j][: deg + 1]):
                 packed[k, i, j] = c
 
     def evaluate(x: float) -> np.ndarray:

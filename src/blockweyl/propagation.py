@@ -6,7 +6,12 @@ Between atoms and segment edges the equation is a smooth linear ODE,
 
 integrated either in closed form (constant coefficients on the stretch) or
 by a sixth-order Magnus method on a uniform mesh, refined by doubling until a
-Richardson estimate meets ``ode_rtol``/``ode_atol``.  Each Magnus step is the
+Richardson estimate meets ``ode_rtol``/``ode_atol``.  On a constant stretch
+where ``q`` or ``w`` has no density the coefficient is ``lam M`` or ``M`` for
+a matrix ``M`` free of ``lam``; its flow ``exp(tau M)``, with the complex step
+``tau = lam dx`` or ``dx``, is decomposed once per system (:class:`_PencilFlow`),
+as an exact finite series when ``M`` is a multiple of the identity plus a
+nilpotent part.  Each Magnus step is the
 exponential of a matrix in the Lie algebra of the flow, so ``lam`` and
 ``conj(lam)``, which share a mesh, keep the Wronskian identity to roundoff.
 Crossing an atom applies the transfer
@@ -18,8 +23,10 @@ breakpoints; its value at a breakpoint is always understood as balanced.
 
 Propagation runs on a 1-D array of spectral parameters at once: every stored
 value carries a leading axis over them, and a single parameter is a batch of
-one.  Constant stretches and atom transfers use stacked LAPACK calls; other
-stretches get a mesh per parameter, with the steps of one mesh stacked.
+one.  Constant stretches flow all parameters at once, through the system's
+decomposition or, when both densities are present, through stacked LAPACK
+calls; atom transfers are stacked too; other stretches get a mesh per
+parameter, with the steps of one mesh stacked.
 """
 
 from __future__ import annotations
@@ -74,12 +81,13 @@ def _spectral_parameters(lam) -> np.ndarray:
     return np.atleast_1d(np.asarray(lam, dtype=complex))
 
 
-def _diagonalize(A: np.ndarray):
+def _diagonalize(A: np.ndarray, cond_cap: float = 1e8):
     """``(mu, V, Vinv, ok)`` for a stack of nonzero matrices.
 
     ``ok`` marks the eigendecompositions that reconstruct their matrix and
-    have a well-conditioned basis.  A stack on which LAPACK fails is retried
-    one matrix at a time, so a failure costs no other matrix its decomposition.
+    have a basis whose condition number is below ``cond_cap``.  A stack on
+    which LAPACK fails is retried one matrix at a time, so a failure costs no
+    other matrix its decomposition.
     """
     try:
         mu, V = np.linalg.eig(A)
@@ -88,22 +96,23 @@ def _diagonalize(A: np.ndarray):
         if len(A) == 1:
             zeros = np.zeros_like(A)
             return np.zeros(A.shape[:-1], dtype=complex), zeros, zeros, np.zeros(1, dtype=bool)
-        return tuple(np.concatenate(part) for part in zip(*(_diagonalize(a[None]) for a in A)))
+        return tuple(np.concatenate(part) for part in zip(*(_diagonalize(a[None], cond_cap) for a in A)))
     D = np.zeros_like(V)
     D.reshape(len(A), -1)[:, :: A.shape[-1] + 1] = mu
     recon = np.abs(V @ D @ Vinv - A).max(axis=(1, 2))
     scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
-    return mu, V, Vinv, (np.linalg.cond(V) < 1e8) & (recon <= 1e-12 * scale)
+    return mu, V, Vinv, (np.linalg.cond(V) < cond_cap) & (recon <= 1e-12 * scale)
 
 
 class _ConstantFlow:
-    """Flows ``Y -> exp(A dx) Y`` for constant coefficient matrices.
+    """Flows ``Y -> exp(A dx) Y`` for constant coefficient matrices, decomposed per parameter.
 
     ``A`` is one ``(n, n)`` matrix or a stack ``(m, n, n)`` with one matrix per
     spectral parameter; ``flow[i]`` is the flow of matrix ``i`` alone.  A
     matrix whose eigendecomposition passed the gates (``diag``) flows through
     it, any other nonzero one through ``expm``; ``mu``, ``V`` and ``Vinv`` are
-    None when no matrix uses them.
+    None when no matrix uses them.  This is the flow of Magnus steps and of
+    constant stretches that :class:`_PencilFlow` does not take.
     """
 
     def __init__(self, A, mu, V, Vinv, diag, zero):
@@ -170,7 +179,97 @@ class _ConstantFlow:
             if core.ndim == 1:
                 return np.einsum("ij,mj,j->mi", self.V, ex, core)
             return np.einsum("ij,mj,jk->mik", self.V, ex, core)
-        return np.stack([self.apply(float(dx), Y) for dx in dxs])
+        return expm(self.A * dxs[:, None, None]) @ Y
+
+
+# condition cap of an eigenbasis shared by every parameter: the flow's
+# relative error grows like cond(V) times roundoff, and must stay near 1e-13
+_PENCIL_COND_CAP = 1e3
+
+
+class _PencilFlow:
+    """Flows ``Y -> exp(tau M) Y`` of one matrix ``M`` free of ``lam``, at complex steps ``tau``.
+
+    A constant stretch without ``q`` density has ``A(lam) = lam M`` with
+    ``M = J^-1 W``, one without ``w`` density ``A = M = -J^-1 Q`` for every
+    ``lam``; ``tau = scale dx`` with ``scale`` the parameters or ones.  ``M``
+    is decomposed once (:meth:`of`) and the decomposition shared by every
+    parameter: ``zero`` for ``M = 0``; ``diag`` when its eigendecomposition
+    passes the gates of :func:`_diagonalize` with the basis condition capped
+    at ``_PENCIL_COND_CAP`` (the gates hold for ``lam M`` as they do for
+    ``M``); ``series`` when ``M = mu I + N`` with ``N^n`` exactly zero, where
+    ``exp(tau M) = e^(mu tau) sum_{k<n} (tau N)^k / k!`` is exact; ``expm``
+    of the stacked ``tau M`` otherwise.  ``scale`` has one entry per
+    parameter, or is a scalar for a single one (``flow[i]``), whose flow
+    :meth:`apply` also takes at an array of offsets.  A zero step gives ``Y``
+    exactly.
+    """
+
+    def __init__(self, kind: str, mu, basis, scale=1.0):
+        self.kind, self.mu, self.basis, self.scale = kind, mu, basis, scale
+
+    @classmethod
+    def of(cls, M: np.ndarray) -> "_PencilFlow":
+        if not M.any():
+            return cls("zero", None, None)
+        mu, V, Vinv, ok = _diagonalize(M[None], _PENCIL_COND_CAP)
+        if ok[0]:
+            return cls("diag", mu[0], (V[0], Vinv[0]))
+        n = len(M)
+        shift = np.trace(M) / n
+        N = M - shift * np.eye(n)
+        if np.linalg.matrix_power(N, n).any():
+            return cls("expm", None, M)
+        powers = [np.eye(n, dtype=complex)]  # N^k / k!
+        for k in range(1, n):
+            powers.append(powers[-1] @ N / k)
+        return cls("series", shift, np.stack(powers))
+
+    def scaled(self, scale) -> "_PencilFlow":
+        return _PencilFlow(self.kind, self.mu, self.basis, scale)
+
+    def __getitem__(self, i) -> "_PencilFlow":
+        return self.scaled(self.scale[i])
+
+    def apply(self, dx, Y: np.ndarray) -> np.ndarray:
+        """``exp(tau M) Y`` for ``tau = scale dx``: vectors or matrices ``Y``
+        stacked like ``scale``, or one parameter's at an array of offsets ``dx``."""
+        tau = self.scale * np.asarray(dx)
+        vec = Y.ndim == np.ndim(self.scale) + 1
+        if vec:
+            Y = Y[..., None]
+        if self.kind == "zero":
+            out = np.broadcast_to(Y, tau.shape + Y.shape[-2:]).copy()
+        elif self.kind == "diag":
+            V, Vinv = self.basis
+            out = V @ (np.exp(tau[..., None] * self.mu)[..., None] * (Vinv @ Y))
+        elif self.kind == "expm":
+            out = expm(tau[..., None, None] * self.basis) @ Y
+        else:
+            steps = tau[..., None] ** np.arange(len(self.basis))
+            out = (np.exp(self.mu * tau)[..., None, None] * np.tensordot(steps, self.basis, axes=1)) @ Y
+        out = np.where((tau == 0)[..., None, None], Y, out)
+        return out[..., 0] if vec else out
+
+    apply_many = apply
+
+
+def _constant_flow(sys: SystemSpec, lams: np.ndarray, mid: float):
+    """The flow of the constant stretch around ``mid`` for the parameters ``lams``.
+
+    A stretch without ``q`` or without ``w`` density takes the system's
+    :class:`_PencilFlow` of its density pair, decomposed on first use
+    (filling the table twice stores equal flows); a stretch with both gets
+    a :class:`_ConstantFlow` of its stacked matrices.
+    """
+    Q, W = sys.q.density_at(mid), sys.w.density_at(mid)
+    if Q.any() and W.any():
+        return _ConstantFlow.of(sys.J_inv @ (lams[:, None, None] * W - Q))
+    key = (Q.tobytes(), W.tobytes())
+    flow = sys.constant_flows.get(key)
+    if flow is None:
+        flow = sys.constant_flows.setdefault(key, _PencilFlow.of(sys.J_inv @ (W if W.any() else -Q)))
+    return flow.scaled(lams if W.any() else np.ones(len(lams)))
 
 
 # Gauss-Legendre nodes of a sixth-order Magnus step, as fractions of the step
@@ -367,7 +466,7 @@ class _Piece:
 
     lo: float
     hi: float
-    flow: _ConstantFlow | None = None       # constant coefficients, all parameters at once ...
+    flow: _ConstantFlow | _PencilFlow | None = None  # constant coefficients, all parameters at once ...
     x_ref: float = 0.0
     y_ref: np.ndarray | None = None
     meshes: list[_MagnusMesh] | None = None  # ... or one Magnus mesh per parameter
@@ -399,23 +498,16 @@ def _solve_stretch(
     x_from: float,
     Y_from: np.ndarray,
     f: Callable[[float], np.ndarray] | None,
-    flows: list[_ConstantFlow],
 ) -> tuple[_Piece, np.ndarray]:
     """Propagate the stack ``Y_from`` over ``[lo, hi]`` from one edge (``x_from``) to the other.
 
-    Constant stretches flow all parameters at once, reusing a flow from
-    ``flows`` when an earlier stretch had the same coefficients (an atom or
-    the anchor split the density); any other stretch, and any stretch with a
-    drive ``f``, gets a Magnus mesh per parameter, so each keeps its own steps.
+    Constant stretches flow all parameters at once (:func:`_constant_flow`);
+    any other stretch, and any stretch with a drive ``f``, gets a Magnus mesh
+    per parameter, so each keeps its own steps.
     """
     x_to = hi if x_from == lo else lo
     if f is None and _stretch_is_constant(sys, lo, hi):
-        mid = 0.5 * (lo + hi)
-        A = sys.J_inv @ (lams[:, None, None] * sys.w.density_at(mid) - sys.q.density_at(mid))
-        flow = next((known for known in flows if np.array_equal(known.A, A)), None)
-        if flow is None:
-            flow = _ConstantFlow.of(A)
-            flows.append(flow)
+        flow = _constant_flow(sys, lams, 0.5 * (lo + hi))
         piece = _Piece(lo=lo, hi=hi, flow=flow, x_ref=x_from, y_ref=Y_from)
         return piece, flow.apply(x_to - x_from, Y_from)
 
@@ -619,7 +711,6 @@ def _propagate(
     right_vals: list[np.ndarray | None] = [None] * npts
     pieces: list[_Piece | None] = [None] * (npts - 1)
     left_vals[i0] = right_vals[i0] = Y0
-    flows: list[_ConstantFlow] = []
 
     cur = Y0
     for i in range(i0, npts - 1):
@@ -628,7 +719,7 @@ def _propagate(
             if sys.is_atom(points[i]):
                 cur = _transfer(sys, lams, points[i], cur, f, +1)
             right_vals[i] = cur
-        pieces[i], cur = _solve_stretch(sys, lams, points[i], points[i + 1], points[i], cur, f, flows)
+        pieces[i], cur = _solve_stretch(sys, lams, points[i], points[i + 1], points[i], cur, f)
     if i0 < npts - 1:
         left_vals[-1] = right_vals[-1] = cur
 
@@ -639,7 +730,7 @@ def _propagate(
             if sys.is_atom(points[i]):
                 cur = _transfer(sys, lams, points[i], cur, f, -1)
             left_vals[i] = cur
-        pieces[i - 1], cur = _solve_stretch(sys, lams, points[i - 1], points[i], points[i], cur, f, flows)
+        pieces[i - 1], cur = _solve_stretch(sys, lams, points[i - 1], points[i], points[i], cur, f)
     if i0 > 0:
         left_vals[0] = right_vals[0] = cur
 

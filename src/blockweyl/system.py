@@ -108,6 +108,9 @@ class SystemSpec:
         atoms = sorted(set(self.q.atom_locations).union(self.w.atom_locations))
         object.__setattr__(self, "_atoms", tuple(atoms))
         object.__setattr__(self, "_atom_set", frozenset(atoms))
+        # flows of constant stretches by their (q, w) density pair, filled by
+        # propagation: at most one entry per such pair of the system
+        object.__setattr__(self, "constant_flows", {})
 
     @property
     def dim(self) -> int:

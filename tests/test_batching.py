@@ -14,7 +14,7 @@ from blockweyl.propagation import solution_row
 from blockweyl.system import BoundaryConditions, EndpointSpec, SystemSpec, partition_points
 
 BC = BoundaryConditions(Ga=np.array([[1.0, 0.0], [0.0, 0.0]]), Gb=np.array([[0.0, 0.0], [1.0, 0.0]]))
-NILPOTENT_Q = np.array([[0.0, 0.0], [0.0, -1.0]])   # J^-1 (-q) squares to zero: expm fallback
+NILPOTENT_Q = np.array([[0.0, 0.0], [0.0, -1.0]])   # J^-1 (-q) squares to zero: exact series
 PARTITION_ATOM = (np.diag([0.0, 2.0]), np.diag([2.0, 0.0]))  # B_plus degenerates at lam = 1
 
 
@@ -122,7 +122,12 @@ def test_cases_cover_partition_points_and_expm_fallback():
     assert partition_points(sysm).partition == [0.5]
     row = solution_row(sysm, np.array([0.3, 1.0 + 1j]))
     flows = [p.flow for fund in row.fundamentals for p in fund.pieces]
-    assert {flow.kind for flow in flows} == {"expm"}
+    assert {flow.kind for flow in flows} == {"series"}
+    # with both densities, J^-1 (lam w - q) = (lam - 1) J^-1 diag(1, 0) is nilpotent for
+    # every lam and decomposed per parameter: the expm fallback
+    both = MatrixMeasure.constant(np.diag([1.0, 0.0]), (0.0, 2.0))
+    row = solution_row(SystemSpec(J=J2, q=both, w=both, interval=(0.0, 2.0)), np.array([0.3, 1.0 + 1j]))
+    assert {p.flow.kind for fund in row.fundamentals for p in fund.pieces} == {"expm"}
 
 
 def test_singular_transfer_in_batch_reports_the_loop_parameter():
@@ -178,7 +183,7 @@ def test_batched_assembly_with_parameter_dependent_endpoint_data():
 
 
 def test_batched_rows_on_smooth_stretches_integrate_each_parameter():
-    # a non-constant weight takes the adaptive integrator, once per parameter
+    # a non-constant weight takes the Magnus flow, once per parameter
     sysm = SystemSpec(
         J=J2,
         q=MatrixMeasure.point(0.4, np.diag([0.5, 0.0])),

@@ -3,6 +3,7 @@
 Usage::
 
     python3 tools/cli_artefacts.py OUTDIR
+    python3 tools/cli_artefacts.py --compare OUT_A OUT_B
 
 Runs ``validate``, ``analyze``, ``mfun``, ``eigen``, ``tau``, ``expand`` and
 ``verify`` on P1..P4 plus ``fatou-demo`` on ``fatou_demo`` (29 commands),
@@ -11,6 +12,13 @@ lives in, and writes ``OUTDIR/manifest.json``: the sha256 of every artefact,
 each command's exit code, and its standard output with ``OUTDIR`` replaced by
 ``<out>``.  Diff the manifests of two checkouts to see whether a change moved
 any artefact.
+
+``--compare`` reads the manifests and files of two such runs.  For every
+artefact (and standard output) whose content differs it prints the largest
+absolute difference of the numbers in it and the largest relative one,
+``|a - b| / max(1, |a|, |b|)``.  The text between the numbers (JSON keys and
+brackets, CSV separators and headers, words) must be identical, as must the
+artefact names and exit codes; otherwise it names the mismatch and exits 1.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,9 +34,56 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = ("validate", "analyze", "mfun", "eigen", "tau", "expand", "verify")
 RUNS = [(c, p) for p in ("P1", "P2", "P3", "P4") for c in COMMANDS] + [("fatou-demo", "fatou_demo")]
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def numeric_difference(a: str, b: str) -> tuple[float, float, int] | None:
+    """Largest absolute and relative difference of the numbers in two texts,
+    and how many numbers differ; None when the text around them differs."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return None
+    worst_abs = worst_rel = 0.0
+    moved = 0
+    for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
+        gap = abs(x - y)
+        moved += gap > 0
+        worst_abs = max(worst_abs, gap)
+        worst_rel = max(worst_rel, gap / max(1.0, abs(x), abs(y)))
+    return worst_abs, worst_rel, moved
+
+
+def compare(root_a: Path, root_b: Path) -> int:
+    """Print how the artefacts of two runs differ; 1 when anything but numbers does."""
+    man_a, man_b = (json.loads((root / "manifest.json").read_text()) for root in (root_a, root_b))
+    bad = 0
+    for part in ("exit_codes", "artefacts"):
+        if set(man_a[part]) != set(man_b[part]):
+            print(f"{part}: keys differ: {sorted(set(man_a[part]) ^ set(man_b[part]))}")
+            bad += 1
+    for key in sorted(set(man_a["exit_codes"]) & set(man_b["exit_codes"])):
+        if man_a["exit_codes"][key] != man_b["exit_codes"][key]:
+            print(f"{key}: exit {man_a['exit_codes'][key]} != {man_b['exit_codes'][key]}")
+            bad += 1
+    common = sorted(set(man_a["artefacts"]) & set(man_b["artefacts"]))
+    moved = [key for key in common if man_a["artefacts"][key] != man_b["artefacts"][key]]
+    texts = [(f"{key} stdout", man_a["stdout"][key], man_b["stdout"][key])
+             for key in sorted(set(man_a["stdout"]) & set(man_b["stdout"]))
+             if man_a["stdout"][key] != man_b["stdout"][key]]
+    texts += [(key, (root_a / key).read_text(), (root_b / key).read_text()) for key in moved]
+    for key, a, b in texts:
+        diff = numeric_difference(a, b)
+        if diff is None:
+            print(f"{key}: text differs")
+            bad += 1
+        else:
+            print(f"{key}: {diff[2]} numbers moved, max abs {diff[0]:.3e}, max rel {diff[1]:.3e}")
+    print(f"{len(common) - len(moved)} of {len(common)} common artefacts identical, {bad} mismatches")
+    return 1 if bad else 0
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
