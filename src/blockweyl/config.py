@@ -100,30 +100,17 @@ def _as_matrix(rows, field: str) -> np.ndarray:
     return m
 
 
-def _poly_evaluator(coeff_table, n: int, field: str):
-    """Matrix polynomial evaluator from per-entry ascending coefficients."""
+def _poly_coeffs(coeff_table, n: int, field: str) -> np.ndarray:
+    """Matrix polynomial coefficients ``(d + 1, n, n)`` from per-entry ascending ones."""
     coeffs = [
         [[_as_complex(c, field) for c in coeff_table[i][j]] for j in range(n)]
         for i in range(n)
     ]
-    # the degree is that of the last nonzero coefficient: trailing exact zeros
-    # must not send a constant density down the non-constant path
-    deg = max((k for row in coeffs for c in row for k, ck in enumerate(c) if ck != 0), default=0)
-    packed = np.zeros((deg + 1, n, n), dtype=complex)
+    packed = np.zeros((max(1, *(len(c) for row in coeffs for c in row)), n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            for k, c in enumerate(coeffs[i][j][: deg + 1]):
-                packed[k, i, j] = c
-
-    def evaluate(x: float) -> np.ndarray:
-        out = np.zeros((n, n), dtype=complex)
-        p = 1.0
-        for k in range(deg + 1):
-            out = out + packed[k] * p
-            p *= x
-        return out
-
-    return evaluate, deg
+            packed[: len(coeffs[i][j]), i, j] = coeffs[i][j]
+    return packed
 
 
 def _measure_from_config(data, n: int, field: str) -> MatrixMeasure:
@@ -134,8 +121,8 @@ def _measure_from_config(data, n: int, field: str) -> MatrixMeasure:
         for k, seg in enumerate(data.get("segments", [])):
             with _parsing(f"{field}.segments[{k}]"):
                 lo, hi = parse_floats(seg["interval"], f"{field}.segments[{k}].interval", 2)
-                ev, deg = _poly_evaluator(seg["coeffs"], n, f"{field}.segments[{k}].coeffs")
-                segments.append(Segment((lo, hi), ev, degree=deg))
+                coeffs = _poly_coeffs(seg["coeffs"], n, f"{field}.segments[{k}].coeffs")
+                segments.append(Segment((lo, hi), coeffs=coeffs))
         atoms = []
         for k, atom in enumerate(data.get("atoms", [])):
             with _parsing(f"{field}.atoms[{k}]"):

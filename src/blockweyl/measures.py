@@ -64,25 +64,74 @@ class IntervalSpec:
         return True
 
 
+def _polynomial(coeffs: np.ndarray) -> Callable[[float], np.ndarray]:
+    """Pointwise evaluator of the matrix polynomial ``sum_k coeffs[k] x^k``.
+
+    Terms are summed in ascending powers, not by Horner's rule, as in
+    :func:`_polynomial_many`: the order fixes the last bits of every density
+    value, on which all results depend, and both must agree bitwise.
+    """
+
+    def evaluate(x: float) -> np.ndarray:
+        out = np.zeros(coeffs.shape[1:], dtype=complex)
+        p = 1.0
+        for c in coeffs:
+            out = out + c * p
+            p *= x
+        return out
+
+    return evaluate
+
+
+def _polynomial_many(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Stacked values of the matrix polynomial ``sum_k coeffs[k] x^k`` at the points ``xs``."""
+    val = np.zeros((len(xs),) + coeffs.shape[1:], dtype=complex)
+    pw = np.ones(len(xs))
+    for c in coeffs:
+        val = val + c * pw[:, None, None]
+        pw = pw * xs
+    return val
+
+
 @dataclass(frozen=True, eq=False)
 class Segment:
     """One smooth stretch of the density.
 
-    ``density`` maps a point to an ``n x n`` complex matrix.  ``degree``,
-    when given, bounds its polynomial degree: 0 marks a constant density,
-    propagated in closed form, and any degree lets propagation interpolate
-    the density from ``degree + 1`` values per stretch.  None means generic
-    smooth.
+    ``density`` maps a point to an ``n x n`` complex matrix.  A polynomial
+    density may be given as data instead: ``coeffs`` of shape
+    ``(d + 1, n, n)``, ascending in degree.  Trailing zero coefficients are
+    dropped, ``degree`` becomes that of the last nonzero one, ``density``
+    (when not given) its pointwise evaluator, and
+    :meth:`MatrixMeasure.density_many` evaluates the segment on a whole array
+    of points at once.  ``degree``, when given, bounds the polynomial degree:
+    0 marks a constant density, propagated in closed form, and any degree
+    lets propagation interpolate the density from ``degree + 1`` values per
+    stretch.  None means generic smooth.
     """
 
     interval: tuple[float, float]
-    density: Callable[[float], np.ndarray]
+    density: Callable[[float], np.ndarray] | None = None
     degree: int | None = None
+    coeffs: np.ndarray | None = None
 
     def __post_init__(self):
         lo, hi = self.interval
         if not lo < hi:
             raise StructuralError(f"segment interval [{lo}, {hi}] is empty")
+        if self.coeffs is not None:
+            coeffs = np.asarray(self.coeffs, dtype=complex)
+            if coeffs.ndim != 3 or not len(coeffs) or coeffs.shape[1] != coeffs.shape[2]:
+                raise StructuralError(f"segment coefficients have shape {coeffs.shape}")
+            # exact trailing zeros must not send a constant density down the non-constant path
+            nonzero = np.flatnonzero(coeffs.reshape(len(coeffs), -1).any(axis=1))
+            coeffs = coeffs[: (nonzero[-1] + 1 if nonzero.size else 1)]
+            coeffs.setflags(write=False)
+            object.__setattr__(self, "coeffs", coeffs)
+            object.__setattr__(self, "degree", len(coeffs) - 1)
+            if self.density is None:
+                object.__setattr__(self, "density", _polynomial(coeffs))
+        elif self.density is None:
+            raise StructuralError("a segment needs a density or its coefficients")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,8 +184,23 @@ class MatrixMeasure:
         return out
 
     def density_many(self, xs: np.ndarray) -> np.ndarray:
-        """Stacked density values at an array of points."""
-        return np.stack([self.density_at(float(x)) for x in xs])
+        """Stacked density values at an array of points, bitwise those of :meth:`density_at`.
+
+        Segments with coefficients are evaluated on all their points at once,
+        callable ones point by point; a point on a shared edge gets the sum of
+        both segments.
+        """
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros((len(xs), self.dim, self.dim), dtype=complex)
+        for seg in self.segments:
+            lo, hi = seg.interval
+            inside = (lo <= xs) & (xs <= hi)
+            if seg.coeffs is None:
+                for i in np.flatnonzero(inside):
+                    out[i] = out[i] + np.asarray(seg.density(float(xs[i])), dtype=complex)
+            elif inside.any():
+                out[inside] = out[inside] + _polynomial_many(seg.coeffs, xs[inside])
+        return out
 
     def breakpoints(self) -> list[float]:
         """Atom locations and segment edges, sorted."""
@@ -156,10 +220,7 @@ class MatrixMeasure:
     def constant(matrix: np.ndarray, interval: tuple[float, float]) -> "MatrixMeasure":
         """Density equal to ``matrix`` (times Lebesgue measure) on ``interval``."""
         m = np.asarray(matrix, dtype=complex)
-        return MatrixMeasure(
-            dim=m.shape[0],
-            segments=(Segment(interval, lambda x, m=m: m, degree=0),),
-        )
+        return MatrixMeasure(dim=m.shape[0], segments=(Segment(interval, coeffs=m[None]),))
 
     @staticmethod
     def point(x: float, weight: np.ndarray) -> "MatrixMeasure":

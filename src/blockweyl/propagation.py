@@ -535,7 +535,15 @@ def _transfer(
     """Cross the atom at ``x``: +1 maps stacked left limits to right limits."""
     bm, bp = jump_matrices(sys, x, lams)
     target, source = (bp, bm) if direction > 0 else (bm, bp)
-    cond = np.linalg.cond(target)
+    if sys.w.atom_at(x).any():
+        cond = np.linalg.cond(target)
+    else:  # B_plus and B_minus are free of lam: one gate per atom and direction
+        key = (x, direction)
+        cond = sys.transfer_conditions.get(key)
+        if cond is None:
+            free = jump_matrices(sys, x, 0.0)[1 if direction > 0 else 0]
+            cond = sys.transfer_conditions.setdefault(key, np.linalg.cond(free))
+        cond = np.full(len(lams), cond)
     bad = ~np.isfinite(cond) | (cond > sys.tols.cond_cap)
     if bad.any():
         k = int(np.argmax(bad))

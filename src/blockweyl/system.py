@@ -111,6 +111,9 @@ class SystemSpec:
         # flows of constant stretches by their (q, w) density pair, filled by
         # propagation: at most one entry per such pair of the system
         object.__setattr__(self, "constant_flows", {})
+        # condition numbers of the lam-free jump matrices at atoms without w
+        # mass, by (atom, direction), filled by propagation
+        object.__setattr__(self, "transfer_conditions", {})
 
     @property
     def dim(self) -> int:

@@ -1,16 +1,20 @@
 """Batched spectral parameters: stacked propagation and assembly against a per-parameter loop."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import J2
+from blockweyl.config import ProblemConfig
 from blockweyl.assembly import assemble_blocks
 from blockweyl.engine import Engine
 from blockweyl.errors import BlockweylError, SingularTransferError
 from blockweyl.measures import MatrixMeasure, Segment
-from blockweyl.propagation import solution_row
+from blockweyl.propagation import _transfer, solution_row
 from blockweyl.system import BoundaryConditions, EndpointSpec, SystemSpec, partition_points
 
 BC = BoundaryConditions(Ga=np.array([[1.0, 0.0], [0.0, 0.0]]), Gb=np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -198,3 +202,63 @@ def test_batched_rows_on_smooth_stretches_integrate_each_parameter():
         for x in (0.0, 0.2, 0.4, 0.7, 1.0):
             assert np.array_equal(batch.left(x)[i], single.left(x))
             assert np.array_equal(batch.balanced(x)[i], single.balanced(x))
+
+
+def test_lam_free_atom_gate_is_computed_once_per_atom_and_direction(monkeypatch):
+    # a q atom without w mass: B_plus and B_minus do not depend on lam, so their
+    # condition number is computed on the first crossing and read afterwards
+    w = MatrixMeasure.constant(np.eye(2), (0.0, 2.0))
+    sysm = SystemSpec(J=J2, q=MatrixMeasure.point(1.0, np.diag([0.5, -0.3])), w=w, interval=(0.0, 2.0))
+    solution_row(sysm, np.array([0.3, 1.0 + 1j]))
+    assert set(sysm.transfer_conditions) == {(1.0, -1)}
+    cond = np.linalg.cond
+    calls = []
+    monkeypatch.setattr(np.linalg, "cond", lambda a, *args: calls.append(np.shape(a)) or cond(a, *args))
+    row = solution_row(sysm, np.array([2.0, 5.0 - 1j, 7.0]))
+    assert calls == []
+    # the rows match those of one parameter at a time
+    for i, lam in enumerate([2.0, 5.0 - 1j, 7.0]):
+        single = solution_row(sysm, lam)
+        xs = np.array([0.4, 1.0, 1.7])
+        assert np.array_equal(row[i].balanced_many(xs), single.balanced_many(xs))
+
+    # a lam-free jump matrix that is singular fails for every parameter: the
+    # error names the first one of the batch
+    singular = SystemSpec(
+        J=J2, q=MatrixMeasure.point(1.0, np.array([[0.0, 2.0], [2.0, 0.0]])), w=w, interval=(0.0, 2.0)
+    )
+    lams = np.array([0.3 + 0.5j, 1.0, 4.0 - 1j])
+    for direction in (1, -1):
+        with pytest.raises(SingularTransferError) as err:
+            _transfer(singular, lams, 1.0, np.ones((3, 2), dtype=complex), None, direction)
+        assert err.value.lam == lams[0] and err.value.x == 1.0
+    assert set(singular.transfer_conditions) == {(1.0, 1), (1.0, -1)}
+
+
+def test_atom_gates_filled_from_threads_match_a_serial_fill():
+    # P2's atom has no w mass; four threads cross it first, behind a barrier
+    serial_sys, sysm = (ProblemConfig.load("P2").system for _ in range(2))
+    lams = [np.linspace(-3.0, 3.0, 5) + 0.1j * k for k in range(8)]
+    serial = [solution_row(serial_sys, lam).balanced(1.0) for lam in lams]
+    barrier = threading.Barrier(4, timeout=60)
+    results = [None] * len(lams)
+
+    def work(k):
+        barrier.wait()
+        for i in range(k, len(lams), 4):
+            results[i] = solution_row(sysm, lams[i]).balanced(1.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that races show
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sysm.transfer_conditions and sysm.transfer_conditions == serial_sys.transfer_conditions
+    for one, other in zip(serial, results):
+        assert np.array_equal(one, other)

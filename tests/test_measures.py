@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockweyl.config import _measure_from_config
 from blockweyl.errors import StructuralError
 from blockweyl.measures import (
     IntervalSpec,
@@ -155,3 +156,76 @@ def test_conjugate_symmetry_for_hermitian_measure(seed):
     lhs = integrate_bv(pointwise(g), m, iv).conj().T
     rhs = integrate_bv(pointwise(lambda x: np.eye(2), rhs=gstar), m, iv)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+# -- density_many against density_at ----------------------------------------
+
+finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mixed_measures(draw):
+    """A measure of coefficient and callable segments, some sharing an edge,
+    and points on every edge, outside every segment and inside them."""
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
+    edges = sorted(set(draw(st.lists(finite, min_size=count + 1, max_size=count + 1))))
+    if len(edges) < 2:
+        edges = [edges[0], edges[0] + 1.0]
+    segments = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if draw(st.booleans()) and segments:  # a gap between two segments
+            continue
+        degree = draw(st.integers(0, 3))
+        re, im = (np.array(draw(st.lists(finite, min_size=(degree + 1) * n * n, max_size=(degree + 1) * n * n)))
+                  for _ in "ri")
+        coeffs = (re + 1j * im).reshape(degree + 1, n, n)
+        if draw(st.booleans()):
+            segments.append(Segment((lo, hi), coeffs=coeffs))
+        else:
+            segments.append(Segment((lo, hi), lambda x, c=coeffs: sum(ck * x**k for k, ck in enumerate(c))))
+    inner = draw(st.lists(st.floats(edges[0], edges[-1]), max_size=8))
+    outside = [edges[0] - 1.0, edges[-1] + 0.5]
+    xs = np.array(sorted(inner + edges + outside))
+    return MatrixMeasure(dim=n, segments=tuple(segments)), xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_measures())
+def test_density_many_is_bitwise_stacked_density_at(case):
+    m, xs = case
+    stacked = np.stack([m.density_at(float(x)) for x in xs])
+    many = m.density_many(xs)
+    assert many.shape == stacked.shape and many.tobytes() == stacked.tobytes()
+    assert m.density_many(np.array([])).shape == (0, m.dim, m.dim)
+
+
+def test_density_many_sums_segments_at_a_shared_edge():
+    m = MatrixMeasure(
+        dim=2,
+        segments=(
+            Segment((0.0, 1.0), coeffs=np.stack([np.eye(2), 2.0 * np.eye(2)])),
+            Segment((1.0, 2.0), lambda x: 5.0 * np.eye(2)),
+        ),
+    )
+    vals = m.density_many(np.array([-1.0, 0.5, 1.0, 1.5, 3.0]))
+    assert np.array_equal(vals[:, 0, 0], [0.0, 2.0, 8.0, 5.0, 0.0])
+    assert not vals[:, 0, 1].any()
+
+
+def test_coefficient_segment_degree_and_evaluator():
+    # trailing zero coefficients do not raise the degree, from data or from a config
+    seg = Segment((0.0, 1.0), coeffs=np.stack([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]))
+    assert seg.degree == 0 and seg.coeffs.shape == (1, 2, 2)
+    assert np.array_equal(seg.density(0.7), np.eye(2))
+    padded = _measure_from_config(
+        {"segments": [{"interval": [0.0, 1.0], "coeffs": [[[1.0, 0.0], [0.0]], [[0.0], [1.0, 0.0, 0.0]]]}]},
+        2, "w",
+    )
+    (seg,) = padded.segments
+    assert seg.degree == 0 and np.array_equal(seg.coeffs, np.eye(2)[None])
+    assert MatrixMeasure.constant(np.eye(2), (0.0, 1.0)).segments[0].degree == 0
+    with pytest.raises(StructuralError):
+        Segment((0.0, 1.0))
+    with pytest.raises(StructuralError):
+        Segment((0.0, 1.0), coeffs=np.zeros((2, 2)))

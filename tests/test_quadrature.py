@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,44 @@ def test_panel_budget_exhaustion_raises():
 def test_empty_interval():
     val, err = quadrature.integrate(lambda x: np.array(x), 1.0, 1.0)
     assert val == 0.0 and err == 0.0
+
+
+# the panel counts of sin(40 x) on (0, pi) are pinned, because batching the
+# integrand calls must not change the panel set: the single initial panel is
+# symmetric about pi/2, where the integrand is odd, so it meets the tolerance
+# at once; breakpoints at 1 and 2 make it bisect
+@pytest.mark.parametrize("breaks, panels", [((), 1), ((1.0, 2.0), 73)])
+def test_one_integrand_call_per_bisection(monkeypatch, breaks, panels):
+    weighed = []
+    panel = quadrature._panel
+
+    def counted_panel(stack, h):
+        weighed.append(len(stack))
+        return panel(stack, h)
+
+    monkeypatch.setattr(quadrature, "_panel", counted_panel)
+    calls = []
+
+    def many(xs):
+        calls.append(np.array(xs))
+        return np.array([math.sin(40 * x) for x in xs])
+
+    val, err = quadrature.integrate(many, 0.0, np.pi, breakpoints=breaks, vectorized=True)
+    initial = len(breaks) + 1
+    assert weighed == [15] * panels
+    # one call for the initial panels, then one per bisection, on both halves
+    assert len(calls) == 1 + (panels - initial) // 2
+    assert [len(xs) for xs in calls] == [15 * initial] + [30] * (len(calls) - 1)
+    assert all(np.all(np.diff(xs) > 0) for xs in calls)
+    assert sum(len(xs) for xs in calls) == 15 * panels
+
+    # the scalar path sees the same nodes one at a time, in the same order
+    nodes = []
+
+    def one(x):
+        nodes.append(x)
+        return np.array(math.sin(40 * x))
+
+    val_s, err_s = quadrature.integrate(one, 0.0, np.pi, breakpoints=breaks)
+    assert np.array_equal(np.array(nodes), np.concatenate(calls))
+    assert val_s == val and err_s == err

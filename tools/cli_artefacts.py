@@ -11,7 +11,8 @@ each in its own process against the ``src/`` of the checkout this script
 lives in, and writes ``OUTDIR/manifest.json``: the sha256 of every artefact,
 each command's exit code, and its standard output with ``OUTDIR`` replaced by
 ``<out>``.  Diff the manifests of two checkouts to see whether a change moved
-any artefact.
+any artefact.  The wall time of each command, in seconds, goes to
+``OUTDIR/timings.json``, kept apart so that manifests still diff byte for byte.
 
 ``--compare`` reads the manifests and files of two such runs.  For every
 artefact (and standard output) whose content differs it prints the largest
@@ -19,6 +20,9 @@ absolute difference of the numbers in it and the largest relative one,
 ``|a - b| / max(1, |a|, |b|)``.  The text between the numbers (JSON keys and
 brackets, CSV separators and headers, words) must be identical, as must the
 artefact names and exit codes; otherwise it names the mismatch and exits 1.
+Where both runs wrote ``timings.json`` it also prints each command's wall
+time in both and their ratio (second over first); times never affect the
+exit code.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -78,7 +83,21 @@ def compare(root_a: Path, root_b: Path) -> int:
         else:
             print(f"{key}: {diff[2]} numbers moved, max abs {diff[0]:.3e}, max rel {diff[1]:.3e}")
     print(f"{len(common) - len(moved)} of {len(common)} common artefacts identical, {bad} mismatches")
+    print_timings(root_a, root_b)
     return 1 if bad else 0
+
+
+def print_timings(root_a: Path, root_b: Path) -> None:
+    """Each command's wall time in two runs and their ratio, where both recorded it."""
+    paths = [root / "timings.json" for root in (root_a, root_b)]
+    if not all(path.exists() for path in paths):
+        return
+    time_a, time_b = (json.loads(path.read_text()) for path in paths)
+    common = sorted(set(time_a) & set(time_b))
+    rows = [(key, time_a[key], time_b[key]) for key in common]
+    rows.append(("total", sum(time_a[key] for key in common), sum(time_b[key] for key in common)))
+    for key, a, b in rows:
+        print(f"{key}: {a:.2f} s -> {b:.2f} s, ratio {b / a:.3f}")
 
 
 def main(argv: list[str]) -> int:
@@ -90,20 +109,24 @@ def main(argv: list[str]) -> int:
     root = Path(argv[0]).resolve()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     manifest = {"artefacts": {}, "exit_codes": {}, "stdout": {}}
+    timings = {}
     for command, config in RUNS:
         key = f"{config}/{command}"
         out = root / config / command
         out.mkdir(parents=True, exist_ok=True)
+        start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "blockweyl.cli", command, "--config", config, "--out", str(out)],
             capture_output=True, text=True, env=env,
         )
+        timings[key] = time.perf_counter() - start
         manifest["exit_codes"][key] = proc.returncode
         manifest["stdout"][key] = proc.stdout.replace(str(out), "<out>")
         for path in sorted(out.iterdir()):
             manifest["artefacts"][f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{key}: exit {proc.returncode}", flush=True)
+        print(f"{key}: exit {proc.returncode}, {timings[key]:.2f} s", flush=True)
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (root / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
     print(f"{len(manifest['artefacts'])} artefacts, {len(RUNS)} commands -> {root / 'manifest.json'}")
     return 0
 
