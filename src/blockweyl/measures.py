@@ -317,8 +317,10 @@ def integrate_bv(
     for seg in m.segments:
         s_lo = max(seg.interval[0], lo)
         s_hi = min(seg.interval[1], hi)
-        if s_hi <= s_lo or not (np.isfinite(s_lo) and np.isfinite(s_hi)):
+        if s_hi <= s_lo:
             continue
+        if not (np.isfinite(s_lo) and np.isfinite(s_hi)):
+            raise StructuralError(f"segment {seg.interval} meets [{lo}, {hi}] on an unbounded range")
         val, _ = quadrature.integrate(
             on_nodes,
             s_lo,

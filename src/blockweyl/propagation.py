@@ -6,12 +6,17 @@ Between atoms and segment edges the equation is a smooth linear ODE,
 
 integrated either in closed form (constant coefficients on the stretch) or
 by a sixth-order Magnus method on a uniform mesh, refined by doubling until a
-Richardson estimate meets ``ode_rtol``/``ode_atol``.  On a constant stretch
-where ``q`` or ``w`` has no density the coefficient is ``lam M`` or ``M`` for
-a matrix ``M`` free of ``lam``; its flow ``exp(tau M)``, with the complex step
-``tau = lam dx`` or ``dx``, is decomposed once per system (:class:`_PencilFlow`),
-as an exact finite series when ``M`` is a multiple of the identity plus a
-nilpotent part.  Each Magnus step is the
+Richardson estimate meets ``ode_rtol``/``ode_atol``.  One class,
+:class:`_PencilFlow`, computes every matrix exponential of both.  On a
+constant stretch where ``q`` or ``w`` has no density the coefficient is
+``lam M`` or ``M`` for a matrix ``M`` free of ``lam``; its flow
+``exp(tau M)``, with the complex step ``tau = lam dx`` or ``dx``, is
+decomposed once per system.  A stretch with both densities, and each Magnus
+step, has one matrix per parameter.  A matrix flows through its eigenbasis
+only when the basis is conditioned below ``_COND_CAP = 1e3``, since that
+flow loses about ``cond(V)`` times roundoff; otherwise through an exact
+finite series when it is a multiple of the identity plus a nilpotent part,
+and through ``expm`` when it is neither.  Each Magnus step is the
 exponential of a matrix in the Lie algebra of the flow, so ``lam`` and
 ``conj(lam)``, which share a mesh, keep the Wronskian identity to roundoff.
 Crossing an atom applies the transfer
@@ -81,11 +86,17 @@ def _spectral_parameters(lam) -> np.ndarray:
     return np.atleast_1d(np.asarray(lam, dtype=complex))
 
 
-def _diagonalize(A: np.ndarray, cond_cap: float = 1e8):
+# condition cap of an eigenbasis: the flow's relative error grows like
+# cond(V) times roundoff (Moler and Van Loan, SIAM Review 45, 2003), and must
+# stay near 1e-13
+_COND_CAP = 1e3
+
+
+def _diagonalize(A: np.ndarray):
     """``(mu, V, Vinv, ok)`` for a stack of nonzero matrices.
 
     ``ok`` marks the eigendecompositions that reconstruct their matrix and
-    have a basis whose condition number is below ``cond_cap``.  A stack on
+    have a basis whose condition number is below ``_COND_CAP``.  A stack on
     which LAPACK fails is retried one matrix at a time, so a failure costs no
     other matrix its decomposition.
     """
@@ -96,140 +107,102 @@ def _diagonalize(A: np.ndarray, cond_cap: float = 1e8):
         if len(A) == 1:
             zeros = np.zeros_like(A)
             return np.zeros(A.shape[:-1], dtype=complex), zeros, zeros, np.zeros(1, dtype=bool)
-        return tuple(np.concatenate(part) for part in zip(*(_diagonalize(a[None], cond_cap) for a in A)))
+        return tuple(np.concatenate(part) for part in zip(*(_diagonalize(a[None]) for a in A)))
     D = np.zeros_like(V)
     D.reshape(len(A), -1)[:, :: A.shape[-1] + 1] = mu
     recon = np.abs(V @ D @ Vinv - A).max(axis=(1, 2))
     scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
-    return mu, V, Vinv, (np.linalg.cond(V) < cond_cap) & (recon <= 1e-12 * scale)
+    return mu, V, Vinv, (np.linalg.cond(V) < _COND_CAP) & (recon <= 1e-12 * scale)
 
 
-class _ConstantFlow:
-    """Flows ``Y -> exp(A dx) Y`` for constant coefficient matrices, decomposed per parameter.
-
-    ``A`` is one ``(n, n)`` matrix or a stack ``(m, n, n)`` with one matrix per
-    spectral parameter; ``flow[i]`` is the flow of matrix ``i`` alone.  A
-    matrix whose eigendecomposition passed the gates (``diag``) flows through
-    it, any other nonzero one through ``expm``; ``mu``, ``V`` and ``Vinv`` are
-    None when no matrix uses them.  This is the flow of Magnus steps and of
-    constant stretches that :class:`_PencilFlow` does not take.
-    """
-
-    def __init__(self, A, mu, V, Vinv, diag, zero):
-        self.A, self.mu, self.V, self.Vinv, self.diag, self.zero = A, mu, V, Vinv, diag, zero
-        n_zero, n_diag = np.count_nonzero(zero), np.count_nonzero(diag)
-        if n_zero == zero.size:
-            self.kind = "zero"
-        elif n_diag == diag.size:
-            self.kind = "diag"
-        elif n_zero + n_diag == 0:
-            self.kind = "expm"
-        else:
-            self.kind = "mixed"
-
-    @classmethod
-    def of(cls, A: np.ndarray) -> "_ConstantFlow":
-        """Flows of a stack ``(m, n, n)``, decomposed with stacked LAPACK calls."""
-        zero = ~A.any(axis=(1, 2))
-        live = np.flatnonzero(~zero)
-        if len(live) == len(A):
-            return cls(A, *_diagonalize(A), zero)
-        diag = np.zeros(len(A), dtype=bool)
-        if not live.size:
-            return cls(A, None, None, None, diag, zero)
-        mu = np.zeros(A.shape[:-1], dtype=complex)
-        V, Vinv = np.zeros_like(A), np.zeros_like(A)
-        mu[live], V[live], Vinv[live], diag[live] = _diagonalize(A[live])
-        return cls(A, mu, V, Vinv, diag, zero)
-
-    def __getitem__(self, i) -> "_ConstantFlow":
-        # copies, so that a cached single-parameter flow does not pin the
-        # stack; eigendecompositions are kept only where they are used
-        diag = self.diag[i]
-        eig = (None,) * 3
-        if diag.any():
-            eig = (self.mu[i].copy(), self.V[i].copy(), self.Vinv[i].copy())
-        return _ConstantFlow(self.A[i].copy(), *eig, diag, self.zero[i])
-
-    def apply(self, dx: float, Y: np.ndarray) -> np.ndarray:
-        """``exp(A dx) Y`` for vectors or matrices ``Y`` stacked like ``A``."""
-        if self.kind == "zero" or dx == 0.0:
-            return np.array(Y, copy=True)
-        vec = Y.ndim < self.A.ndim
-        if vec:
-            Y = Y[..., None]
-        if self.kind == "diag":
-            out = self.V @ (np.exp(self.mu * dx)[..., None] * (self.Vinv @ Y))
-        elif self.kind == "expm":
-            out = expm(self.A * dx) @ Y
-        else:
-            out = np.array(Y, copy=True)
-            for part in (self.diag, ~(self.diag | self.zero)):
-                if part.any():
-                    out[part] = self[part].apply(dx, Y[part])
-        return out[..., 0] if vec else out
-
-    def apply_many(self, dxs: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Stacked flow values of one matrix at an array of offsets."""
-        if self.kind == "zero":
-            return np.broadcast_to(Y, (len(dxs),) + Y.shape).copy()
-        if self.kind == "diag":
-            core = self.Vinv @ Y
-            ex = np.exp(np.outer(dxs, self.mu))  # (m, n)
-            if core.ndim == 1:
-                return np.einsum("ij,mj,j->mi", self.V, ex, core)
-            return np.einsum("ij,mj,jk->mik", self.V, ex, core)
-        return expm(self.A * dxs[:, None, None]) @ Y
-
-
-# condition cap of an eigenbasis shared by every parameter: the flow's
-# relative error grows like cond(V) times roundoff, and must stay near 1e-13
-_PENCIL_COND_CAP = 1e3
+def _exp_times(kind: str, tau: np.ndarray, Y: np.ndarray, data: tuple) -> np.ndarray:
+    """``exp(tau M) Y`` from the data of ``M``'s kind, broadcasting against ``tau``."""
+    if kind == "zero":
+        return Y
+    if kind == "diag":
+        mu, V, Vinv = data
+        return V @ (np.exp(tau[..., None] * mu)[..., None] * (Vinv @ Y))
+    if kind == "series":
+        shift, powers = data
+        n = powers.shape[-1]
+        steps = tau[..., None, None] ** np.arange(n)
+        terms = (steps @ powers.reshape(powers.shape[:-3] + (n, n * n))).reshape(tau.shape + (n, n))
+        return (np.exp(shift * tau)[..., None, None] * terms) @ Y
+    (M,) = data
+    return expm(tau[..., None, None] * M) @ Y
 
 
 class _PencilFlow:
-    """Flows ``Y -> exp(tau M) Y`` of one matrix ``M`` free of ``lam``, at complex steps ``tau``.
+    """Flows ``Y -> exp(tau M) Y`` of constant matrices ``M``, at complex steps ``tau = scale dx``.
 
-    A constant stretch without ``q`` density has ``A(lam) = lam M`` with
-    ``M = J^-1 W``, one without ``w`` density ``A = M = -J^-1 Q`` for every
-    ``lam``; ``tau = scale dx`` with ``scale`` the parameters or ones.  ``M``
-    is decomposed once (:meth:`of`) and the decomposition shared by every
-    parameter: ``zero`` for ``M = 0``; ``diag`` when its eigendecomposition
-    passes the gates of :func:`_diagonalize` with the basis condition capped
-    at ``_PENCIL_COND_CAP`` (the gates hold for ``lam M`` as they do for
-    ``M``); ``series`` when ``M = mu I + N`` with ``N^n`` exactly zero, where
+    Either one matrix ``M`` free of ``lam`` serves every parameter (:meth:`of`
+    of an ``(n, n)`` matrix, then :meth:`scaled`): a constant stretch without
+    ``q`` density has ``A(lam) = lam M`` with ``M = J^-1 W``, one without
+    ``w`` density ``A = M = -J^-1 Q``, and ``scale`` holds the parameters or
+    ones.  Or each parameter has its own matrix (:meth:`of` of a stack
+    ``(m, n, n)``, ``scale`` ones): constant stretches with both densities
+    and the steps of a Magnus flow.  Each matrix takes the first kind that
+    applies: ``zero``; ``diag`` when its eigendecomposition passes the gates
+    of :func:`_diagonalize` (which hold for ``lam M`` as they do for ``M``);
+    ``series`` when ``M = mu I + N`` with ``N^n`` exactly zero, where
     ``exp(tau M) = e^(mu tau) sum_{k<n} (tau N)^k / k!`` is exact; ``expm``
-    of the stacked ``tau M`` otherwise.  ``scale`` has one entry per
-    parameter, or is a scalar for a single one (``flow[i]``), whose flow
-    :meth:`apply` also takes at an array of offsets.  A zero step gives ``Y``
-    exactly.
+    otherwise.  ``groups`` holds ``(kind, index, data)`` per kind present,
+    ``index`` the parameters taking it (``...`` for all).  ``flow[i]`` is
+    the flow of parameter ``i`` alone, which :meth:`apply` also takes at an
+    array of offsets.  A zero step gives ``Y`` exactly.
     """
 
-    def __init__(self, kind: str, mu, basis, scale=1.0):
-        self.kind, self.mu, self.basis, self.scale = kind, mu, basis, scale
+    def __init__(self, groups: list, scale, stacked: bool):
+        self.groups, self.scale, self.stacked = groups, scale, stacked
 
     @classmethod
     def of(cls, M: np.ndarray) -> "_PencilFlow":
-        if not M.any():
-            return cls("zero", None, None)
-        mu, V, Vinv, ok = _diagonalize(M[None], _PENCIL_COND_CAP)
-        if ok[0]:
-            return cls("diag", mu[0], (V[0], Vinv[0]))
-        n = len(M)
-        shift = np.trace(M) / n
-        N = M - shift * np.eye(n)
-        if np.linalg.matrix_power(N, n).any():
-            return cls("expm", None, M)
-        powers = [np.eye(n, dtype=complex)]  # N^k / k!
-        for k in range(1, n):
-            powers.append(powers[-1] @ N / k)
-        return cls("series", shift, np.stack(powers))
+        """The flow of one matrix ``(n, n)`` or of a stack ``(m, n, n)``, with stacked LAPACK calls."""
+        A = M.reshape((-1,) + M.shape[-2:])
+        n = A.shape[-1]
+        groups = []
+
+        def split(kind, idx, keep, *data):
+            """Group the matrices ``idx[keep]`` under ``kind``; the others are left."""
+            if not keep.any():
+                return idx
+            if keep.all():
+                groups.append((kind, ... if len(idx) == len(A) else idx, data))
+                return idx[:0]
+            groups.append((kind, idx[keep], tuple(a[keep] for a in data)))
+            return idx[~keep]
+
+        idx = split("zero", np.arange(len(A)), ~A.any(axis=(1, 2)))
+        if len(idx):
+            mu, V, Vinv, ok = _diagonalize(A if len(idx) == len(A) else A[idx])
+            idx = split("diag", idx, ok, mu, V, Vinv)
+        if len(idx):
+            shift = np.trace(A[idx], axis1=1, axis2=2) / n
+            N = A[idx] - shift[:, None, None] * np.eye(n)
+            powers = [np.broadcast_to(np.eye(n, dtype=complex), N.shape)]  # N^k / k!
+            for k in range(1, n):
+                powers.append(powers[-1] @ N / k)
+            idx = split("series", idx, ~np.linalg.matrix_power(N, n).any(axis=(1, 2)), shift, np.stack(powers, 1))
+        if len(idx):
+            split("expm", idx, np.ones(len(idx), dtype=bool), A[idx])
+        if M.ndim == 2:
+            return cls([(kind, ..., tuple(a[0] for a in data)) for kind, _, data in groups], 1.0, False)
+        return cls(groups, np.ones(len(A)), True)
+
+    @property
+    def kind(self) -> str:
+        return "+".join(kind for kind, _, _ in self.groups)
 
     def scaled(self, scale) -> "_PencilFlow":
-        return _PencilFlow(self.kind, self.mu, self.basis, scale)
+        return _PencilFlow(self.groups, scale, self.stacked)
 
     def __getitem__(self, i) -> "_PencilFlow":
-        return self.scaled(self.scale[i])
+        if not self.stacked:
+            return self.scaled(self.scale[i])
+        kind, index, data = next(group for group in self.groups if group[1] is ... or i in group[1])
+        pos = i if index is ... else np.searchsorted(index, i)
+        # copies, so that a cached single-parameter flow does not pin the stack
+        return _PencilFlow([(kind, ..., tuple(a[pos].copy() for a in data))], 1.0, False)
 
     def apply(self, dx, Y: np.ndarray) -> np.ndarray:
         """``exp(tau M) Y`` for ``tau = scale dx``: vectors or matrices ``Y``
@@ -238,38 +211,12 @@ class _PencilFlow:
         vec = Y.ndim == np.ndim(self.scale) + 1
         if vec:
             Y = Y[..., None]
-        if self.kind == "zero":
-            out = np.broadcast_to(Y, tau.shape + Y.shape[-2:]).copy()
-        elif self.kind == "diag":
-            V, Vinv = self.basis
-            out = V @ (np.exp(tau[..., None] * self.mu)[..., None] * (Vinv @ Y))
-        elif self.kind == "expm":
-            out = expm(tau[..., None, None] * self.basis) @ Y
-        else:
-            steps = tau[..., None] ** np.arange(len(self.basis))
-            out = (np.exp(self.mu * tau)[..., None, None] * np.tensordot(steps, self.basis, axes=1)) @ Y
-        out = np.where((tau == 0)[..., None, None], Y, out)
+        out = np.empty(tau.shape + Y.shape[-2:], dtype=complex)
+        for kind, index, data in self.groups:
+            out[index] = _exp_times(kind, tau[index], Y[index], data)
+        if not tau.all():
+            np.copyto(out, Y, where=(tau == 0)[..., None, None])
         return out[..., 0] if vec else out
-
-    apply_many = apply
-
-
-def _constant_flow(sys: SystemSpec, lams: np.ndarray, mid: float):
-    """The flow of the constant stretch around ``mid`` for the parameters ``lams``.
-
-    A stretch without ``q`` or without ``w`` density takes the system's
-    :class:`_PencilFlow` of its density pair, decomposed on first use
-    (filling the table twice stores equal flows); a stretch with both gets
-    a :class:`_ConstantFlow` of its stacked matrices.
-    """
-    Q, W = sys.q.density_at(mid), sys.w.density_at(mid)
-    if Q.any() and W.any():
-        return _ConstantFlow.of(sys.J_inv @ (lams[:, None, None] * W - Q))
-    key = (Q.tobytes(), W.tobytes())
-    flow = sys.constant_flows.get(key)
-    if flow is None:
-        flow = sys.constant_flows.setdefault(key, _PencilFlow.of(sys.J_inv @ (W if W.any() else -Q)))
-    return flow.scaled(lams if W.any() else np.ones(len(lams)))
 
 
 # Gauss-Legendre nodes of a sixth-order Magnus step, as fractions of the step
@@ -402,7 +349,7 @@ class _MagnusMesh:
         s = xs - (self.x0 + k * self.h)
         d = self.values.shape[1]
         A = self.coeff(((xs - s)[:, None] + s[:, None] * _GAUSS).ravel()).reshape(len(xs), 3, d, d)
-        out = _ConstantFlow.of(_magnus_exponents(A, s)).apply(1.0, self.values[k])
+        out = _PencilFlow.of(_magnus_exponents(A, s)).apply(1.0, self.values[k])
         return out[:, : self.dim]
 
 
@@ -429,8 +376,7 @@ def _magnus_mesh(
     transfer matrix meets ``ode_rtol``/``ode_atol``.  The estimate also
     covers the transfer at ``conj(lam)`` (:func:`_transfer_pair`), so both
     parameters choose the same mesh and the Wronskian identity holds to
-    roundoff.  The step exponentials go through the stacked
-    eigendecomposition of :class:`_ConstantFlow`.
+    roundoff.  The step exponentials are one stacked :class:`_PencilFlow`.
     """
     span = x_to - x_from
     steps = min(max(2, int(np.ceil(abs(span) * (1.0 + abs(lam)) * _STEPS_PER_UNIT))), _MAX_STEPS // 2)
@@ -445,7 +391,7 @@ def _magnus_mesh(
         h = span / steps
         xs = x_from + h * (np.arange(steps)[:, None] + _GAUSS)
         Omega = _magnus_exponents(coeff.at(lam, xs.ravel()).reshape(steps, 3, coeff.dim, coeff.dim), h)
-        M = _prefix_products(_ConstantFlow.of(Omega).apply(1.0, np.broadcast_to(eye, Omega.shape)))
+        M = _prefix_products(_PencilFlow.of(Omega).apply(1.0, np.broadcast_to(eye, Omega.shape)))
         ends = _transfer_pair(M[-1], *coeff.pairing)
         if coarse is not None and _refined(ends, coarse, tols):
             break
@@ -466,7 +412,7 @@ class _Piece:
 
     lo: float
     hi: float
-    flow: _ConstantFlow | _PencilFlow | None = None  # constant coefficients, all parameters at once ...
+    flow: _PencilFlow | None = None  # constant coefficients, all parameters at once ...
     x_ref: float = 0.0
     y_ref: np.ndarray | None = None
     meshes: list[_MagnusMesh] | None = None  # ... or one Magnus mesh per parameter
@@ -486,7 +432,7 @@ class _Piece:
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Values of a single parameter at an array of points."""
         if self.flow is not None:
-            return self.flow.apply_many(xs - self.x_ref, self.y_ref)
+            return self.flow.apply(xs - self.x_ref, self.y_ref)
         return self.meshes[0].eval_many(xs)
 
 
@@ -501,13 +447,24 @@ def _solve_stretch(
 ) -> tuple[_Piece, np.ndarray]:
     """Propagate the stack ``Y_from`` over ``[lo, hi]`` from one edge (``x_from``) to the other.
 
-    Constant stretches flow all parameters at once (:func:`_constant_flow`);
-    any other stretch, and any stretch with a drive ``f``, gets a Magnus mesh
-    per parameter, so each keeps its own steps.
+    Constant stretches flow all parameters at once: a stretch without ``q``
+    or without ``w`` density takes the system's flow of its density pair,
+    decomposed on first use (filling the table twice stores equal flows), a
+    stretch with both the flow of its stacked matrices.  Any other stretch,
+    and any stretch with a drive ``f``, gets a Magnus mesh per parameter, so
+    each keeps its own steps.
     """
     x_to = hi if x_from == lo else lo
     if f is None and _stretch_is_constant(sys, lo, hi):
-        flow = _constant_flow(sys, lams, 0.5 * (lo + hi))
+        Q, W = sys.q.density_at(0.5 * (lo + hi)), sys.w.density_at(0.5 * (lo + hi))
+        if Q.any() and W.any():
+            flow = _PencilFlow.of(sys.J_inv @ (lams[:, None, None] * W - Q))
+        else:
+            key = (Q.tobytes(), W.tobytes())
+            flow = sys.constant_flows.get(key)
+            if flow is None:
+                flow = sys.constant_flows.setdefault(key, _PencilFlow.of(sys.J_inv @ (W if W.any() else -Q)))
+            flow = flow.scaled(lams if W.any() else np.ones(len(lams)))
         piece = _Piece(lo=lo, hi=hi, flow=flow, x_ref=x_from, y_ref=Y_from)
         return piece, flow.apply(x_to - x_from, Y_from)
 
@@ -634,22 +591,15 @@ class PiecewiseSolution:
         """
         xs = np.asarray(xs, dtype=float)
         points = np.asarray(self.points)
-        out = None
+        out = np.zeros((len(xs),) + self.left_values[0].shape, dtype=complex)
         idx = np.searchsorted(points, xs)
         exact = points[np.minimum(idx, len(points) - 1)] == xs
         piece_of = np.clip(idx - 1, 0, len(self.pieces) - 1)
         for p in np.unique(piece_of[~exact]):
             mask = (~exact) & (piece_of == p)
-            vals = self.pieces[p].eval_many(xs[mask])
-            if out is None:
-                out = np.zeros((len(xs),) + vals.shape[1:], dtype=complex)
-            out[mask] = vals
-        if exact.any():
-            for i in np.nonzero(exact)[0]:
-                v = self.balanced(float(xs[i]))
-                if out is None:
-                    out = np.zeros((len(xs),) + v.shape, dtype=complex)
-                out[i] = v
+            out[mask] = self.pieces[p].eval_many(xs[mask])
+        for i in np.nonzero(exact)[0]:
+            out[i] = self.balanced(float(xs[i]))
         return out
 
 

@@ -380,6 +380,8 @@ def stieltjes_inversion(
         raise StructuralError("need c < d")
     eng = engine or Engine(sys, bc)
     eps = sorted((float(e) for e in eps_schedule), reverse=True)
+    if not eps:
+        raise ValueError("empty eps schedule")
     if refine_at is None and sys.endpoint_a.regular and sys.endpoint_b.regular:
         margin = 2.0 * eps[0]
         pts = eigen_scan(sys, bc, c - margin, d + margin, engine=eng)

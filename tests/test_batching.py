@@ -128,9 +128,14 @@ def test_cases_cover_partition_points_and_expm_fallback():
     flows = [p.flow for fund in row.fundamentals for p in fund.pieces]
     assert {flow.kind for flow in flows} == {"series"}
     # with both densities, J^-1 (lam w - q) = (lam - 1) J^-1 diag(1, 0) is nilpotent for
-    # every lam and decomposed per parameter: the expm fallback
+    # every lam and decomposed per parameter: the exact series
     both = MatrixMeasure.constant(np.diag([1.0, 0.0]), (0.0, 2.0))
     row = solution_row(SystemSpec(J=J2, q=both, w=both, interval=(0.0, 2.0)), np.array([0.3, 1.0 + 1j]))
+    assert {p.flow.kind for fund in row.fundamentals for p in fund.pieces} == {"series"}
+    # eigenvalues +-sqrt(1e-18 - lam) for q = [[0, 1e-9], [1e-9, -1]], w = diag(1, 0): near
+    # lam = 0 neither diagonal nor nilpotent, the expm fallback
+    q = MatrixMeasure.constant(np.array([[0.0, 1e-9], [1e-9, -1.0]]), (0.0, 2.0))
+    row = solution_row(SystemSpec(J=J2, q=q, w=both, interval=(0.0, 2.0)), np.array([0.0, 1e-17j]))
     assert {p.flow.kind for fund in row.fundamentals for p in fund.pieces} == {"expm"}
 
 

@@ -15,7 +15,7 @@ from blockweyl.measures import MatrixMeasure, Segment
 from blockweyl.propagation import _PencilFlow, fundamental_matrix, solution_row, wronskian_defect
 from blockweyl.system import SystemSpec
 
-KINDS = ("q-free", "w-free", "nilpotent", "degenerate-w", "near-defective")
+KINDS = ("q-free", "w-free", "nilpotent", "degenerate-w", "near-defective", "both")
 
 
 def _hermitian(draw, scale):
@@ -47,8 +47,11 @@ def stretches(draw):
         Q = c * axis
     elif kind == "degenerate-w":     # J^-1 w nilpotent: the flow is linear in lam
         W = abs(c) * axis
-    else:                            # eigenvalues +-1e-9: neither diagonal nor nilpotent
+    elif kind == "near-defective":   # eigenvalues +-1e-9: neither diagonal nor nilpotent
         Q = np.array([[0.0, 1e-9], [1e-9, c]])
+    else:                            # both densities: one matrix per parameter
+        Q, root = _hermitian(draw, 1.0), _hermitian(draw, 1.0)
+        W = abs(c) * axis if draw(st.booleans()) else root @ root + 0.1 * np.eye(2)
     sysm = SystemSpec(J=J2, q=_constant(Q, length), w=_constant(W, length), interval=(0.0, length),
                       anchors=(0.0,))
     lam = complex(draw(st.floats(-80.0, 80.0)), draw(st.floats(-2.0, 2.0)))
@@ -77,6 +80,24 @@ def test_constant_flow_matches_expm(case):
             assert np.max(np.abs(value - exact)) <= 1e-12 * max(1.0, np.max(np.abs(exact)))
 
 
+def test_both_densities_near_a_defective_matrix_match_expm():
+    # at lam = 0 the stretch matrix has eigenvalues +-3e-8: an eigenbasis with
+    # cond(V) ~ 1e7 is about 1e-9 off, so the parameter takes expm; lam = 2 + i
+    # in the same batch takes diag
+    Q, W = np.array([[0.0, 3e-8], [3e-8, -1.0]]), np.diag([1.0, 0.0])
+    sysm = SystemSpec(J=J2, q=_constant(Q, 1.0), w=_constant(W, 1.0), interval=(0.0, 1.0), anchors=(0.0,))
+    lams = np.array([0.0, 2.0 + 1.0j])
+    U = fundamental_matrix(sysm, 0, lams)
+    assert U.pieces[0].flow.kind == "diag+expm"
+    xs = np.array([1e-6, 0.5])
+    for i, lam in enumerate(lams):
+        single = U[i]
+        for x, many in zip(xs, single.balanced_many(xs)):
+            exact = expm(np.linalg.inv(J2) @ (lam * W - Q) * x)
+            for value in (U.balanced(x)[i], single.balanced(x), many):
+                assert np.max(np.abs(value - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
 def test_wronskian_at_roundoff_on_constant_stretches(p1, p2, p3):
     for sysm, _ in (p1, p2, p3):
         for lam in (2 + 1j, 1j, 7.3 + 0.2j, 40 + 0.5j):
@@ -100,7 +121,7 @@ def test_the_system_owns_one_flow_per_density_pair():
     (entry,) = sysm.constant_flows.values()
     assert entry.kind == "series"
     flows = [piece.flow for row in rows for fund in row.fundamentals for piece in fund.pieces]
-    assert len(flows) == 9 and all(flow.basis is entry.basis for flow in flows)
+    assert len(flows) == 9 and all(flow.groups is entry.groups for flow in flows)
 
 
 def test_filling_the_table_from_threads_stores_one_flow():

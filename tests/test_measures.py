@@ -91,6 +91,16 @@ def test_integrate_constant_identity():
     assert np.max(np.abs(val - np.pi * np.eye(2))) < 1e-12
 
 
+def test_integrate_rejects_an_unbounded_segment():
+    # int_0^inf e^-x dx = 1 is out of reach of the finite Gauss-Kronrod rule:
+    # the segment is refused, not dropped as if it carried no mass
+    m = MatrixMeasure(dim=1, segments=(Segment((0.0, np.inf), coeffs=np.ones((1, 1, 1))),))
+    with pytest.raises(StructuralError, match=r"segment \(0.0, inf\)"):
+        integrate_bv(pointwise(lambda x: np.array([[np.exp(-x)]])), m, IntervalSpec(0.0, np.inf))
+    val = integrate_bv(pointwise(lambda x: np.array([[np.exp(-x)]])), m, IntervalSpec(0.0, 1.0))
+    assert abs(val[0, 0] - (1.0 - np.exp(-1.0))) < 1e-12
+
+
 def test_integrate_balanced_step_against_atom():
     # g is the balanced step: identity left of 0, zero right, g(0) = I/2
     def g(x):

@@ -139,6 +139,16 @@ def test_row_vectorized_evaluation_matches_scalar(p2):
         assert np.max(np.abs(many[i] - row.balanced(float(x)))) < 1e-13
 
 
+def test_balanced_many_of_no_points(p2):
+    sysm, _ = p2
+    row = solution_row(sysm, 1.3 + 0.2j)
+    assert row.balanced_many(np.array([])).shape == (0, 2, 2 * row.blocks)
+    for fund in row.fundamentals:
+        assert fund.balanced_many(np.array([])).shape == (0, 2, 2)
+    u = solve_ivp(sysm, 0, 1.3 + 0.2j, 0.0, np.array([1.0, 0.0]))
+    assert u.balanced_many(np.array([])).shape == (0, 2)
+
+
 def test_forward_transform_p1_values(p1):
     sysm, _ = p1
     f = VectorFunction(lambda x: np.array([1.0, 0.0]))

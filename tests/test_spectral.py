@@ -140,6 +140,14 @@ def test_stieltjes_guards_endpoints_near_atoms(p1, e1):
         stieltjes_inversion(*p1, 1.5, 1.2, engine=e1)
 
 
+def test_empty_eps_schedule_is_rejected(p1, e1):
+    for refine_at in (None, [1.0]):
+        with pytest.raises(ValueError, match="empty eps schedule"):
+            stieltjes_inversion(*p1, 0.5, 1.5, (), engine=e1, refine_at=refine_at)
+    with pytest.raises(ValueError, match="empty eps schedule"):
+        atom_weight(*p1, 1.0, (), engine=e1)
+
+
 # ---------------------------------------------------------------------------
 # resolvent
 

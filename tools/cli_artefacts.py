@@ -14,19 +14,27 @@ each command's exit code, and its standard output with ``OUTDIR`` replaced by
 any artefact.  The wall time of each command, in seconds, goes to
 ``OUTDIR/timings.json``, kept apart so that manifests still diff byte for byte.
 
+It also runs the first 60 operations of each workload of ``perfbench/``
+(imported, not changed) at seed 7 in one more process, with BLAS pinned to
+one thread as the benchmark pins it, and writes ``OUTDIR/workloads.json``:
+per workload, the sha256 of each operation's output (its arrays, numbers and
+strings, or the error it raised).
+
 ``--compare`` reads the manifests and files of two such runs.  For every
 artefact (and standard output) whose content differs it prints the largest
 absolute difference of the numbers in it and the largest relative one,
 ``|a - b| / max(1, |a|, |b|)``.  The text between the numbers (JSON keys and
 brackets, CSV separators and headers, words) must be identical, as must the
 artefact names and exit codes; otherwise it names the mismatch and exits 1.
-Where both runs wrote ``timings.json`` it also prints each command's wall
-time in both and their ratio (second over first); times never affect the
-exit code.
+Where both runs wrote ``workloads.json`` it prints, per workload, the
+operations whose outputs differ.  Where both wrote ``timings.json`` it also
+prints each command's wall time in both and their ratio (second over first).
+Neither affects the exit code.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -37,9 +45,52 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 COMMANDS = ("validate", "analyze", "mfun", "eigen", "tau", "expand", "verify")
 RUNS = [(c, p) for p in ("P1", "P2", "P3", "P4") for c in COMMANDS] + [("fatou-demo", "fatou_demo")]
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+WORKLOAD_SEED, WORKLOAD_OPS = 7, 60
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _feed(digest, obj) -> None:
+    """Hash the data of an operation's output: arrays, numbers and strings, and
+    the contents of dataclasses, lists and tuples; other objects are skipped."""
+    import numpy as np
+
+    if isinstance(obj, (np.ndarray, np.generic, int, float, complex)):
+        arr = np.asarray(obj)
+        digest.update(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
+    elif isinstance(obj, str) or obj is None:
+        digest.update(repr(obj).encode())
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _feed(digest, getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _feed(digest, item)
+
+
+def workload_digests() -> dict[str, list[str]]:
+    """sha256 of the outputs of the first operations of each benchmark workload."""
+    sys.path[:0] = [str(SRC), str(PERFBENCH)]
+    import blockweyl
+    from workloads import WORKLOADS
+
+    out = {}
+    for name, make in WORKLOADS.items():
+        workload = make(WORKLOAD_SEED)
+        state = workload.setup()
+        specs = workload.operations(state)
+        out[name] = []
+        for _ in range(WORKLOAD_OPS):
+            digest = hashlib.sha256()
+            try:
+                _feed(digest, workload.run(state, next(specs)))
+            except blockweyl.BlockweylError as exc:
+                digest.update(f"{type(exc).__name__}: {exc}".encode())
+            out[name].append(digest.hexdigest())
+    return out
 
 
 def numeric_difference(a: str, b: str) -> tuple[float, float, int] | None:
@@ -83,8 +134,22 @@ def compare(root_a: Path, root_b: Path) -> int:
         else:
             print(f"{key}: {diff[2]} numbers moved, max abs {diff[0]:.3e}, max rel {diff[1]:.3e}")
     print(f"{len(common) - len(moved)} of {len(common)} common artefacts identical, {bad} mismatches")
+    print_workloads(root_a, root_b)
     print_timings(root_a, root_b)
     return 1 if bad else 0
+
+
+def print_workloads(root_a: Path, root_b: Path) -> None:
+    """The benchmark operations whose outputs differ between two runs, where both recorded them."""
+    paths = [root / "workloads.json" for root in (root_a, root_b)]
+    if not all(path.exists() for path in paths):
+        return
+    ops_a, ops_b = (json.loads(path.read_text()) for path in paths)
+    for name in sorted(set(ops_a) | set(ops_b)):
+        a, b = ops_a.get(name, []), ops_b.get(name, [])
+        differ = [i for i in range(max(len(a), len(b))) if a[i:i + 1] != b[i:i + 1]]
+        print(f"workload {name}: {max(len(a), len(b)) - len(differ)} operations identical, "
+              f"differing: {differ or 'none'}")
 
 
 def print_timings(root_a: Path, root_b: Path) -> None:
@@ -126,6 +191,15 @@ def main(argv: list[str]) -> int:
             manifest["artefacts"][f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{key}: exit {proc.returncode}, {timings[key]:.2f} s", flush=True)
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, cli_artefacts; print(json.dumps(cli_artefacts.workload_digests()))"],
+        capture_output=True, text=True, check=True, cwd=Path(__file__).resolve().parent,
+        env={**env, **{var: "1" for var in THREAD_VARS}},
+    )
+    digests = json.loads(proc.stdout.splitlines()[-1])
+    (root / "workloads.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"{sum(map(len, digests.values()))} workload outputs, {time.perf_counter() - start:.2f} s", flush=True)
     (root / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
     print(f"{len(manifest['artefacts'])} artefacts, {len(RUNS)} commands -> {root / 'manifest.json'}")
     return 0
