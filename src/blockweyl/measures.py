@@ -3,10 +3,10 @@
 A coefficient here is an ``n x n`` matrix whose entries are measures with an
 absolutely continuous part (given per segment by a density evaluator) and a
 finite set of point masses.  :func:`integrate_bv` is the one routine that
-integrates against such a measure: the transforms, the resolvent's prefix
-integrals and the Gram matrix pass it their integrands.  It combines adaptive
-quadrature of the density part with exact atom sums, where the integrand
-contributes its *balanced* value (mean of one-sided limits) at every atom.
+integrates against such a measure: the transforms and the Gram matrix pass
+it their integrands.  It combines adaptive quadrature of the density part
+with exact atom sums, where the integrand contributes its *balanced* value
+(mean of one-sided limits) at every atom.
 Only finitely many atoms are supported; the countable case is reported as out
 of scope by :func:`validate_measure`.
 """

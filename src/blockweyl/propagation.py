@@ -451,10 +451,13 @@ def _solve_stretch(
     or without ``w`` density takes the system's flow of its density pair,
     decomposed on first use (filling the table twice stores equal flows), a
     stretch with both the flow of its stacked matrices.  Any other stretch,
-    and any stretch with a drive ``f``, gets a Magnus mesh per parameter, so
-    each keeps its own steps.
+    and any stretch with a drive ``f`` that meets a ``w`` density segment,
+    gets a Magnus mesh per parameter, so each keeps its own steps.  Elsewhere
+    the drive is dropped: it enters only through ``J^-1 w_dens f``.
     """
     x_to = hi if x_from == lo else lo
+    if not any(seg.interval[0] < hi and seg.interval[1] > lo for seg in sys.w.segments):
+        f = None
     if f is None and _stretch_is_constant(sys, lo, hi):
         Q, W = sys.q.density_at(0.5 * (lo + hi)), sys.w.density_at(0.5 * (lo + hi))
         if Q.any() and W.any():
@@ -754,7 +757,9 @@ class SolutionRow:
     whole interval by zero; at a shared partition point the balanced value of
     the two adjacent blocks is half their interior one-sided limit.  A row
     built for an array of spectral parameters returns values with a leading
-    axis over them; ``row[i]`` is the row of parameter ``i`` alone.
+    axis over them; ``row[i]`` is the row of parameter ``i`` alone.  Blocks
+    of other widths (the drive solutions of a resolvent, one column each) are
+    extended the same way by :meth:`value`.
     """
 
     def __init__(self, sys: SystemSpec, fundamentals: Sequence[PiecewiseSolution]):
@@ -778,7 +783,7 @@ class SolutionRow:
             if side == "right":
                 return fund.right(x)
             return fund.balanced(x)
-        zero = np.zeros(np.shape(self.lam) + (self.n, self.n), dtype=complex)
+        zero = np.zeros_like(fund.left_values[0])
         if x == lo:
             left, right = zero, fund.right(lo)
         elif x == hi:

@@ -3,19 +3,25 @@
 The resolvent of the self-adjoint realization acts through the kernel built
 from the solution row and the Weyl matrix,
 
-    ``(R_lam f)(x) = row(x, lam) @ [ M(lam) Ff + (1/2) Jb^-1 (int sgn(x-.)) ]
-                     + (1/4)(row^+ - row^-)(x, lam) Jb^-1 row(x, conj lam)^* Dw(x) f(x)``,
+    ``(R_lam f)(x) = row(x, lam) @ [ M(lam) Ff + (1/2) Jb^-1 int sgn(x - .) row(., conj lam)^* w f ]``,
 
-with the final term active only at atoms of ``w``.  The spectral measure is
-recovered two independent ways: a boundary-determinant eigenvalue scan with
+with balanced values at atoms.  Variation of constants gives the same
+function from one solve of the driven equation per block: with ``u_j`` the
+solution of ``J u' + q u = lam w u + w f`` on block ``j`` that vanishes at the
+block's anchor, ``J Y^-1 u_j`` is the running transform of block ``j`` (``Y``
+its fundamental matrix), so
+
+    ``(R_lam f)(x) = row(x, lam) @ c + sum_j u_j(x)``
+
+for a constant ``c`` read off the block edges, and the jumps at atoms come
+from the drive transfers of the solves.  The spectral measure is recovered
+two independent ways: a boundary-determinant eigenvalue scan with
 Gram-orthonormalized eigenvectors (regular problems), and Stieltjes inversion
 of the Weyl matrix with shrinking imaginary offsets.  The model builder
 cross-validates one against the other.
 """
-
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,8 +32,7 @@ from . import quadrature
 from .assembly import assemble_blocks, norm_zero_space
 from .engine import Engine
 from .errors import StructuralError, TheoryViolationError
-from .measures import IntervalSpec, integrate_bv
-from .propagation import row_integrand
+from .propagation import SolutionRow, _atom_drive, solve_ivp
 from .system import BoundaryConditions, SystemSpec
 from .weyl import m_function
 
@@ -35,57 +40,21 @@ DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4)
 
 
 # ---------------------------------------------------------------------------
-# cumulative transforms and the resolvent
-
-
-class PartialTransform:
-    """Prefix integrals ``int_[a,x) row(., conj lam)^* w f`` with cheap queries."""
-
-    def __init__(self, sys: SystemSpec, f: Callable[[float], np.ndarray], lam: complex, engine: Engine):
-        self.sys = sys
-        self.row_c = engine.row(np.conj(lam))
-        self.width = engine.coeff_dim
-        self._row_f = row_integrand(self.row_c, f)
-        a, b = sys.interval
-        pts = {a, b}
-        pts.update(sys.atom_positions())
-        for meas in (sys.q, sys.w):
-            pts.update(p for p in meas.breakpoints() if a < p < b)
-        pts.update(p for p in getattr(f, "breakpoints", ()) if a < p < b)
-        supp = getattr(f, "support", None)
-        if supp is not None:
-            pts.update(p for p in supp if a < p < b)
-        self.edges = sorted(pts)
-        # prefix[i] integrates over [edges[0], edges[i])
-        self.prefix = [np.zeros(self.width, dtype=complex)]
-        for lo, hi in zip(self.edges[:-1], self.edges[1:]):
-            self.prefix.append(self.prefix[-1] + self._upto(lo, hi))
-
-    def _upto(self, lo: float, hi: float) -> np.ndarray:
-        """Integral over ``[lo, hi)``."""
-        iv = IntervalSpec(lo, hi, include_upper=False)
-        return integrate_bv(self._row_f, self.sys.w, iv, tols=self.sys.tols)
-
-    def atom_term(self, x: float) -> np.ndarray:
-        dw = self.sys.w.atom_at(x)
-        if not np.any(dw):
-            return np.zeros(self.width, dtype=complex)
-        return self._row_f(np.array([x]), dw[None])[0]
-
-    def below(self, x: float) -> np.ndarray:
-        """Integral over ``[a, x)``; an atom exactly at ``x`` is excluded."""
-        i = bisect.bisect_left(self.edges, x)
-        if i == 0:
-            return np.zeros(self.width, dtype=complex)
-        return self.prefix[i - 1] + self._upto(self.edges[i - 1], x)
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.prefix[-1].copy()
+# the resolvent
 
 
 class ResolventFunction:
-    """Callable balanced representative of ``R_lam f`` (with one-sided limits)."""
+    """Callable balanced representative of ``R_lam f`` (with one-sided limits).
+
+    Block ``j`` of ``coeffs`` is ``(M Ff)_j - (z_lo + z_hi)/2 + J^-1 (A_lo - A_hi)/2``,
+    where ``z = Y^-1 u_j`` at the block's one-sided limits at its edges and
+    ``A = (1/2) J Y^-1 J^-1 Dw f`` there is the share of a ``w`` atom at the
+    edge that the block's half value sees (0 without one).  The same
+    quantities give the transform, ``(Ff)_j = J (z_hi - z_lo) + A_lo + A_hi``.
+    ``drives`` holds the ``u_j`` as a row of one column per block, so the
+    drive term is zero off its block and halved at a partition point, like
+    the row.
+    """
 
     def __init__(
         self,
@@ -103,36 +72,43 @@ class ResolventFunction:
         eng = engine or Engine(sys, bc)
         self.engine = eng
         self.row = eng.row(self.lam)
-        self.partial = PartialTransform(sys, f, self.lam, eng)
-        sample = m_function(sys, bc, self.lam, engine=eng)
-        self.weyl = sample
-        self.transform = self.partial.total
-        self.core = sample.m @ self.transform
-        self.Jinv = eng.J_blocks_inv
-        self.breakpoints = tuple(self.partial.edges[1:-1])
-        self.support = None  # spans the whole interval
+        n = sys.dim
+        self.drives = SolutionRow(sys, [
+            solve_ivp(sys, j, self.lam, x0, np.zeros((n, 1), dtype=complex), f, sing=eng.sing)
+            for j, x0 in enumerate(eng.anchors)
+        ])
+        blocks, offsets = [], []
+        for Y, u in zip(self.row.fundamentals, self.drives.fundamentals):
+            ends = []
+            for x, Yx, ux in ((Y.lo, Y.right_values[0], u.right_values[0]),
+                              (Y.hi, Y.left_values[-1], u.left_values[-1])):
+                drive = _atom_drive(sys, x, f)
+                if drive is None:
+                    drive = np.zeros((n, 1))
+                z, atom = np.linalg.solve(Yx, np.hstack([ux, sys.J_inv @ drive])).T
+                ends.append((z, 0.5 * sys.J @ atom))
+            (z_lo, a_lo), (z_hi, a_hi) = ends
+            blocks.append(sys.J @ (z_hi - z_lo) + a_lo + a_hi)
+            offsets.append(0.5 * (z_lo + z_hi) - 0.5 * sys.J_inv @ (a_lo - a_hi))
+        self.weyl = m_function(sys, bc, self.lam, engine=eng)
+        self.transform = np.concatenate(blocks)
+        self.coeffs = self.weyl.m @ self.transform - np.concatenate(offsets)
+        a, b = sys.interval
+        pts = {*sys.q.breakpoints(), *sys.w.breakpoints(), *getattr(f, "breakpoints", ()),
+               *(getattr(f, "support", None) or ())}
+        self.breakpoints = tuple(sorted(p for p in pts if a < p < b))
 
-    def _pieces(self, x: float):
-        lt = self.partial.below(x)
-        atom = self.partial.atom_term(x)
-        gt = self.partial.total - lt - atom
-        return lt, gt, atom
-
-    def balanced(self, x: float) -> np.ndarray:
-        lt, gt, atom = self._pieces(x)
-        mid = self.core + 0.5 * self.Jinv @ (lt - gt)
-        val = self.row.balanced(x) @ mid
-        if np.any(atom):
-            val = val + 0.25 * (self.row.right(x) - self.row.left(x)) @ self.Jinv @ atom
-        return val
+    def value(self, x: float, side: str = "balanced") -> np.ndarray:
+        return self.row.value(x, side) @ self.coeffs + self.drives.value(x, side).sum(-1)
 
     def left(self, x: float) -> np.ndarray:
-        lt, gt, atom = self._pieces(x)
-        return self.row.left(x) @ (self.core + 0.5 * self.Jinv @ (lt - gt - atom))
+        return self.value(x, "left")
 
     def right(self, x: float) -> np.ndarray:
-        lt, gt, atom = self._pieces(x)
-        return self.row.right(x) @ (self.core + 0.5 * self.Jinv @ (lt - gt + atom))
+        return self.value(x, "right")
+
+    def balanced(self, x: float) -> np.ndarray:
+        return self.value(x, "balanced")
 
     __call__ = balanced
 

@@ -7,13 +7,13 @@ from blockweyl.errors import StructuralError, TheoryViolationError
 from blockweyl.measures import IntervalSpec, integrate_bv
 from blockweyl.propagation import VectorFunction, row_integrand, solve_ivp
 from blockweyl.spectral import (
-    PartialTransform,
     ResolventFunction,
     atom_weight,
     eigen_scan,
     spectral_measure_model,
     stieltjes_inversion,
 )
+from blockweyl.system import jump_matrices
 
 PI = np.pi
 
@@ -203,29 +203,51 @@ def test_resolvent_identity(p1, e1):
 
 
 @pytest.mark.parametrize("name", ["p2", "p3", "p4"])
-def test_partial_transform_prefixes_match_direct_integrals(name, request):
-    # P3 has a w atom at 1 and P4 one at 0: a miscounted atom misses by O(1)
-    sysm, _ = request.getfixturevalue(name)
+def test_resolvent_is_a_row_combination_plus_a_drive_solution(name, request):
+    # P3 has a w atom at 1 and P4 one at its partition point 0: a miscounted
+    # atom misses the transform by O(1)
+    sysm, bc = request.getfixturevalue(name)
     eng = request.getfixturevalue("e" + name[1])
     a, b = sysm.interval
     f = VectorFunction(lambda x: np.array([1.0 + x, np.cos(x)]))
     points = sysm.atom_positions() + [a + 0.3 * (b - a), a + 0.71 * (b - a)]
+    zero = np.zeros(sysm.dim, dtype=complex)
     for lam in (1j, 2.5 + 0.3j):
-        pt = PartialTransform(sysm, f, lam, eng)
-        row_f = row_integrand(eng.row(np.conj(lam)), f)
+        R = ResolventFunction(sysm, bc, lam, f, engine=eng)
+        direct = integrate_bv(
+            row_integrand(eng.row(np.conj(lam)), f), sysm.w, IntervalSpec(a, b), tols=sysm.tols
+        )
+        assert np.max(np.abs(R.transform - direct)) <= 1e-9 * max(1.0, np.max(np.abs(direct)))
 
-        def direct(iv):
-            return integrate_bv(
-                row_f, sysm.w, iv, breakpoints=sysm.atom_positions(), tols=sysm.tols
-            )
+        # u_p: on each block the solution of the driven equation vanishing at the anchor
+        drives = [solve_ivp(sysm, j, lam, x0, zero, f, sing=eng.sing) for j, x0 in enumerate(eng.anchors)]
 
-        def close(got, want):
-            return np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+        def particular(x, side):
+            for u in drives:
+                if u.lo < x < u.hi or x == (u.hi if side == "left" else u.lo):
+                    return getattr(u, side)(x)
 
-        assert close(pt.total, direct(IntervalSpec(a, b)))
-        for x in points:
-            assert close(pt.below(x), direct(IntervalSpec(a, x, include_upper=False)))
-            assert close(pt.below(x) + pt.atom_term(x), direct(IntervalSpec(a, x)))
+        samples = [(x, side) for x in points for side in ("left", "right")]
+        rows = np.concatenate([eng.row(lam).value(x, side) for x, side in samples])
+        rest = np.concatenate([getattr(R, side)(x) - particular(x, side) for x, side in samples])
+        c = np.linalg.lstsq(rows, rest, rcond=None)[0]
+        assert np.max(np.abs(rows @ c - rest)) <= 1e-9 * max(1.0, np.max(np.abs(rest)))
+
+
+@pytest.mark.parametrize("name", ["p2", "p3", "p4"])
+def test_resolvent_jump_conditions_at_atoms_and_partition_points(name, request):
+    sysm, bc = request.getfixturevalue(name)
+    eng = request.getfixturevalue("e" + name[1])
+    f = VectorFunction(lambda x: np.array([1.0 + x, np.cos(x)]))
+    for lam in (1j, 2.5 + 0.3j):
+        R = ResolventFunction(sysm, bc, lam, f, engine=eng)
+        for x in sysm.atom_positions():
+            left, right = R.left(x), R.right(x)
+            bm, bp = jump_matrices(sysm, x, lam)
+            scale = max(1.0, np.max(np.abs(left)), np.max(np.abs(right)))
+            resid = bp @ right - bm @ left - sysm.w.atom_at(x) @ f(x)
+            assert np.max(np.abs(resid)) <= 1e-12 * scale
+            assert np.max(np.abs(R.balanced(x) - 0.5 * (left + right))) <= 1e-12 * scale
 
 
 def test_resolvent_transform_identity(p1, e1):

@@ -214,9 +214,8 @@ def test_multiplication_trivial_pair(p4, e4, model4):
     assert multiplication_check(sysm, bc, model4, zero, f, engine=e4) < 1e-14
 
 
-def test_truncation_exhaustion_on_unbounded_interval():
-    # pure point-interaction problem posed on the whole line: transforms are
-    # reached through the truncation loop
+def whole_line_point_interaction():
+    """Pure point-interaction problem posed on the whole line, with its engine."""
     from blockweyl.engine import Engine
     from blockweyl.measures import MatrixMeasure
     from blockweyl.system import BoundaryConditions, EndpointSpec, SystemSpec
@@ -241,7 +240,12 @@ def test_truncation_exhaustion_on_unbounded_interval():
         anchors=(-1.0, 1.0),
     )
     bc = BoundaryConditions(Ga=np.array([[0.0, -1.0]]), Gb=np.array([[1.0, 0.0]]))
-    eng = Engine(sysm, bc)
+    return sysm, bc, Engine(sysm, bc)
+
+
+def test_truncation_exhaustion_on_unbounded_interval():
+    # transforms of the whole-line problem are reached through the truncation loop
+    sysm, bc, eng = whole_line_point_interaction()
     model = spectral_measure_model(sysm, bc, (-2.0, 2.0), engine=eng)
     assert not model.verified  # inversion-only path
     assert len(model.atoms) == 1 and abs(model.atoms[0].s + 1.0) < 1e-8
@@ -253,3 +257,18 @@ def test_truncation_exhaustion_on_unbounded_interval():
     assert fhat.values.shape[1] == 4
     # the same atom as in the finite-interval realization: trace 2
     assert abs(np.trace(model.atoms[0].weight).real - 2.0) < 1e-3
+
+
+def test_resolvent_on_the_whole_line():
+    # the weight is one atom at the partition point 0: the drive solves meet no
+    # w density and stay on the closed-form flow out to the infinite ends
+    sysm, bc, eng = whole_line_point_interaction()
+    f = VectorFunction(
+        lambda x: np.array([1.0, 0.0]) if abs(x) < 2 else np.zeros(2),
+        breakpoints=(-2.0, 2.0),
+    )
+    R = ResolventFunction(sysm, bc, 1j, f, engine=eng)
+    assert np.max(np.abs(R.transform - np.array([1.0, 0.0, 1.0, 0.0]))) < 1e-12
+    for x, want in ((-3.0, [-0.5 + 0.5j, 0.5 - 0.5j]), (-0.5, [-0.5 + 0.5j, 0.5 - 0.5j]),
+                    (0.5, [-0.5 + 0.5j, -0.5 + 0.5j]), (3.0, [-0.5 + 0.5j, -0.5 + 0.5j])):
+        assert np.max(np.abs(R(x) - np.array(want))) < 1e-12
