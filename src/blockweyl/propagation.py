@@ -6,19 +6,20 @@ Between atoms and segment edges the equation is a smooth linear ODE,
 
 integrated either in closed form (constant coefficients on the stretch) or
 by a sixth-order Magnus method on a uniform mesh, refined by doubling until a
-Richardson estimate meets ``ode_rtol``/``ode_atol``.  One class,
-:class:`_PencilFlow`, computes every matrix exponential of both.  On a
-constant stretch where ``q`` or ``w`` has no density the coefficient is
-``lam M`` or ``M`` for a matrix ``M`` free of ``lam``; its flow
-``exp(tau M)``, with the complex step ``tau = lam dx`` or ``dx``, is
-decomposed once per system.  A stretch with both densities, and each Magnus
-step, has one matrix per parameter.  A matrix flows through its eigenbasis
-only when the basis is conditioned below ``_COND_CAP = 1e3``, since that
-flow loses about ``cond(V)`` times roundoff; otherwise through an exact
-finite series when it is a multiple of the identity plus a nilpotent part,
-and through ``expm`` when it is neither.  Each Magnus step is the
-exponential of a matrix in the Lie algebra of the flow, so ``lam`` and
-``conj(lam)``, which share a mesh, keep the Wronskian identity to roundoff.
+Richardson estimate meets ``ode_rtol``/``ode_atol``.  Constant stretches
+flow through :class:`_PencilFlow`.  Where ``q`` or ``w`` has no density the
+coefficient is ``lam M`` or ``M`` for a matrix ``M`` free of ``lam``; its
+flow ``exp(tau M)``, with the complex step ``tau = lam dx`` or ``dx``, is
+decomposed once per system.  A stretch with both densities has one matrix
+per parameter.  A matrix flows through its eigenbasis only when the basis is
+conditioned below ``_COND_CAP = 1e3``, since that flow loses about
+``cond(V)`` times roundoff; otherwise through an exact finite series when it
+is a multiple of the identity plus a nilpotent part, and through
+:func:`_expm_stack` when it is neither.  Each Magnus step is the
+exponential of a small matrix ``Omega`` of the flow's Lie algebra, taken by
+:func:`_expm_stack`, a diagonal Padé approximant ``r`` with
+``r(-Omega) = r(Omega)^-1``; so ``lam`` and ``conj(lam)``, which share a
+mesh, keep the Wronskian identity to roundoff.
 Crossing an atom applies the transfer
 
     ``u_plus = B_plus^-1 (B_minus u_minus + Dw(x) f(x))``,
@@ -37,6 +38,7 @@ parameter, with the steps of one mesh stacked.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,7 +46,6 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 # never called: the benchmark's tracer finds the ODE layer through this binding
 from scipy.integrate import solve_ivp as _scipy_solve_ivp
-from scipy.linalg import expm
 
 from .errors import AccuracyError, BlockweylError, SingularTransferError, StructuralError
 from .measures import IntervalSpec, integrate_bv
@@ -115,6 +116,50 @@ def _diagonalize(A: np.ndarray):
     return mu, V, Vinv, (np.linalg.cond(V) < _COND_CAP) & (recon <= 1e-12 * scale)
 
 
+# diagonal Padé degrees with the largest 1-norm each reaches in double
+# precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3), and the
+# coefficients b_j = (2m - j)! m! / ((2m)! j! (m - j)!) of numerator and
+# denominator; b_0 = 1 makes the denominator of a zero matrix exactly I
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
+               (9, 2.097847961257068e0), (13, 5.371920351148152e0))
+_PADE_COEFFS = {m: [math.comb(m, j) / math.perm(2 * m, j) for j in range(m + 1)] for m, _ in _PADE_THETA}
+
+
+def _expm_stack(A: np.ndarray) -> np.ndarray:
+    """``exp(A)`` of every matrix of a stack ``(..., n, n)``.
+
+    Scaling and squaring of the diagonal Padé approximant ``r = (V - U)^-1
+    (V + U)``, ``U`` odd and ``V`` even in ``A`` (Higham 2005): one degree
+    serves the stack, the lowest whose ``theta`` bounds its largest 1-norm;
+    beyond ``theta_13`` the stack is scaled by ``2^-s`` and ``r`` squared
+    ``s`` times.  A zero matrix gives the identity exactly.
+    """
+    norm = np.abs(A).sum(axis=-2).max(initial=0.0)
+    m = next((m for m, theta in _PADE_THETA if norm <= theta), 13)
+    s = 0
+    if norm > _PADE_THETA[-1][1]:
+        s = int(np.ceil(np.log2(norm / _PADE_THETA[-1][1])))
+        A = A / 2.0**s
+    b = _PADE_COEFFS[m]
+    eye = np.eye(A.shape[-1])
+    A2 = A @ A
+    if m < 13:
+        powers = [A2]  # A^2, A^4, ...
+        for _ in range(m // 2 - 1):
+            powers.append(powers[-1] @ A2)
+        U = A @ sum((b[2 * k + 3] * P for k, P in enumerate(powers)), b[1] * eye)
+        V = sum((b[2 * k + 2] * P for k, P in enumerate(powers)), b[0] * eye)
+    else:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def _exp_times(kind: str, tau: np.ndarray, Y: np.ndarray, data: tuple) -> np.ndarray:
     """``exp(tau M) Y`` from the data of ``M``'s kind, broadcasting against ``tau``."""
     if kind == "zero":
@@ -129,7 +174,7 @@ def _exp_times(kind: str, tau: np.ndarray, Y: np.ndarray, data: tuple) -> np.nda
         terms = (steps @ powers.reshape(powers.shape[:-3] + (n, n * n))).reshape(tau.shape + (n, n))
         return (np.exp(shift * tau)[..., None, None] * terms) @ Y
     (M,) = data
-    return expm(tau[..., None, None] * M) @ Y
+    return _expm_stack(tau[..., None, None] * M) @ Y
 
 
 class _PencilFlow:
@@ -140,16 +185,17 @@ class _PencilFlow:
     ``q`` density has ``A(lam) = lam M`` with ``M = J^-1 W``, one without
     ``w`` density ``A = M = -J^-1 Q``, and ``scale`` holds the parameters or
     ones.  Or each parameter has its own matrix (:meth:`of` of a stack
-    ``(m, n, n)``, ``scale`` ones): constant stretches with both densities
-    and the steps of a Magnus flow.  Each matrix takes the first kind that
-    applies: ``zero``; ``diag`` when its eigendecomposition passes the gates
-    of :func:`_diagonalize` (which hold for ``lam M`` as they do for ``M``);
-    ``series`` when ``M = mu I + N`` with ``N^n`` exactly zero, where
-    ``exp(tau M) = e^(mu tau) sum_{k<n} (tau N)^k / k!`` is exact; ``expm``
-    otherwise.  ``groups`` holds ``(kind, index, data)`` per kind present,
-    ``index`` the parameters taking it (``...`` for all).  ``flow[i]`` is
-    the flow of parameter ``i`` alone, which :meth:`apply` also takes at an
-    array of offsets.  A zero step gives ``Y`` exactly.
+    ``(m, n, n)``, ``scale`` ones): constant stretches with both densities.
+    Each matrix takes the first kind that applies: ``zero``; ``diag`` when
+    its eigendecomposition passes the gates of :func:`_diagonalize` (which
+    hold for ``lam M`` as they do for ``M``); ``series`` when
+    ``M = mu I + N`` with ``N^n`` exactly zero, where
+    ``exp(tau M) = e^(mu tau) sum_{k<n} (tau N)^k / k!`` is exact; ``expm``,
+    by :func:`_expm_stack`, otherwise.  ``groups`` holds
+    ``(kind, index, data)`` per kind present, ``index`` the parameters
+    taking it (``...`` for all).  ``flow[i]`` is the flow of parameter ``i``
+    alone, which :meth:`apply` also takes at an array of offsets.  A zero
+    step gives ``Y`` exactly.
     """
 
     def __init__(self, groups: list, scale, stacked: bool):
@@ -261,7 +307,9 @@ class _StretchCoefficients:
 
     A density whose segment gives its degree ``d`` is evaluated once, at
     ``d + 1`` Chebyshev points of the stretch, and interpolated from there; a
-    generic one is evaluated at every point asked for.  With a drive ``f`` the
+    generic one is evaluated at every point asked for.  The fits of ``q`` and
+    ``w`` sit side by side in one array, padded to a common degree, so one
+    Vandermonde matrix per call serves both.  With a drive ``f`` the
     matrices are augmented to ``[[A, J^-1 w f], [0, 0]]``, whose flow carries
     ``(u, 1)``.
     """
@@ -271,29 +319,32 @@ class _StretchCoefficients:
         self.n = sys.dim
         self.dim = self.n + (f is not None)
         self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        self.fits = []
+        fits, self.slots = [], []  # a density's slot in the stacked fit, None when generic
         for meas in (sys.q, sys.w):
             d = _density_degree(meas, lo, hi)
+            self.slots.append(None if d is None else len(fits))
             if d is not None:
                 t = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
                 vals = meas.density_many(self.mid + self.half * t).reshape(d + 1, -1)
-                self.fits.append(np.linalg.solve(chebvander(t, d), vals))
-            else:
-                self.fits.append(None)
+                fits.append(np.linalg.solve(chebvander(t, d), vals))
+        self.fit = None
+        if fits:
+            self.fit = np.zeros((max(map(len, fits)), len(fits), self.n * self.n), dtype=complex)
+            for i, fit in enumerate(fits):
+                self.fit[: len(fit), i] = fit
+            self.fit = self.fit.reshape(len(self.fit), -1)
         # J and J^-1, padded for the drive row, pair a transfer with that of conj(lam)
         self.pairing = [np.eye(self.dim, dtype=complex) for _ in range(2)]
         self.pairing[0][: self.n, : self.n] = sys.J
         self.pairing[1][: self.n, : self.n] = sys.J_inv
 
-    def _density(self, meas, fit, xs: np.ndarray) -> np.ndarray:
-        if fit is None:
-            return meas.density_many(xs)
-        vals = chebvander((xs - self.mid) / self.half, len(fit) - 1) @ fit
-        return vals.reshape(len(xs), self.n, self.n)
-
     def at(self, lam: complex, xs: np.ndarray) -> np.ndarray:
         """Stacked coefficient matrices at the points ``xs``."""
-        q, w = (self._density(meas, fit, xs) for meas, fit in zip((self.sys.q, self.sys.w), self.fits))
+        if self.fit is not None:
+            fitted = chebvander((xs - self.mid) / self.half, len(self.fit) - 1) @ self.fit
+            fitted = fitted.reshape(len(xs), -1, self.n, self.n)
+        q, w = (meas.density_many(xs) if slot is None else fitted[:, slot]
+                for meas, slot in zip((self.sys.q, self.sys.w), self.slots))
         A = self.sys.J_inv @ (lam * w - q)
         if self.f is None:
             return A
@@ -349,8 +400,9 @@ class _MagnusMesh:
         s = xs - (self.x0 + k * self.h)
         d = self.values.shape[1]
         A = self.coeff(((xs - s)[:, None] + s[:, None] * _GAUSS).ravel()).reshape(len(xs), 3, d, d)
-        out = _PencilFlow.of(_magnus_exponents(A, s)).apply(1.0, self.values[k])
-        return out[:, : self.dim]
+        start = self.values[k]
+        out = _expm_stack(_magnus_exponents(A, s)) @ start.reshape(len(xs), d, -1)
+        return out.reshape(start.shape)[:, : self.dim]
 
 
 def _transfer_pair(P: np.ndarray, J: np.ndarray, Jinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -376,11 +428,10 @@ def _magnus_mesh(
     transfer matrix meets ``ode_rtol``/``ode_atol``.  The estimate also
     covers the transfer at ``conj(lam)`` (:func:`_transfer_pair`), so both
     parameters choose the same mesh and the Wronskian identity holds to
-    roundoff.  The step exponentials are one stacked :class:`_PencilFlow`.
+    roundoff.  The step exponentials are one :func:`_expm_stack`.
     """
     span = x_to - x_from
     steps = min(max(2, int(np.ceil(abs(span) * (1.0 + abs(lam)) * _STEPS_PER_UNIT))), _MAX_STEPS // 2)
-    eye = np.eye(coeff.dim, dtype=complex)
     coarse = None
     while True:
         if steps > _MAX_STEPS:
@@ -391,7 +442,7 @@ def _magnus_mesh(
         h = span / steps
         xs = x_from + h * (np.arange(steps)[:, None] + _GAUSS)
         Omega = _magnus_exponents(coeff.at(lam, xs.ravel()).reshape(steps, 3, coeff.dim, coeff.dim), h)
-        M = _prefix_products(_PencilFlow.of(Omega).apply(1.0, np.broadcast_to(eye, Omega.shape)))
+        M = _prefix_products(_expm_stack(Omega))
         ends = _transfer_pair(M[-1], *coeff.pairing)
         if coarse is not None and _refined(ends, coarse, tols):
             break

@@ -12,7 +12,14 @@ from conftest import J2
 from blockweyl.cli import ProblemConfig
 from blockweyl.config import resolve_config_path
 from blockweyl.measures import MatrixMeasure, Segment
-from blockweyl.propagation import _PencilFlow, fundamental_matrix, solution_row, wronskian_defect
+from blockweyl.propagation import (
+    _PADE_THETA,
+    _PencilFlow,
+    _expm_stack,
+    fundamental_matrix,
+    solution_row,
+    wronskian_defect,
+)
 from blockweyl.system import SystemSpec
 
 KINDS = ("q-free", "w-free", "nilpotent", "degenerate-w", "near-defective", "both")
@@ -78,6 +85,42 @@ def test_constant_flow_matches_expm(case):
         for x, value in zip(xs, many):
             exact = expm(A * x)
             assert np.max(np.abs(value - exact)) <= 1e-12 * max(1.0, np.max(np.abs(exact)))
+
+
+# edges of the 1-norm ranges of Padé degrees 3, 5, 7, 9 and 13, then of squaring up to 50
+NORM_EDGES = [0.0] + [theta for _, theta in _PADE_THETA] + [50.0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.integers(0, 4),
+    st.integers(0, len(NORM_EDGES) - 2),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_expm_stack_matches_expm(n, count, branch, position, with_zero, seed):
+    # the stack's largest 1-norm picks the degree, so each draw sits in one
+    # degree's range or beyond theta_13; a zero matrix rides along in any stack
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    norms = np.abs(A).sum(axis=-2).max(axis=-1)
+    target = NORM_EDGES[branch] + position * (NORM_EDGES[branch + 1] - NORM_EDGES[branch])
+    shares = rng.uniform(0.1, 1.0, count)
+    shares[:1] = 1.0
+    A *= (target * shares / norms)[:, None, None]
+    if with_zero or not count:
+        A = np.insert(A, rng.integers(0, count + 1), 0.0, axis=0)
+    E = _expm_stack(A)
+    for a, e in zip(A, E):
+        if not a.any():
+            assert np.array_equal(e, np.eye(n))
+            continue
+        exact = expm(a)
+        assert np.max(np.abs(e - exact)) <= 1e-13 * np.max(np.abs(exact))
+    if target <= 1.0:  # beyond, the product loses cond(exp A) times roundoff
+        assert np.max(np.abs(_expm_stack(-A) @ E - np.eye(n))) <= 1e-14
 
 
 def test_both_densities_near_a_defective_matrix_match_expm():

@@ -142,3 +142,30 @@ def test_conjugate_parameters_share_their_mesh():
         sysm = SystemSpec(J=np.kron(np.eye(2), J2), q=q, w=w, interval=(0.0, 1.0),
                           tols=Tolerances(ode_rtol=float(rtol), ode_atol=0.0))
         assert wronskian_defect(sysm, 0, 3.0 + 1.0j, 5, anchor=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("start, drive", [("vector", True), ("vector", False), ("matrix", False), ("column", True)])
+def test_dense_output_at_mesh_nodes_returns_the_stored_values(start, drive):
+    # 1 + |lam| = 2.58 gives 8 steps a priori on (0, 1), so every mesh step is
+    # a power of two and each node is hit with a sub-step of exactly zero
+    sysm = SystemSpec(
+        J=J2,
+        q=MatrixMeasure(dim=2, segments=(Segment((0.0, 1.0), lambda x: np.diag([x, 1.0 - x * x]), degree=2),)),
+        w=MatrixMeasure(dim=2, segments=(Segment((0.0, 1.0), lambda x: (1.0 + 0.5 * x) * np.eye(2), degree=1),)),
+        interval=(0.0, 1.0),
+    )
+    lam = 1.5 + 0.5j
+    u0 = {"vector": np.array([1.0, -0.5]), "matrix": np.eye(2), "column": np.zeros((2, 1))}[start]
+    f = VectorFunction(lambda x: np.array([1.0, np.cos(x)])) if drive else None
+    sol = solve_ivp(sysm, 0, lam, 0.0, u0, f=f)
+    (mesh,) = sol.pieces[0].meshes
+    assert mesh.h == 2.0 ** np.round(np.log2(mesh.h))
+    nodes = mesh.x0 + mesh.h * np.arange(1, len(mesh.values) - 1)
+    stored = mesh.values[1:-1, :2]
+    assert stored.shape == (len(nodes),) + np.shape(u0)
+    assert np.array_equal(sol.balanced_many(nodes), stored)
+    assert all(np.array_equal(sol(float(x)), value) for x, value in zip(nodes, stored))
+    if not drive:  # off the nodes, the solution is the fundamental matrix times u0
+        mid = nodes[:-1] + 0.5 * mesh.h
+        U = fundamental_matrix(sysm, 0, lam, anchor=0.0)
+        assert_close(sol.balanced_many(mid), U.balanced_many(mid) @ u0, rel=1e-13)
