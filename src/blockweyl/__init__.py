@@ -62,6 +62,7 @@ from .weyl import (
     NevanlinnaReport,
     WeylSample,
     m_function,
+    m_function_many,
     nevanlinna_diagnostics,
     symmetry_witness,
 )

@@ -117,6 +117,20 @@ class Engine:
         """Value cached under ``key``, built by ``factory`` on a miss."""
         return self._lookup(self._memo, MEMO_CAPACITY, key, factory)
 
+    def memo_many(self, keys, factory: Callable[[list[int]], list]) -> list:
+        """Values cached under ``keys``; ``factory(missing)`` builds the values
+        of the keys not cached, given by position, in one call.
+
+        Every key then goes through :meth:`memo`, which stores the new values
+        and returns the cached ones as they are.
+        """
+        with self._lock:
+            cached = {i: self._memo[key] for i, key in enumerate(keys) if key in self._memo}
+        missing = [i for i in range(len(keys)) if i not in cached]
+        values = dict(zip(missing, factory(missing))) if missing else {}
+        values.update(cached)
+        return [self.memo(key, lambda i=i: values[i]) for i, key in enumerate(keys)]
+
     def gram(self, lam: complex = 0.0) -> np.ndarray:
         """Weighted Gram matrix of the solution row at ``conj(lam)``."""
         lam = complex(lam)

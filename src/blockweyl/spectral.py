@@ -19,6 +19,12 @@ two independent ways: a boundary-determinant eigenvalue scan with
 Gram-orthonormalized eigenvectors (regular problems), and Stieltjes inversion
 of the Weyl matrix with shrinking imaginary offsets.  The model builder
 cross-validates one against the other.
+
+Both ways work on stacks of spectral parameters.  The scan refines its roots
+from stacked assemblies at Chebyshev nodes of the sign-change brackets, and
+every set of Weyl samples (the offsets of an atom weight, the nodes of a
+quadrature bisection, a density grid) is one
+:func:`~blockweyl.weyl.m_function_many` call.
 """
 from __future__ import annotations
 
@@ -26,17 +32,26 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from . import quadrature
 from .assembly import assemble_blocks, norm_zero_space
 from .engine import Engine
-from .errors import StructuralError, TheoryViolationError
+from .errors import AccuracyError, StructuralError, TheoryViolationError
 from .propagation import SolutionRow, _atom_drive, solve_ivp
 from .system import BoundaryConditions, SystemSpec
-from .weyl import m_function
+from .weyl import m_function, m_function_many
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4)
+
+#: Chebyshev-Lobatto nodes per sign-change bracket of the scan determinant;
+#: odd, so that the middle node is the midpoint a halved bracket reuses
+CHEB_NODES = 13
+#: an interpolant is trusted when its trailing coefficients are below this
+#: times the Hadamard bound of the sampled matrices (their rounding scale)
+CHEB_TOL = 1e-13
+_CHEB_T = np.sin(np.pi * np.arange(1 - CHEB_NODES, CHEB_NODES, 2) / (2 * (CHEB_NODES - 1)))
+_CHEB_FIT = np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB_T, CHEB_NODES - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +168,14 @@ def eigen_scan(
 
     The constraint stack (junction, integrability and boundary rows, without
     the norm-zero row) restricted to the complement of the norm-zero space
-    loses rank exactly at eigenvalues.  The smallest restricted singular value
-    is scanned on a grid, assembled for all grid points in one batched pass;
-    every local minimum is refined by bounded minimization and accepted when
-    it collapses to the noise floor.  When the restriction is square with real
-    entries a signed determinant provides bracketing sign changes instead;
-    both detectors feed the same refinement.
+    loses rank exactly at eigenvalues.  It is assembled for all grid points
+    in one batched pass.  When the restriction is square with real entries, a
+    signed determinant brackets roots by its sign changes, and the roots of
+    all brackets are refined together by Chebyshev interpolation
+    (:func:`_bracket_roots`, one stacked assembly per round).  Local minima of
+    the smallest restricted singular value that no bracket explains are
+    refined by bounded minimization.  Every candidate is accepted when that
+    singular value collapses to the noise floor.
     """
     eng = engine or Engine(sys, bc)
     basis_p = _range_basis(norm_zero_space(sys, engine=eng)[1])
@@ -187,21 +204,21 @@ def eigen_scan(
     live = row_peak > 1e-12 * max(1.0, float(np.max(row_peak)))
     use_det = int(np.sum(live)) == r
     if use_det:
-        def det_at(s: float) -> complex:
-            return complex(np.linalg.det(reduced(s)[live]))
-
         dets = np.linalg.det(samples[:, live])
         if np.max(np.abs(dets.imag)) <= 1e-9 * max(float(np.max(np.abs(dets.real))), 1e-300):
             dre = dets.real
+            brackets = []
             for i in range(len(grid)):
                 if dre[i] == 0.0:
                     candidates.append(float(grid[i]))
                 elif i + 1 < len(grid) and dre[i] * dre[i + 1] < 0:
-                    root = brentq(
-                        lambda s: det_at(s).real,
-                        float(grid[i]), float(grid[i + 1]), xtol=1e-13, rtol=1e-15,
-                    )
-                    candidates.append(float(root))
+                    brackets.append((float(grid[i]), float(grid[i + 1]), dre[i], dre[i + 1]))
+
+            def det_many(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                mats = reduced(s)[:, live]
+                return np.linalg.det(mats).real, np.prod(np.linalg.norm(mats, axis=-1), axis=-1)
+
+            candidates += _bracket_roots(det_many, brackets)
         else:
             use_det = False
     # singular-value dips catch everything else (and even-order det roots)
@@ -231,6 +248,59 @@ def eigen_scan(
         if vecs.shape[1]:
             points.append(EigenPoint(value=s, multiplicity=vecs.shape[1], vectors=vecs))
     return points
+
+
+def _bracket_roots(det_many, brackets) -> list[float]:
+    """Roots of a real determinant in its sign-change brackets ``(a, b, f(a), f(b))``.
+
+    Each bracket is sampled at the interior Chebyshev-Lobatto nodes, all
+    brackets in one call of ``det_many`` (determinants and Hadamard bounds of
+    the sampled matrices).  The interpolant keeps the end values, so it
+    changes sign and has a real root; it is trusted when its two trailing
+    coefficients are at roundoff, below :data:`CHEB_TOL` times the largest
+    Hadamard bound (J. P. Boyd, SIAM J. Numer. Anal. 40 (2002)), and its real
+    roots in the bracket are returned.  An untrusted bracket is halved at its
+    middle node, keeping the half with the sign change, and resampled with the
+    others in the next round.  Widths follow ``brentq(xtol=1e-13, rtol=1e-15)``:
+    a bracket that narrows to ``1e-13 + 1e-15 |s|`` returns its midpoint, and
+    a root within half that of an end returns the end.
+    """
+    def tol(s):
+        return 1e-13 + 1e-15 * np.abs(s)
+
+    roots: list[float] = []
+    while brackets:
+        a, b, fa, fb = (np.array(col) for col in zip(*brackets))
+        narrow = b - a <= tol(np.maximum(np.abs(a), np.abs(b)))
+        roots += [float(x) for x in 0.5 * (a[narrow] + b[narrow])]
+        a, b, fa, fb = a[~narrow], b[~narrow], fa[~narrow], fb[~narrow]
+        if not a.size:
+            break
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes = mid[:, None] + half[:, None] * _CHEB_T[1:-1]
+        inner, hadamard = det_many(nodes.ravel())
+        values = np.column_stack([fa, inner.reshape(nodes.shape), fb])
+        coeffs = values @ _CHEB_FIT.T
+        floors = CHEB_TOL * np.max(hadamard.reshape(nodes.shape), axis=1)
+        brackets = []
+        for k, c in enumerate(coeffs):
+            ts = np.array([])
+            if np.max(np.abs(c[-2:])) <= floors[k]:
+                ts = np.polynomial.chebyshev.chebroots(c)
+                ts = np.clip(ts.real[(ts.imag == 0) & (np.abs(ts.real) <= 1.0 + 1e-12)], -1.0, 1.0)
+            for x in mid[k] + half[k] * ts:
+                ends = [end for end in (a[k], b[k]) if abs(x - end) <= 0.5 * tol(end)]
+                roots.append(float(ends[0] if ends else x))
+            if ts.size:
+                continue
+            fm = values[k, CHEB_NODES // 2]  # the value at the midpoint
+            if fm == 0.0:
+                roots.append(float(mid[k]))
+            elif fa[k] * fm < 0:
+                brackets.append((a[k], mid[k], fa[k], fm))
+            else:
+                brackets.append((mid[k], b[k], fm, fb[k]))
+    return roots
 
 
 def _range_basis(projector: np.ndarray) -> np.ndarray:
@@ -271,8 +341,9 @@ def _gram_normalized_kernel(s, reduced_mat, basis_p, eng) -> np.ndarray:
 
 
 def _imag_m(sys, bc, s, eps, eng) -> np.ndarray:
-    m = m_function(sys, bc, complex(s, eps), engine=eng, with_witness=False).m
-    return (m - m.conj().T) / 2j
+    """``Im M(s + i eps)`` stacked over an array ``s``, from one batch of Weyl samples."""
+    ms = np.stack([w.m for w in m_function_many(sys, bc, np.asarray(s) + 1j * eps, engine=eng)])
+    return (ms - np.swapaxes(ms.conj(), -1, -2)) / 2j
 
 
 def _richardson(values: list[np.ndarray], ratios: list[float]):
@@ -303,19 +374,21 @@ def atom_weight(
 
     Extrapolates ``-i eps M(s + i eps)`` over the shrinking offsets, then
     symmetrizes and clips eigenvalues in ``[-psd_clip, 0)`` to zero.  Larger
-    negativity raises :class:`TheoryViolationError`; a non-shrinking
-    extrapolation spread is reported through the ``converged`` flag.
+    negativity raises :class:`TheoryViolationError`.  The ``converged`` flag
+    holds when the extrapolation spread is at most ``1e-3`` times the largest
+    entry of the estimate (``1e-8`` absolute for a vanishing weight).  The
+    offsets are sampled in one :func:`~blockweyl.weyl.m_function_many` call.
     """
     eng = engine or Engine(sys, bc)
     eps = sorted((float(e) for e in eps_schedule), reverse=True)
     if not eps:
         raise ValueError("empty eps schedule")
-    vals = [-1j * e * m_function(sys, bc, complex(s, e), engine=eng, with_witness=False).m
-            for e in eps]
+    samples = m_function_many(sys, bc, [complex(s, e) for e in eps], engine=eng)
+    vals = [-1j * e * w.m for e, w in zip(eps, samples)]
     ratios = [a / b for a, b in zip(eps[:-1], eps[1:])]
     est, spread = _richardson(vals, ratios)
-    raw_gap = float(np.max(np.abs(vals[-1] - est))) if len(vals) > 1 else float("inf")
-    converged = spread <= max(1e-12, 10.0 * raw_gap) or spread < 1e-8
+    # the error bar against the weight's own size, absolute below 1e-5
+    converged = spread <= 1e-3 * max(float(np.max(np.abs(est))), 1e-5)
 
     W = 0.5 * (est + est.conj().T)
     mu, V = np.linalg.eigh(W)
@@ -379,7 +452,7 @@ def stieltjes_inversion(
                     breaks.append(p + off)
         val, _ = quadrature.integrate(
             lambda s: _imag_m(sys, bc, s, e, eng),
-            c, d, breakpoints=breaks, rel_tol=quad_rel, abs_tol=1e-12,
+            c, d, breakpoints=breaks, rel_tol=quad_rel, abs_tol=1e-12, vectorized=True,
         )
         estimates.append(val / np.pi)
     ratios = [a / b for a, b in zip(eps[:-1], eps[1:])]
@@ -450,7 +523,8 @@ def spectral_measure_model(
     atom against the Weyl-matrix limit (hard error beyond ``cross_tol``); the
     scan's Gram-orthonormalized weights are stored.  Problems with singular
     endpoints fall back to inversion-only atoms located at peaks of the
-    sampled density and are marked accordingly.
+    sampled density and are marked accordingly; a peak whose weight did not
+    converge raises :class:`AccuracyError`.
     """
     eng = engine or Engine(sys, bc)
     lo, hi = lam_range
@@ -482,13 +556,17 @@ def spectral_measure_model(
     else:
         eps0 = min(eps_schedule)
         grid = np.linspace(lo, hi, max(density_samples, 801))
-        trace = np.array(
-            [np.trace(_imag_m(sys, bc, s, eps0, eng)).real for s in grid]
-        )
+        trace = np.trace(_imag_m(sys, bc, grid, eps0, eng), axis1=-2, axis2=-1).real
         floor = np.median(trace)
         for i in range(1, len(grid) - 1):
             if trace[i] > trace[i - 1] and trace[i] > trace[i + 1] and trace[i] > 100 * floor:
                 W, diag = atom_weight(sys, bc, float(grid[i]), eps_schedule, engine=eng)
+                if not diag["converged"]:
+                    raise AccuracyError(
+                        f"atom weight at the density peak s={grid[i]} did not converge "
+                        f"(extrapolation spread {diag['spread']:.3e})",
+                        achieved=diag["spread"],
+                    )
                 model.atoms.append(
                     SpectralAtom(s=float(grid[i]), weight=W, multiplicity=int(np.linalg.matrix_rank(W)))
                 )
@@ -498,7 +576,7 @@ def spectral_measure_model(
     if density_samples:
         eps0 = min(eps_schedule)
         grid = np.linspace(lo, hi, density_samples)
-        vals = np.stack([_imag_m(sys, bc, float(s), eps0, eng) / np.pi for s in grid])
+        vals = _imag_m(sys, bc, grid, eps0, eng) / np.pi
         model.density_grid = grid
         model.density_values = vals
 

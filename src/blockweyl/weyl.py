@@ -12,6 +12,10 @@ would do on the relevant range; Moore-Penrose keeps results deterministic).
 ``M`` is symmetric, Herglotz and analytic whenever the symmetry witness
 vanishes, which covers all regular problems; when the witness is not small the
 sample is flagged so downstream spectral data can be marked unverified.
+
+:func:`m_function_many` evaluates the formula for a stack of parameters from
+one stacked assembly and one stacked pseudoinverse; :func:`m_function` is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -47,10 +51,11 @@ class WeylSample:
 
 
 def _pinv(mat: np.ndarray, rel: float) -> np.ndarray:
+    """Moore-Penrose inverse of a matrix, or of each matrix of a stack."""
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    cutoff = rel * (s[0] if s.size else 0.0)
+    cutoff = rel * s[..., :1]
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return vh.conj().T @ (inv[:, None] * u.conj().T)
+    return np.swapaxes(vh.conj(), -1, -2) @ (inv[..., :, None] * np.swapaxes(u.conj(), -1, -2))
 
 
 def symmetry_witness(
@@ -95,45 +100,71 @@ def m_function(
     engine: Engine | None = None,
     with_witness: bool = True,
 ) -> WeylSample:
-    """Weyl matrices ``(M_left, M_right, M)`` at a nonreal parameter."""
-    eng = engine or Engine(sys, bc)
-    lam = complex(lam)
-    key = ("weyl", bc, lam, with_witness)
+    """Weyl matrices ``(M_left, M_right, M)`` at a nonreal parameter: a batch of one."""
+    return m_function_many(sys, bc, [lam], engine=engine, with_witness=with_witness)[0]
 
-    def build() -> WeylSample:
-        asm = assemble_blocks(sys, bc, lam, engine=eng)
-        F = asm.constraints
+
+def m_function_many(
+    sys: SystemSpec,
+    bc: BoundaryConditions,
+    lams,
+    *,
+    engine: Engine | None = None,
+    with_witness: bool = False,
+) -> list[WeylSample]:
+    """Weyl samples at a sequence of nonreal parameters, in order.
+
+    Each parameter has its own memo entry, keyed as :func:`m_function` keys
+    it; cached samples are returned as they are, and the parameters not
+    cached are assembled in one stacked pass (a single one at its cached
+    solution row) with one stacked pseudoinverse.  A parameter on the
+    exceptional set raises as it does on its own.  The symmetry witness is
+    computed per parameter.
+    """
+    eng = engine or Engine(sys, bc)
+    lams = [complex(lam) for lam in np.ravel(lams)]
+
+    def build(missing: list[int]) -> list[WeylSample]:
+        batch = [lams[i] for i in missing]
+        asm = assemble_blocks(sys, bc, batch[0] if len(batch) == 1 else np.array(batch), engine=eng)
         P = asm.projector
         Jinv = eng.J_blocks_inv
+        F = asm.constraints.reshape(len(batch), *asm.constraints.shape[-2:])
         Fd = _pinv(F, sys.tols.pinv_rel)
-        s = np.linalg.svd(F, compute_uv=False)
-        cond = float(s[0] / s[-1]) if s.size and s[-1] > 0 else np.inf
+        svals = np.linalg.svd(F, compute_uv=False)
         m_left = P @ Fd @ asm.source_left @ Jinv @ P
         m_right = P @ Fd @ asm.source_right @ Jinv @ P
-        m = 0.5 * (m_left + m_right)
-        wnorm = 0.0
-        verified = True
-        if with_witness:
-            _, wnorm, _ = symmetry_witness(sys, bc, lam, engine=eng)
-            scale = max(1.0, float(np.linalg.norm(F)))
-            verified = wnorm <= WITNESS_TOL * scale
-            if not verified:
-                warnings.warn(
-                    f"symmetry witness norm {wnorm:.3e} at lambda={lam!r}; "
-                    "spectral data derived from this sample is unverified",
-                    stacklevel=2,
-                )
-        return WeylSample(
-            lam=lam,
-            m=m,
-            m_left=m_left,
-            m_right=m_right,
-            witness_norm=wnorm,
-            constraint_cond=cond,
-            verified=verified,
-        )
+        return [_sample(sys, bc, eng, *one, with_witness)
+                for one in zip(batch, F, svals, m_left, m_right)]
 
-    return eng.memo(key, build)
+    return eng.memo_many([("weyl", bc, lam, with_witness) for lam in lams], build)
+
+
+def _sample(sys, bc, eng, lam, F, svals, m_left, m_right, with_witness) -> WeylSample:
+    """One sample from its constraint matrix, that matrix's singular values and
+    the one-sided Weyl matrices."""
+    cond = float(svals[0] / svals[-1]) if svals.size and svals[-1] > 0 else np.inf
+    wnorm = 0.0
+    verified = True
+    if with_witness:
+        _, wnorm, _ = symmetry_witness(sys, bc, lam, engine=eng)
+        scale = max(1.0, float(np.linalg.norm(F)))
+        verified = wnorm <= WITNESS_TOL * scale
+        if not verified:
+            warnings.warn(
+                f"symmetry witness norm {wnorm:.3e} at lambda={lam!r}; "
+                "spectral data derived from this sample is unverified",
+                stacklevel=2,
+            )
+    return WeylSample(
+        lam=lam,
+        m=0.5 * (m_left + m_right),
+        m_left=m_left,
+        m_right=m_right,
+        witness_norm=wnorm,
+        constraint_cond=cond,
+        verified=verified,
+    )
 
 
 @dataclass

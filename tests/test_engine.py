@@ -15,7 +15,7 @@ from blockweyl.propagation import VectorFunction
 from blockweyl.spectral import spectral_measure_model, stieltjes_inversion
 from blockweyl.system import BoundaryConditions
 from blockweyl.transform import forward_transform
-from blockweyl.weyl import m_function
+from blockweyl.weyl import m_function, m_function_many
 
 
 def test_calls_without_an_engine_keep_nothing_alive():
@@ -78,7 +78,9 @@ def test_shared_engine_under_threads_matches_serial_run(name):
     def tasks(eng):
         weyl = [lambda lam=lam: m_function(sysm, bc, lam, engine=eng) for lam in grid]
         fourier = [lambda f=f: forward_transform(sysm, bc, model, f, engine=eng).values for f in data]
-        return 4 * (weyl + fourier)  # every key is asked for four times, possibly at once
+        batches = [lambda k=k: m_function_many(sysm, bc, grid[k:k + 4], engine=eng, with_witness=True)
+                   for k in range(0, len(grid), 4)]
+        return 4 * (weyl + fourier + batches)  # every key is asked for four times, possibly at once
 
     serial_engine, shared = Engine(sysm, bc), Engine(sysm, bc)
     serial = [task() for task in tasks(serial_engine)]
@@ -91,9 +93,12 @@ def test_shared_engine_under_threads_matches_serial_run(name):
     finally:
         sys.setswitchinterval(interval)
     distinct = len(threaded) // 4
+    stored = {sample.lam: sample for sample in threaded[:len(grid)]}
     for i, (one, other) in enumerate(zip(serial, threaded)):
         if isinstance(one, np.ndarray):
             assert np.array_equal(one, other)
+        elif isinstance(one, list):  # a batch hands out the samples stored for its keys
+            assert all(np.array_equal(a.m, b.m) and b is stored[b.lam] for a, b in zip(one, other))
         else:
             assert np.array_equal(one.m, other.m)
             assert other is threaded[i % distinct]  # one stored value per key

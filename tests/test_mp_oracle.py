@@ -5,9 +5,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
+from blockweyl.assembly import assemble_blocks, norm_zero_space
 from blockweyl.engine import Engine
 from blockweyl.propagation import fundamental_matrix
 from blockweyl.spectral import eigen_scan
+from blockweyl.weyl import m_function
 
 LAMS = (1j, 7.3 + 0.2j, 40.5)
 
@@ -72,3 +76,26 @@ def test_p2_eigenvalues_against_50_digit_roots(p2, e2):
         for point in points:
             root = mp.findroot(boundary_determinant, mp.mpf(point.value), verify=False)
             assert abs(point.value - float(mp.re(root))) <= 1e-11
+
+
+@pytest.mark.parametrize("name", ["p2", "p3"])
+def test_weyl_sample_against_50_digit_transfers(name, request):
+    # ``P F^+ H J^-1 P`` at lam = i, with the constraint matrix and sources
+    # assembled from the 50-digit transfers and the formula taken at 50 digits
+    sysm, bc = request.getfixturevalue(name)
+    eng = Engine(sysm, bc)
+    norm_zero_space(sysm, engine=eng)  # from the engine's own rows, before they are replaced
+    assert len(eng.anchors) == 1  # one block: the atom is crossed inside the transfer
+
+    def transfer(side):
+        return lambda x: np.array(oracle(sysm, 1j, eng.anchors[0], x, side).tolist(), dtype=complex)
+
+    eng.row = lambda lam: SimpleNamespace(fundamentals=[SimpleNamespace(left=transfer("left"), right=transfer("right"))])
+    asm = assemble_blocks(sysm, bc, 1j, engine=eng)
+    with mp.workdps(50):
+        F, P, Jinv = _mp(asm.constraints), _mp(asm.projector), _mp(eng.J_blocks_inv)
+        H = (_mp(asm.source_left) + _mp(asm.source_right)) / 2
+        exact = P * mp.inverse(F.H * F) * F.H * H * Jinv * P
+        exact = np.array(exact.tolist(), dtype=complex)
+    got = m_function(sysm, bc, 1j, engine=Engine(sysm, bc)).m
+    assert np.max(np.abs(got - exact)) <= 1e-12 * max(1.0, np.max(np.abs(exact)))

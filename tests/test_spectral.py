@@ -3,6 +3,8 @@ import pytest
 
 from conftest import J2, rotation
 from blockweyl.assembly import jump_system, norm_zero_space
+from blockweyl import spectral
+from blockweyl.engine import Engine
 from blockweyl.errors import StructuralError, TheoryViolationError
 from blockweyl.measures import IntervalSpec, integrate_bv
 from blockweyl.propagation import VectorFunction, row_integrand, solve_ivp
@@ -107,6 +109,38 @@ def test_p3_and_p4_single_eigenvalues(p3, e3, p4, e4):
     assert np.max(np.abs(proj @ eta - eta)) < 1e-10
 
 
+def test_p1_roots_in_off_grid_windows_are_the_integers(p1):
+    # one root per window, away from the grid nodes: found by the Chebyshev
+    # interpolant of its bracket, to roundoff
+    eng = Engine(*p1)
+    rng = np.random.default_rng(3)
+    for k in range(-80, 81):
+        d = rng.uniform(0.1, 0.9)
+        points = eigen_scan(*p1, k + d, k + 1 + d, engine=eng)
+        assert [p.multiplicity for p in points] == [1]
+        assert abs(points[0].value - (k + 1)) <= 1e-15 * max(1.0, abs(k + 1))
+
+
+def test_coarse_grid_halves_brackets_and_finds_the_same_roots(p1, p2, monkeypatch):
+    # the interpolant over a cell of width 0.9 (0.45 on P2, whose roots come in
+    # pairs 0.5 apart) is not at roundoff, so brackets are halved and resampled
+    stacked = []
+    constraints = spectral._solution_constraints
+
+    def counted(sys, bc, s, eng):
+        stacked.append(np.ndim(s) > 0)
+        return constraints(sys, bc, s, eng)
+
+    monkeypatch.setattr(spectral, "_solution_constraints", counted)
+    for problem, lo, hi, step in ((p1, -80.3, 80.3, 0.9), (p2, -40.3, 40.3, 0.45)):
+        fine = [p.value for p in eigen_scan(*problem, lo, hi, engine=Engine(*problem))]
+        stacked.clear()
+        coarse = [p.value for p in eigen_scan(*problem, lo, hi, engine=Engine(*problem), grid_step=step)]
+        assert sum(stacked) > 2  # the grid, the brackets, then halved brackets
+        assert len(coarse) == len(fine) > 80
+        assert max(abs(a - b) for a, b in zip(coarse, fine)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # atom weights and Stieltjes inversion
 
@@ -146,6 +180,48 @@ def test_empty_eps_schedule_is_rejected(p1, e1):
             stieltjes_inversion(*p1, 0.5, 1.5, (), engine=e1, refine_at=refine_at)
     with pytest.raises(ValueError, match="empty eps schedule"):
         atom_weight(*p1, 1.0, (), engine=e1)
+
+
+@pytest.fixture
+def scalar_weyl(monkeypatch):
+    """Route the spectral module's batched Weyl calls through one scalar call per parameter."""
+    from blockweyl.weyl import m_function
+
+    def one_by_one(sys, bc, lams, *, engine):
+        return [m_function(sys, bc, lam, engine=engine, with_witness=False) for lam in np.ravel(lams)]
+
+    return lambda: monkeypatch.setattr(spectral, "m_function_many", one_by_one)
+
+
+def test_stieltjes_integrand_batches_match_scalar_samples(p1, scalar_weyl):
+    batched = stieltjes_inversion(*p1, 0.5, 1.5, engine=Engine(*p1))
+    scalar_weyl()
+    scalar = stieltjes_inversion(*p1, 0.5, 1.5, engine=Engine(*p1))
+    assert np.array_equal(batched[0], scalar[0]) and batched[1] == scalar[1]
+
+
+def test_singular_path_samples_match_scalar_samples(scalar_weyl):
+    from test_transform import whole_line_point_interaction
+
+    # the density grid coincides with the 801 samples that locate the peaks
+    sysm, bc, eng = whole_line_point_interaction()
+    batched = spectral_measure_model(sysm, bc, (-2.0, 2.0), engine=eng, density_samples=801)
+    scalar_weyl()
+    sysm, bc, eng = whole_line_point_interaction()
+    scalar = spectral_measure_model(sysm, bc, (-2.0, 2.0), engine=eng, density_samples=801)
+    assert np.array_equal(batched.density_values, scalar.density_values)
+    assert [a.s for a in batched.atoms] == [a.s for a in scalar.atoms] == [-1.0]
+    assert np.array_equal(batched.atoms[0].weight, scalar.atoms[0].weight)
+    assert np.array_equal(batched.const_b, scalar.const_b)
+
+
+def test_density_samples_match_scalar_samples(p2, scalar_weyl):
+    batched = spectral_measure_model(*p2, (0.2, 1.8), engine=Engine(*p2), density_samples=41)
+    scalar_weyl()
+    scalar = spectral_measure_model(*p2, (0.2, 1.8), engine=Engine(*p2), density_samples=41)
+    assert batched.density_values.shape == (41, 2, 2)
+    assert np.array_equal(batched.density_values, scalar.density_values)
+    assert np.array_equal(batched.atoms[0].weight, scalar.atoms[0].weight)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rotation
+from blockweyl.errors import AccuracyError
 from blockweyl.propagation import VectorFunction
 from blockweyl.spectral import ResolventFunction, eigen_scan, spectral_measure_model
 from blockweyl.transform import (
@@ -257,6 +258,15 @@ def test_truncation_exhaustion_on_unbounded_interval():
     assert fhat.values.shape[1] == 4
     # the same atom as in the finite-interval realization: trace 2
     assert abs(np.trace(model.atoms[0].weight).real - 2.0) < 1e-3
+
+
+@pytest.mark.parametrize("lo", [-2.0013, -2.0025, -2.1])
+def test_whole_line_atom_off_the_density_grid_raises(lo):
+    # the 801-point grid misses the atom at -1: the peak node's weight has a
+    # vanishing estimate and an extrapolation spread of order 0.2, not a weight
+    sysm, bc, eng = whole_line_point_interaction()
+    with pytest.raises(AccuracyError, match="did not converge"):
+        spectral_measure_model(sysm, bc, (lo, 2.0), engine=eng)
 
 
 def test_resolvent_on_the_whole_line():

@@ -3,7 +3,9 @@ import pytest
 
 from conftest import J2
 from blockweyl.assembly import norm_zero_space
-from blockweyl.weyl import m_function, nevanlinna_diagnostics, symmetry_witness
+from blockweyl.engine import Engine
+from blockweyl.errors import TheoryViolationError
+from blockweyl.weyl import m_function, m_function_many, nevanlinna_diagnostics, symmetry_witness
 
 
 def closed_form_m(lam: complex) -> np.ndarray:
@@ -89,3 +91,66 @@ def test_range_inclusion_under_vanishing_witness(p1, p4):
         proj_range = u[:, keep] @ u[:, keep].conj().T
         resid = (np.eye(F.shape[0]) - proj_range) @ asm.source_mean @ eng.J_blocks_inv @ asm.projector
         assert np.max(np.abs(resid)) < 1e-10
+
+
+BATCH = (1j, 0.3 + 1e-2j, 0.3 + 1e-4j, -7.25 + 0.5j, 40.5 - 2j)
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p4"])
+@pytest.mark.parametrize("with_witness", [False, True])
+def test_batched_weyl_samples_match_scalar_ones_bitwise(name, with_witness, request):
+    sysm, bc = request.getfixturevalue(name)
+    scalar_eng = Engine(sysm, bc)
+    batch = m_function_many(sysm, bc, BATCH, engine=Engine(sysm, bc), with_witness=with_witness)
+    for lam, got in zip(BATCH, batch):
+        want = m_function(sysm, bc, lam, engine=scalar_eng, with_witness=with_witness)
+        assert got.lam == lam
+        for field in ("m", "m_left", "m_right"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert (got.witness_norm, got.constraint_cond, got.verified) == (
+            want.witness_norm, want.constraint_cond, want.verified)
+
+
+def test_batched_weyl_samples_keep_one_memo_entry_each(p2):
+    sysm, bc = p2
+    eng = Engine(sysm, bc)
+
+    def weyl_keys():
+        return [key for key in eng._memo if isinstance(key, tuple) and key[0] == "weyl"]
+
+    first = m_function(sysm, bc, BATCH[1], engine=eng, with_witness=False)
+    batch = m_function_many(sysm, bc, BATCH, engine=eng)
+    assert len(weyl_keys()) == len(BATCH)
+    assert batch[1] is first  # a cached sample comes back as it is
+    again = m_function_many(sysm, bc, BATCH[::-1], engine=eng)
+    assert all(a is b for a, b in zip(again, batch[::-1]))
+    assert m_function(sysm, bc, BATCH[3], engine=eng, with_witness=False) is batch[3]
+    assert len(weyl_keys()) == len(BATCH)
+
+
+def test_batch_with_an_exceptional_parameter_raises_like_the_scalar_call():
+    from blockweyl.measures import MatrixMeasure, Segment
+    from blockweyl.system import BoundaryConditions, SystemSpec
+
+    # the system of test_assembly's exceptional-point test: 1 + i is exceptional
+    sysm = SystemSpec(
+        J=J2,
+        q=MatrixMeasure(dim=2, atoms=((0.0, 2 * np.eye(2)),)),
+        w=MatrixMeasure(
+            dim=2,
+            segments=(Segment((-1.0, 1.0), lambda x: np.eye(2), degree=0),),
+            atoms=((0.0, 2 * np.eye(2)),),
+        ),
+        interval=(-1.0, 1.0),
+    )
+    bc = BoundaryConditions(
+        Ga=np.array([[1.0, 0.0], [0.0, 0.0]]), Gb=np.array([[0.0, 0.0], [1.0, 0.0]])
+    )
+    bad = 1 + 1j + 1e-11j
+    with pytest.raises(TheoryViolationError) as scalar:
+        m_function(sysm, bc, bad, engine=Engine(sysm, bc), with_witness=False)
+    eng = Engine(sysm, bc)
+    with pytest.raises(TheoryViolationError) as batch:
+        m_function_many(sysm, bc, [0.5j, bad, 2j], engine=eng)
+    assert str(batch.value) == str(scalar.value)
+    assert not [key for key in eng._memo if isinstance(key, tuple) and key[0] == "weyl"]

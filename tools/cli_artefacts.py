@@ -18,7 +18,8 @@ It also runs the first 60 operations of each workload of ``perfbench/``
 (imported, not changed) at seed 7 in one more process, with BLAS pinned to
 one thread as the benchmark pins it, and writes ``OUTDIR/workloads.json``:
 per workload, the sha256 of each operation's output (its arrays, numbers and
-strings, or the error it raised).
+strings, or the error it raised).  The numbers of each output, complex ones
+as real and imaginary part, go to ``OUTDIR/workload_values.json``.
 
 ``--compare`` reads the manifests and files of two such runs.  For every
 artefact (and standard output) whose content differs it prints the largest
@@ -27,7 +28,8 @@ absolute difference of the numbers in it and the largest relative one,
 brackets, CSV separators and headers, words) must be identical, as must the
 artefact names and exit codes; otherwise it names the mismatch and exits 1.
 Where both runs wrote ``workloads.json`` it prints, per workload, the
-operations whose outputs differ.  Where both wrote ``timings.json`` it also
+operations whose outputs differ and, where both wrote their numbers, the
+largest absolute and relative difference of those numbers.  Where both wrote ``timings.json`` it also
 prints each command's wall time in both and their ratio (second over first).
 Neither affects the exit code.
 """
@@ -53,44 +55,51 @@ WORKLOAD_SEED, WORKLOAD_OPS = 7, 60
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _feed(digest, obj) -> None:
+def _feed(digest, numbers: list, obj) -> None:
     """Hash the data of an operation's output: arrays, numbers and strings, and
-    the contents of dataclasses, lists and tuples; other objects are skipped."""
+    the contents of dataclasses, lists and tuples; other objects are skipped.
+    The numbers go to ``numbers`` as well, complex ones as real and imaginary part."""
     import numpy as np
 
     if isinstance(obj, (np.ndarray, np.generic, int, float, complex)):
         arr = np.asarray(obj)
         digest.update(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
+        flat = np.ravel(arr)
+        if np.iscomplexobj(flat):
+            flat = np.column_stack([flat.real, flat.imag]).ravel()
+        numbers.extend(float(x) for x in flat)
     elif isinstance(obj, str) or obj is None:
         digest.update(repr(obj).encode())
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
-            _feed(digest, getattr(obj, f.name))
+            _feed(digest, numbers, getattr(obj, f.name))
     elif isinstance(obj, (list, tuple)):
         for item in obj:
-            _feed(digest, item)
+            _feed(digest, numbers, item)
 
 
-def workload_digests() -> dict[str, list[str]]:
-    """sha256 of the outputs of the first operations of each benchmark workload."""
+def workload_outputs() -> tuple[dict[str, list[str]], dict[str, list[list[float]]]]:
+    """sha256 of the outputs of the first operations of each benchmark workload,
+    and the numbers in each output."""
     sys.path[:0] = [str(SRC), str(PERFBENCH)]
     import blockweyl
     from workloads import WORKLOADS
 
-    out = {}
+    digests, values = {}, {}
     for name, make in WORKLOADS.items():
         workload = make(WORKLOAD_SEED)
         state = workload.setup()
         specs = workload.operations(state)
-        out[name] = []
+        digests[name], values[name] = [], []
         for _ in range(WORKLOAD_OPS):
-            digest = hashlib.sha256()
+            digest, numbers = hashlib.sha256(), []
             try:
-                _feed(digest, workload.run(state, next(specs)))
+                _feed(digest, numbers, workload.run(state, next(specs)))
             except blockweyl.BlockweylError as exc:
                 digest.update(f"{type(exc).__name__}: {exc}".encode())
-            out[name].append(digest.hexdigest())
-    return out
+            digests[name].append(digest.hexdigest())
+            values[name].append(numbers)
+    return digests, values
 
 
 def numeric_difference(a: str, b: str) -> tuple[float, float, int] | None:
@@ -140,16 +149,30 @@ def compare(root_a: Path, root_b: Path) -> int:
 
 
 def print_workloads(root_a: Path, root_b: Path) -> None:
-    """The benchmark operations whose outputs differ between two runs, where both recorded them."""
+    """The benchmark operations whose outputs differ between two runs, where
+    both recorded them, and the largest differences of their numbers."""
     paths = [root / "workloads.json" for root in (root_a, root_b)]
     if not all(path.exists() for path in paths):
         return
     ops_a, ops_b = (json.loads(path.read_text()) for path in paths)
+    values = [root / "workload_values.json" for root in (root_a, root_b)]
+    nums_a, nums_b = (json.loads(path.read_text()) if path.exists() else {} for path in values)
     for name in sorted(set(ops_a) | set(ops_b)):
         a, b = ops_a.get(name, []), ops_b.get(name, [])
         differ = [i for i in range(max(len(a), len(b))) if a[i:i + 1] != b[i:i + 1]]
-        print(f"workload {name}: {max(len(a), len(b)) - len(differ)} operations identical, "
-              f"differing: {differ or 'none'}")
+        line = (f"workload {name}: {max(len(a), len(b)) - len(differ)} operations identical, "
+                f"differing: {differ or 'none'}")
+        x, y = nums_a.get(name, []), nums_b.get(name, [])
+        if differ and all(i < min(len(x), len(y)) for i in differ):
+            pairs = [(x[i], y[i]) for i in differ]
+            if all(len(p) == len(q) for p, q in pairs):
+                gaps = [(abs(u - v), abs(u - v) / max(1.0, abs(u), abs(v)))
+                        for p, q in pairs for u, v in zip(p, q) if u != v]
+                line += (f"; max abs {max((g for g, _ in gaps), default=0.0):.3e}, "
+                         f"max rel {max((r for _, r in gaps), default=0.0):.3e}")
+            else:
+                line += "; the differing outputs hold different counts of numbers"
+        print(line)
 
 
 def print_timings(root_a: Path, root_b: Path) -> None:
@@ -193,12 +216,13 @@ def main(argv: list[str]) -> int:
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, cli_artefacts; print(json.dumps(cli_artefacts.workload_digests()))"],
+        [sys.executable, "-c", "import json, cli_artefacts; print(json.dumps(cli_artefacts.workload_outputs()))"],
         capture_output=True, text=True, check=True, cwd=Path(__file__).resolve().parent,
         env={**env, **{var: "1" for var in THREAD_VARS}},
     )
-    digests = json.loads(proc.stdout.splitlines()[-1])
+    digests, values = json.loads(proc.stdout.splitlines()[-1])
     (root / "workloads.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    (root / "workload_values.json").write_text(json.dumps(values, sort_keys=True) + "\n")
     print(f"{sum(map(len, digests.values()))} workload outputs, {time.perf_counter() - start:.2f} s", flush=True)
     (root / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
     print(f"{len(manifest['artefacts'])} artefacts, {len(RUNS)} commands -> {root / 'manifest.json'}")
