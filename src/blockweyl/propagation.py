@@ -298,14 +298,37 @@ def _stretch_is_constant(sys: SystemSpec, lo: float, hi: float) -> bool:
     return all(_density_degree(meas, lo, hi) == 0 for meas in (sys.q, sys.w))
 
 
+def _stretch_fits(sys: SystemSpec, lo: float, hi: float) -> tuple[list, tuple]:
+    """Chebyshev fits of the ``q`` and ``w`` densities of one stretch (None for
+    a generic density), and the pairings of :func:`_transfer_pair` without and
+    with a drive row."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fits = []
+    for meas in (sys.q, sys.w):
+        d = _density_degree(meas, lo, hi)
+        if d is not None:
+            t = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
+            vals = meas.density_many(mid + half * t).reshape(d + 1, -1)
+            fits.append(np.linalg.solve(chebvander(t, d), vals))
+        else:
+            fits.append(None)
+    # J and J^-1, padded for the drive row, pair a transfer with that of conj(lam)
+    n = sys.dim
+    pairings = tuple([np.eye(n + pad, dtype=complex) for _ in range(2)] for pad in (0, 1))
+    for J, Jinv in pairings:
+        J[:n, :n], Jinv[:n, :n] = sys.J, sys.J_inv
+    return fits, pairings
+
+
 class _StretchCoefficients:
     """Coefficient matrices ``J^-1 (lam w - q)`` of one smooth stretch, at any of its points.
 
     A density whose segment gives its degree ``d`` is evaluated once, at
     ``d + 1`` Chebyshev points of the stretch, and interpolated from there; a
-    generic one is evaluated at every point asked for.  With a drive ``f`` the
-    matrices are augmented to ``[[A, J^-1 w f], [0, 0]]``, whose flow carries
-    ``(u, 1)``.
+    generic one is evaluated at every point asked for.  The fits are made once
+    per system and stretch (``SystemSpec.stretch_fits``).  With a drive ``f``
+    the matrices are augmented to ``[[A, J^-1 w f], [0, 0]]``, whose flow
+    carries ``(u, 1)``.
     """
 
     def __init__(self, sys: SystemSpec, lo: float, hi: float, f: Callable[[float], np.ndarray] | None):
@@ -313,19 +336,11 @@ class _StretchCoefficients:
         self.n = sys.dim
         self.dim = self.n + (f is not None)
         self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        self.fits = []
-        for meas in (sys.q, sys.w):
-            d = _density_degree(meas, lo, hi)
-            if d is not None:
-                t = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
-                vals = meas.density_many(self.mid + self.half * t).reshape(d + 1, -1)
-                self.fits.append(np.linalg.solve(chebvander(t, d), vals))
-            else:
-                self.fits.append(None)
-        # J and J^-1, padded for the drive row, pair a transfer with that of conj(lam)
-        self.pairing = [np.eye(self.dim, dtype=complex) for _ in range(2)]
-        self.pairing[0][: self.n, : self.n] = sys.J
-        self.pairing[1][: self.n, : self.n] = sys.J_inv
+        fitted = sys.stretch_fits.get((lo, hi))
+        if fitted is None:
+            fitted = sys.stretch_fits.setdefault((lo, hi), _stretch_fits(sys, lo, hi))
+        self.fits, pairings = fitted
+        self.pairing = pairings[f is not None]
 
     def _density(self, meas, fit, xs: np.ndarray) -> np.ndarray:
         if fit is None:

@@ -3,12 +3,17 @@
 A 7/15 point Gauss-Kronrod pair drives panel bisection; the panel with the
 largest error estimate is split until the global estimate meets the requested
 tolerance.  The integrand is evaluated once on the nodes of all initial
-panels and then once per bisection, on the 30 nodes of both halves, so a
-vectorized integrand pays its call overhead per bisection, not per panel or
-node; :func:`_panel` then weighs each panel's 15 values.  Integrands may
-return complex arrays of any fixed shape.  Initial panel edges can be pinned
-at known breakpoints (atoms, segment edges, support boundaries) so
-discontinuities of the integrand never sit inside a panel.
+panels and then once per round of bisections: when the loop reaches a panel
+whose halves are not evaluated yet, it evaluates them together with the
+halves of the largest other panels, in descending error order, until their
+errors cover the excess over the tolerance, within the panel budget.  The
+loop itself pops, bisects and sums as it would one bisection at a time, so
+the panel set, the sums and the budget error are bitwise those of the
+sequential algorithm; only a few evaluated halves go unused.  :func:`_panel`
+weighs each evaluated panel's 15 values once.  Integrands may return complex
+arrays of any fixed shape.  Initial panel edges can be pinned at known
+breakpoints (atoms, segment edges, support boundaries) so discontinuities of
+the integrand never sit inside a panel.
 """
 
 from __future__ import annotations
@@ -113,6 +118,7 @@ def integrate(
         return 0.5 * (a + b) + h * _NODES, h
 
     heap = []  # (-err, counter, lo, hi, value)
+    halves = {}  # counter of a leaf -> (value, error) of its two halves, weighed ahead
     total = None
     total_err = 0.0
     resabs_total = 0.0
@@ -128,28 +134,49 @@ def integrate(
         heapq.heappush(heap, (-err, counter, a, b, val))
         counter += 1
 
-    def tol_met() -> bool:
+    def target() -> float:
         scale = max(resabs_total, float(np.max(np.abs(total))))
-        return total_err <= max(abs_tol, rel_tol * scale)
+        return max(abs_tol, rel_tol * scale)
 
-    while not tol_met():
+    def weigh_halves(leaves: list[tuple[int, float, float]]) -> None:
+        """Evaluate the halves of every leaf ``(key, a, b)`` in one call, on
+        ascending nodes, and keep each half's value and error under ``key``."""
+        leaves = sorted(leaves, key=lambda leaf: leaf[1])
+        parts = [nodes(*ends) for _, a, b in leaves for ends in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+        stack = values(np.concatenate([xs for xs, _ in parts]))
+        weighed = [_panel(stack[15 * k : 15 * (k + 1)], h)[:2] for k, (_, h) in enumerate(parts)]
+        for i, (key, _, _) in enumerate(leaves):
+            halves[key] = weighed[2 * i : 2 * i + 2]
+
+    while True:
+        tol = target()
+        if total_err <= tol:
+            break
         if counter >= max_panels:
             raise AccuracyError(
                 f"quadrature did not converge after {counter} panels "
                 f"(error estimate {total_err:.3e})",
                 achieved=total_err,
             )
-        neg_err, _, a, b, val = heapq.heappop(heap)
+        neg_err, key, a, b, val = heapq.heappop(heap)
         err = -neg_err
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             # panel at floating-point resolution; accept its contribution
             total_err -= err
             continue
-        (x1, h1), (x2, h2) = nodes(a, mid), nodes(mid, b)
-        stack = values(np.concatenate([x1, x2]))  # both halves in one call
-        v1, e1, r1 = _panel(stack[:15], h1)
-        v2, e2, r2 = _panel(stack[15:], h2)
+        if key not in halves:
+            # bisect ahead the largest other leaves whose errors, with this
+            # one's, cover the excess over the tolerance, within the budget
+            leaves, cover = [(key, a, b)], err
+            for neg, k, c, d, _ in sorted(heap):
+                if cover >= total_err - tol or 2 * len(leaves) + 2 > max_panels - counter:
+                    break
+                if k not in halves and c < 0.5 * (c + d) < d:
+                    leaves.append((k, c, d))
+                    cover -= neg
+            weigh_halves(leaves)
+        (v1, e1), (v2, e2) = halves.pop(key)
         total = total - val + v1 + v2
         total_err = total_err - err + e1 + e2
         heapq.heappush(heap, (-e1, counter, a, mid, v1))

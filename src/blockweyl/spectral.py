@@ -23,7 +23,7 @@ cross-validates one against the other.
 Both ways work on stacks of spectral parameters.  The scan refines its roots
 from stacked assemblies at Chebyshev nodes of the sign-change brackets, and
 every set of Weyl samples (the offsets of an atom weight, the nodes of a
-quadrature bisection, a density grid) is one
+round of quadrature bisections, a density grid) is one
 :func:`~blockweyl.weyl.m_function_many` call.
 """
 from __future__ import annotations

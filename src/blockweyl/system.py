@@ -111,6 +111,10 @@ class SystemSpec:
         # flows of constant stretches by their (q, w) density pair, filled by
         # propagation: at most one entry per such pair of the system
         object.__setattr__(self, "constant_flows", {})
+        # density fits and pairings of smooth stretches by their ends (lo, hi),
+        # filled by propagation: one entry per stretch between the partition
+        # points and the anchors that solves start from
+        object.__setattr__(self, "stretch_fits", {})
         # condition numbers of the lam-free jump matrices at atoms without w
         # mass, by (atom, direction), filled by propagation
         object.__setattr__(self, "transfer_conditions", {})

@@ -197,6 +197,9 @@ class NevanlinnaReport:
         return max((r.analyticity_residual for r in self.rows), default=0.0)
 
 
+_CR_STEPS = (1e-4, 1e-5)  # the two step sizes of the Cauchy-Riemann probe
+
+
 def nevanlinna_diagnostics(
     sys: SystemSpec,
     bc: BoundaryConditions,
@@ -211,20 +214,23 @@ def nevanlinna_diagnostics(
     smallest eigenvalue of the imaginary part (sign-flipped into the upper
     half-plane), the witness norm, and a Cauchy-Riemann probe comparing
     difference quotients along the real and imaginary directions at two step
-    sizes.
+    sizes.  The samples, their conjugates and the probe points are three
+    :func:`m_function_many` calls.
     """
     eng = engine or Engine(sys, bc)
+    lams = [complex(lam) for lam in grid]
+    samples = m_function_many(sys, bc, lams, engine=eng, with_witness=True)
+    conjugates = m_function_many(sys, bc, [np.conj(lam) for lam in lams], engine=eng)
+    probes = []
+    if analyticity_probe:
+        points = [z for lam in lams for h in _CR_STEPS for z in (lam + h, lam - h, lam + 1j * h, lam - 1j * h)]
+        probes = [sample.m for sample in m_function_many(sys, bc, points, engine=eng)]
     report = NevanlinnaReport()
-    for lam in grid:
-        lam = complex(lam)
-        sample = m_function(sys, bc, lam, engine=eng)
-        sample_c = m_function(sys, bc, np.conj(lam), engine=eng, with_witness=False)
+    for i, (lam, sample, sample_c) in enumerate(zip(lams, samples, conjugates)):
         sym = float(np.max(np.abs(sample.m - sample_c.m.conj().T)))
         im = sample.imag_part if lam.imag > 0 else -sample.imag_part
         min_eig = float(np.min(np.linalg.eigvalsh(im)))
-        cr = 0.0
-        if analyticity_probe:
-            cr = _cauchy_riemann_residual(sys, bc, lam, eng)
+        cr = _cauchy_riemann_residual(probes[8 * i : 8 * i + 8]) if analyticity_probe else 0.0
         report.rows.append(
             DiagnosticsRow(
                 lam=lam,
@@ -237,15 +243,15 @@ def nevanlinna_diagnostics(
     return report
 
 
-def _cauchy_riemann_residual(sys, bc, lam, eng) -> float:
-    def M(z: complex) -> np.ndarray:
-        return m_function(sys, bc, z, engine=eng, with_witness=False).m
-
+def _cauchy_riemann_residual(ms: list[np.ndarray]) -> float:
+    """Residual of the probe at one parameter ``lam`` from ``M`` at ``lam + h``,
+    ``lam - h``, ``lam + ih`` and ``lam - ih`` for each step ``h`` of ``_CR_STEPS``."""
     worst = 0.0
     derivs = []
-    for h in (1e-4, 1e-5):
-        dx = (M(lam + h) - M(lam - h)) / (2 * h)
-        dy = (M(lam + 1j * h) - M(lam - 1j * h)) / (2j * h)
+    for k, h in enumerate(_CR_STEPS):
+        up, down, up_i, down_i = ms[4 * k : 4 * k + 4]
+        dx = (up - down) / (2 * h)
+        dy = (up_i - down_i) / (2j * h)
         scale = max(1.0, float(np.max(np.abs(dx))))
         worst = max(worst, float(np.max(np.abs(dx - dy))) / scale)
         derivs.append(dx)

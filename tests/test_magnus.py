@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import J2
+from blockweyl import propagation
 from blockweyl.errors import AccuracyError
 from blockweyl.measures import MatrixMeasure, Segment, Tolerances
 from blockweyl.propagation import VectorFunction, fundamental_matrix, solve_ivp, wronskian_defect
@@ -169,3 +170,27 @@ def test_dense_output_at_mesh_nodes_returns_the_stored_values(start, drive):
         mid = nodes[:-1] + 0.5 * mesh.h
         U = fundamental_matrix(sysm, 0, lam, anchor=0.0)
         assert_close(sol.balanced_many(mid), U.balanced_many(mid) @ u0, rel=1e-13)
+
+
+def test_stretch_fits_made_once_per_system(monkeypatch):
+    # the density fits of a stretch are made on its first solve and reused by
+    # later solves, with or without a drive, bitwise as a fresh fit would give
+    made = []
+    fits = propagation._stretch_fits
+
+    def counted(sysm, lo, hi):
+        made.append((lo, hi))
+        return fits(sysm, lo, hi)
+
+    monkeypatch.setattr(propagation, "_stretch_fits", counted)
+    q_coeffs = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    sysm = smooth_system(q_coeffs)
+    f = VectorFunction(lambda x: np.array([1.0, np.cos(x)]))
+    u0 = np.array([1.0, 1.0])
+    solves = [(lam, drive) for lam in (2.7 + 0.4j, -1.0 + 2.0j) for drive in (None, f)]
+    values = [solve_ivp(sysm, 0, lam, ANCHOR, u0, f=drive).left(0.3) for lam, drive in solves]
+    # the anchor splits the segment into two stretches, fitted once each
+    assert sorted(made) == sorted(sysm.stretch_fits) == [(0.0, ANCHOR), (ANCHOR, LENGTH)]
+    for (lam, drive), value in zip(solves, values):
+        fresh = solve_ivp(smooth_system(q_coeffs), 0, lam, ANCHOR, u0, f=drive).left(0.3)
+        assert np.array_equal(value, fresh)

@@ -1,7 +1,11 @@
+import cmath
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockweyl import quadrature
 from blockweyl.errors import AccuracyError
@@ -55,34 +59,159 @@ def test_empty_interval():
     assert val == 0.0 and err == 0.0
 
 
-# the panel counts of sin(40 x) on (0, pi) are pinned, because batching the
-# integrand calls must not change the panel set: the single initial panel is
-# symmetric about pi/2, where the integrand is odd, so it meets the tolerance
-# at once; breakpoints at 1 and 2 make it bisect
-@pytest.mark.parametrize("breaks, panels", [((), 1), ((1.0, 2.0), 73)])
-def test_one_integrand_call_per_bisection(monkeypatch, breaks, panels):
+PANEL = quadrature._panel  # the panel rule itself, whatever a test patches in
+
+
+def sequential_integrate(f, lo, hi, *, breakpoints=(), rel_tol=1e-10, abs_tol=1e-13,
+                         max_panels=4096, vectorized=False):
+    """The adaptive loop with one integrand call per bisection, as it was
+    before bisections were evaluated ahead: the reference for the panel set,
+    the sums and the budget error of :func:`quadrature.integrate`."""
+    edges = [lo]
+    for b in sorted(set(float(b) for b in breakpoints)):
+        if lo < b < hi and b - edges[-1] > 1e-15 * max(1.0, abs(b)):
+            edges.append(b)
+    edges.append(hi)
+
+    def values(xs):
+        if vectorized:
+            return np.asarray(f(xs), dtype=complex)
+        return np.stack([np.asarray(f(x), dtype=complex) for x in xs])
+
+    def nodes(a, b):
+        h = 0.5 * (b - a)
+        return 0.5 * (a + b) + h * quadrature._NODES, h
+
+    heap, total, total_err, resabs_total, counter = [], None, 0.0, 0.0, 0
+    panels = list(zip(edges[:-1], edges[1:]))
+    first = [nodes(a, b) for a, b in panels]
+    stack = values(np.concatenate([xs for xs, _ in first]))
+    for k, ((a, b), (_, h)) in enumerate(zip(panels, first)):
+        val, err, resabs = PANEL(stack[15 * k : 15 * (k + 1)], h)
+        total = val if total is None else total + val
+        total_err += err
+        resabs_total += float(np.max(resabs))
+        heapq.heappush(heap, (-err, counter, a, b, val))
+        counter += 1
+
+    def tol_met():
+        scale = max(resabs_total, float(np.max(np.abs(total))))
+        return total_err <= max(abs_tol, rel_tol * scale)
+
+    while not tol_met():
+        if counter >= max_panels:
+            raise AccuracyError("budget", achieved=total_err)
+        neg_err, _, a, b, val = heapq.heappop(heap)
+        err = -neg_err
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            total_err -= err
+            continue
+        (x1, h1), (x2, h2) = nodes(a, mid), nodes(mid, b)
+        stack = values(np.concatenate([x1, x2]))
+        v1, e1, _ = PANEL(stack[:15], h1)
+        v2, e2, _ = PANEL(stack[15:], h2)
+        total = total - val + v1 + v2
+        total_err = total_err - err + e1 + e2
+        heapq.heappush(heap, (-e1, counter, a, mid, v1))
+        counter += 1
+        heapq.heappush(heap, (-e2, counter, mid, b, v2))
+        counter += 1
+    return total, total_err
+
+
+def outcome(integrate, *args, **kwargs):
+    """(value, error) of an integral, or the ``achieved`` of its budget error."""
+    try:
+        return integrate(*args, **kwargs)
+    except AccuracyError as exc:
+        return "budget", exc.achieved
+
+
+def same_bits(got, want):
+    """Two outcomes of :func:`outcome` agree bit for bit."""
+    a, b = np.asarray(got[0]), np.asarray(want[0])
+    assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+    assert np.asarray(got[1]).tobytes() == np.asarray(want[1]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.floats(1.0, 120.0),
+    lo=st.floats(-2.0, 1.0),
+    length=st.floats(0.1, 4.0),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+    rel_tol=st.sampled_from([1e-6, 1e-9, 1e-10, 1e-12, 1e-14]),
+    abs_tol=st.sampled_from([1e-13, 1e-10, 1e-300]),
+    max_panels=st.sampled_from([33, 64, 301, 4096]),
+    vectorized=st.booleans(),
+)
+def test_bitwise_equal_to_sequential_bisection(k, lo, length, cuts, rel_tol, abs_tol,
+                                                max_panels, vectorized):
+    hi = lo + length
+    breaks = [lo + c * length for c in cuts]
+    if vectorized:  # matrix-valued, complex, point by point so each value is batch-free
+        f = lambda xs: np.array([[[math.sin(k * x), x * math.cos(k * x)],
+                                  [cmath.exp(1j * k * x * x), abs(x - lo - 0.3 * length) ** 0.5]]
+                                 for x in xs])
+    else:
+        f = lambda x: np.array(math.sin(k * x) * math.exp(-x * x) + abs(x - hi + 0.2 * length) ** 0.3)
+    opts = dict(breakpoints=breaks, rel_tol=rel_tol, abs_tol=abs_tol,
+                max_panels=max_panels, vectorized=vectorized)
+    same_bits(outcome(quadrature.integrate, f, lo, hi, **opts),
+              outcome(sequential_integrate, f, lo, hi, **opts))
+
+
+@pytest.mark.parametrize("max_panels", [64, 65, 300])
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_budget_error_achieved_bitwise(max_panels, vectorized):
+    one = lambda x: np.array(abs(x - 1 / 3) ** 0.1)
+    f = (lambda xs: np.array([one(x) for x in xs])) if vectorized else one
+    opts = dict(rel_tol=1e-300, abs_tol=1e-300, max_panels=max_panels, vectorized=vectorized)
+    with pytest.raises(AccuracyError) as got:
+        quadrature.integrate(f, 0.0, 1.0, **opts)
+    with pytest.raises(AccuracyError) as want:
+        sequential_integrate(f, 0.0, 1.0, **opts)
+    assert got.value.achieved == want.value.achieved
+
+
+# sin(40 x) on (0, pi): the single initial panel is symmetric about pi/2, where
+# the integrand is odd, so it meets the tolerance at once; breakpoints at 1 and
+# 2 make it bisect into 73 panels, one integrand call per bisection when the
+# bisections are evaluated one at a time
+@pytest.mark.parametrize("breaks, calls_at_most", [((), 1), ((1.0, 2.0), 8)])
+def test_bisections_evaluated_ahead_in_few_calls(monkeypatch, breaks, calls_at_most):
     weighed = []
-    panel = quadrature._panel
 
     def counted_panel(stack, h):
         weighed.append(len(stack))
-        return panel(stack, h)
+        return PANEL(stack, h)
 
     monkeypatch.setattr(quadrature, "_panel", counted_panel)
     calls = []
 
-    def many(xs):
-        calls.append(np.array(xs))
+    def sines(xs):
         return np.array([math.sin(40 * x) for x in xs])
 
+    def many(xs):
+        calls.append(np.array(xs))
+        return sines(xs)
+
     val, err = quadrature.integrate(many, 0.0, np.pi, breakpoints=breaks, vectorized=True)
-    initial = len(breaks) + 1
-    assert weighed == [15] * panels
-    # one call for the initial panels, then one per bisection, on both halves
-    assert len(calls) == 1 + (panels - initial) // 2
-    assert [len(xs) for xs in calls] == [15 * initial] + [30] * (len(calls) - 1)
+    assert len(calls) <= calls_at_most
     assert all(np.all(np.diff(xs) > 0) for xs in calls)
-    assert sum(len(xs) for xs in calls) == 15 * panels
+    # each evaluated panel, used or not, is weighed once
+    assert set(weighed) == {15}
+    assert sum(len(xs) for xs in calls) == 15 * len(weighed)
+    sequential = []
+
+    def counted_sines(xs):
+        sequential.extend(xs)
+        return sines(xs)
+
+    same_bits((val, err), sequential_integrate(counted_sines, 0.0, np.pi, breakpoints=breaks, vectorized=True))
+    # few halves are evaluated and not used
+    assert len(weighed) <= 1.1 * len(sequential) / 15
 
     # the scalar path sees the same nodes one at a time, in the same order
     nodes = []

@@ -19,7 +19,12 @@ It also runs the first 60 operations of each workload of ``perfbench/``
 one thread as the benchmark pins it, and writes ``OUTDIR/workloads.json``:
 per workload, the sha256 of each operation's output (its arrays, numbers and
 strings, or the error it raised).  The numbers of each output, complex ones
-as real and imaginary part, go to ``OUTDIR/workload_values.json``.
+as real and imaginary part, go to ``OUTDIR/workload_values.json``.  One
+more process, with BLAS pinned the same way, times the Parseval-200 fixture
+of acceptance criterion 07 (P1's ``spectral_measure_model`` on
+(-200.25, 200.25) and ``parseval_check`` at truncation 200 with f = (1, 0),
+imports and config loading left out); its time goes to ``timings.json`` as
+``parseval_200``.
 
 ``--compare`` reads the manifests and files of two such runs.  For every
 artefact (and standard output) whose content differs it prints the largest
@@ -100,6 +105,22 @@ def workload_outputs() -> tuple[dict[str, list[str]], dict[str, list[list[float]
             digests[name].append(digest.hexdigest())
             values[name].append(numbers)
     return digests, values
+
+
+def parseval_200() -> float:
+    """Wall time, in seconds, of the Parseval-200 fixture on P1."""
+    sys.path[:0] = [str(SRC)]
+    import numpy as np
+    from blockweyl import Engine, VectorFunction, parseval_check, spectral_measure_model
+    from blockweyl.config import ProblemConfig
+
+    cfg = ProblemConfig.load("P1")
+    engine = Engine(cfg.system, cfg.boundary)
+    start = time.perf_counter()
+    model = spectral_measure_model(cfg.system, cfg.boundary, (-200.25, 200.25), engine=engine)
+    f = VectorFunction(lambda x: np.array([1.0, 0.0]))
+    parseval_check(cfg.system, cfg.boundary, model, f, truncation=200.0, engine=engine)
+    return time.perf_counter() - start
 
 
 def numeric_difference(a: str, b: str) -> tuple[float, float, int] | None:
@@ -214,16 +235,22 @@ def main(argv: list[str]) -> int:
             manifest["artefacts"][f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{key}: exit {proc.returncode}, {timings[key]:.2f} s", flush=True)
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    pinned = {**env, **{var: "1" for var in THREAD_VARS}}
+
+    def last_line(code: str) -> str:
+        """The last line ``code`` prints in a fresh process importing this module."""
+        proc = subprocess.run([sys.executable, "-c", f"import json, cli_artefacts; print({code})"],
+                              capture_output=True, text=True, check=True,
+                              cwd=Path(__file__).resolve().parent, env=pinned)
+        return proc.stdout.splitlines()[-1]
+
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", "import json, cli_artefacts; print(json.dumps(cli_artefacts.workload_outputs()))"],
-        capture_output=True, text=True, check=True, cwd=Path(__file__).resolve().parent,
-        env={**env, **{var: "1" for var in THREAD_VARS}},
-    )
-    digests, values = json.loads(proc.stdout.splitlines()[-1])
+    digests, values = json.loads(last_line("json.dumps(cli_artefacts.workload_outputs())"))
     (root / "workloads.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     (root / "workload_values.json").write_text(json.dumps(values, sort_keys=True) + "\n")
     print(f"{sum(map(len, digests.values()))} workload outputs, {time.perf_counter() - start:.2f} s", flush=True)
+    timings["parseval_200"] = float(last_line("cli_artefacts.parseval_200()"))
+    print(f"Parseval-200 fixture: {timings['parseval_200']:.2f} s", flush=True)
     (root / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
     print(f"{len(manifest['artefacts'])} artefacts, {len(RUNS)} commands -> {root / 'manifest.json'}")
     return 0
