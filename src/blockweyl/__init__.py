@@ -39,6 +39,7 @@ from .system import (
     subintervals,
 )
 from .propagation import (
+    ArrayForm,
     PiecewiseSolution,
     SolutionRow,
     VectorFunction,

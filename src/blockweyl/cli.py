@@ -36,7 +36,7 @@ from .config import (
 from .engine import Engine
 from .errors import AccuracyError, BlockweylError, ConfigError, TheoryViolationError
 from .fatou import fatou_convergence_scan
-from .propagation import VectorFunction
+from .propagation import ArrayForm, VectorFunction
 from .spectral import eigen_scan, spectral_measure_model
 from .system import BoundaryConditions, SystemSpec
 from .transform import forward_transform, inverse_transform, parseval_check, w_norm
@@ -213,7 +213,7 @@ def _cmd_expand(cfg: ProblemConfig, out: Path) -> int:
     recon_err = w_norm(
         sysm,
         VectorFunction(
-            fn=lambda x: synth(x) - f(x),
+            fn=ArrayForm(lambda x: synth(x) - f(x), lambda xs: synth.many(xs) - f.many(xs)),
             breakpoints=tuple(sysm.atom_positions()) + tuple(f.breakpoints),
         ),
     )

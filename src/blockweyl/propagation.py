@@ -61,12 +61,30 @@ from .system import (
 )
 
 
+def evaluate_many(f: Callable[[float], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """Complex values of ``f`` at the points ``xs``, stacked along a leading axis.
+
+    ``f.many(xs)`` is called once when ``f`` has that method; a plain callable
+    is called once per point, on Python floats, and no points give an empty
+    array of shape ``(0,)``.
+    """
+    many = getattr(f, "many", None)
+    if many is not None:
+        return np.asarray(many(xs), dtype=complex)
+    return np.array([f(x) for x in np.asarray(xs, dtype=float).tolist()], dtype=complex)
+
+
 @dataclass(frozen=True, eq=False)
 class VectorFunction:
     """Vector-valued function with optional support and breakpoint hints.
 
     The callable must return *balanced* values at atoms; the solver and the
-    transforms never infer them.
+    transforms never infer them.  :meth:`many` evaluates it on an array of
+    points, bitwise the stacked values of :meth:`__call__`: one ``fn.many``
+    call when ``fn`` has that method (a nested :class:`VectorFunction`, an
+    :class:`ArrayForm`, a :class:`~blockweyl.transform.SpectralSynthesis`),
+    otherwise one ``fn`` call per point.  The integrators sample through
+    :meth:`many`.
     """
 
     fn: Callable[[float], np.ndarray]
@@ -78,6 +96,28 @@ class VectorFunction:
         if self.support is not None and not (self.support[0] <= x <= self.support[1]):
             return np.zeros_like(val)
         return val
+
+    def many(self, xs: np.ndarray) -> np.ndarray:
+        """Values at the points ``xs``, stacked; rows outside the support are zero."""
+        xs = np.asarray(xs, dtype=float)
+        vals = evaluate_many(self.fn, xs)
+        if self.support is None:
+            return vals
+        inside = (self.support[0] <= xs) & (xs <= self.support[1])  # NaN is outside, as in __call__
+        return np.where(inside.reshape((-1,) + (1,) * (vals.ndim - 1)), vals, 0)
+
+
+@dataclass(frozen=True, eq=False)
+class ArrayForm:
+    """A function of one point, ``one(x)``, with its form ``many(xs)`` on an
+    array of points, so that wrapped in a :class:`VectorFunction` it is
+    evaluated once per batch."""
+
+    one: Callable[[float], np.ndarray]
+    many: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x: float) -> np.ndarray:
+        return self.one(x)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +394,7 @@ class _StretchCoefficients:
         A = self.sys.J_inv @ (lam * w - q)
         if self.f is None:
             return A
-        fs = np.stack([np.asarray(self.f(float(x)), dtype=complex) for x in xs])
+        fs = evaluate_many(self.f, xs)
         out = np.zeros((len(xs), self.dim, self.dim), dtype=complex)
         out[:, : self.n, : self.n] = A
         out[:, : self.n, self.n] = (self.sys.J_inv @ (w @ fs[..., None]))[..., 0]
@@ -924,13 +964,15 @@ def row_integrand(
     """Integrand ``row^* dm f`` of :func:`blockweyl.measures.integrate_bv`.
 
     With ``row`` built at ``conj(lam)`` its integral is the transform of ``f``
-    at ``lam``.  The row is evaluated once per batch of points, ``f`` point by
-    point; ``f`` must evaluate to balanced values at atoms of the measure.
+    at ``lam``.  The row and ``f`` are evaluated once per batch of points,
+    ``f`` through :func:`evaluate_many` (point by point only when it is a
+    plain callable); ``f`` must evaluate to balanced values at atoms of the
+    measure.
     """
 
     def integrand(xs: np.ndarray, dms: np.ndarray) -> np.ndarray:
         paired = np.einsum("mji,mjk->mik", np.conj(row.balanced_many(xs)), dms)
-        fs = np.stack([np.asarray(f(float(x)), dtype=complex) for x in xs])
+        fs = evaluate_many(f, xs)
         return np.einsum("mik,mk->mi", paired, fs)
 
     return integrand

@@ -10,10 +10,11 @@ errors cover the excess over the tolerance, within the panel budget.  The
 loop itself pops, bisects and sums as it would one bisection at a time, so
 the panel set, the sums and the budget error are bitwise those of the
 sequential algorithm; only a few evaluated halves go unused.  :func:`_panel`
-weighs each evaluated panel's 15 values once.  Integrands may return complex
-arrays of any fixed shape.  Initial panel edges can be pinned at known
-breakpoints (atoms, segment edges, support boundaries) so discontinuities of
-the integrand never sit inside a panel.
+weighs each evaluated panel's 15 values once; their absolute values, the
+scale of the relative tolerance, are weighed on the initial panels only.
+Integrands may return complex arrays of any fixed shape.  Initial panel
+edges can be pinned at known breakpoints (atoms, segment edges, support
+boundaries) so discontinuities of the integrand never sit inside a panel.
 """
 
 from __future__ import annotations
@@ -72,13 +73,11 @@ def _weigh(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def _panel(stack: np.ndarray, h: float):
-    """Kronrod and Gauss estimates of one panel of half-width ``h`` from its
-    15 node values, plus an error estimate."""
+    """Kronrod estimate of one panel of half-width ``h`` from its 15 node
+    values, and its distance to the Gauss estimate as the error."""
     kron = h * _weigh(_KRONROD_W, stack)
     gauss = h * _weigh(_GAUSS_W, stack)
-    err = float(np.max(np.abs(kron - gauss)))
-    resabs = h * _weigh(_KRONROD_W, np.abs(stack))
-    return kron, err, resabs
+    return kron, float(np.max(np.abs(kron - gauss)))
 
 
 def integrate(
@@ -127,10 +126,12 @@ def integrate(
     first = [nodes(a, b) for a, b in panels]
     stack = values(np.concatenate([xs for xs, _ in first]))  # every initial panel in one call
     for k, ((a, b), (_, h)) in enumerate(zip(panels, first)):
-        val, err, resabs = _panel(stack[15 * k : 15 * (k + 1)], h)
+        part = stack[15 * k : 15 * (k + 1)]
+        val, err = _panel(part, h)
         total = val if total is None else total + val
         total_err += err
-        resabs_total += float(np.max(resabs))
+        # the tolerance scales with the integral of |f| over the initial panels
+        resabs_total += float(np.max(h * _weigh(_KRONROD_W, np.abs(part))))
         heapq.heappush(heap, (-err, counter, a, b, val))
         counter += 1
 
@@ -144,7 +145,7 @@ def integrate(
         leaves = sorted(leaves, key=lambda leaf: leaf[1])
         parts = [nodes(*ends) for _, a, b in leaves for ends in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
         stack = values(np.concatenate([xs for xs, _ in parts]))
-        weighed = [_panel(stack[15 * k : 15 * (k + 1)], h)[:2] for k, (_, h) in enumerate(parts)]
+        weighed = [_panel(stack[15 * k : 15 * (k + 1)], h) for k, (_, h) in enumerate(parts)]
         for i, (key, _, _) in enumerate(leaves):
             halves[key] = weighed[2 * i : 2 * i + 2]
 

@@ -17,20 +17,21 @@ import numpy as np
 from .engine import Engine
 from .errors import AccuracyError
 from .measures import IntervalSpec, integrate_bv
-from .propagation import VectorFunction, forward_transform_compact
+from .propagation import ArrayForm, VectorFunction, evaluate_many, forward_transform_compact
 from .spectral import SpectralMeasureModel
 from .system import BoundaryConditions, SystemSpec
 
 
 def w_inner(sys: SystemSpec, g1, g2) -> complex:
-    """Weighted inner product ``int g1^* w g2``."""
+    """Weighted inner product ``int g1^* w g2``, each function sampled once
+    per quadrature batch (:func:`~blockweyl.propagation.evaluate_many`)."""
     a, b = sys.interval
     breaks = list(getattr(g1, "breakpoints", ())) + list(getattr(g2, "breakpoints", ()))
     breaks += sys.atom_positions()
 
     def pairing(xs: np.ndarray, dws: np.ndarray) -> np.ndarray:
-        G1 = np.stack([np.asarray(g1(float(x)), dtype=complex) for x in xs])
-        G2 = np.stack([np.asarray(g2(float(x)), dtype=complex) for x in xs])
+        G1 = evaluate_many(g1, xs)
+        G2 = G1 if g2 is g1 else evaluate_many(g2, xs)
         return (np.conj(G1)[:, None, :] @ dws) @ G2[:, :, None]
 
     val = integrate_bv(pairing, sys.w, IntervalSpec(a, b), breakpoints=breaks, tols=sys.tols)
@@ -168,6 +169,13 @@ class SpectralSynthesis:
             out = out + getattr(row, side)(x) @ coeff
         return out
 
+    def many(self, xs: np.ndarray) -> np.ndarray:
+        """Balanced values at the points ``xs``, stacked; bitwise those of :meth:`balanced`."""
+        out = np.zeros((len(xs), self.sys.dim), dtype=complex)
+        for row, coeff in self._terms:
+            out = out + row.balanced_many(xs) @ coeff
+        return out
+
     def balanced(self, x: float) -> np.ndarray:
         return self._eval(x, "balanced")
 
@@ -267,7 +275,8 @@ def parseval_check(
             row = eng.row(complex(atom.s))
             funcs.append(
                 VectorFunction(
-                    fn=lambda x, row=row, eta=eta: row.balanced(x) @ eta,
+                    fn=ArrayForm(lambda x, row=row, eta=eta: row.balanced(x) @ eta,
+                                 lambda xs, row=row, eta=eta: row.balanced_many(xs) @ eta),
                     breakpoints=tuple(sys.atom_positions()),
                 )
             )

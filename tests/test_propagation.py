@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import J2, rotation
 from blockweyl.errors import SingularTransferError, StructuralError
 from blockweyl.measures import MatrixMeasure, Segment
 from blockweyl.propagation import (
     VectorFunction,
+    evaluate_many,
     forward_transform_compact,
     fundamental_matrix,
     solution_row,
@@ -209,3 +214,74 @@ def test_transform_kernel_dimension_is_lambda_independent(p4):
         s = np.linalg.svd(gram, compute_uv=False)
         dims.append(int(np.sum(s <= 1e-10 * max(s[0], 1.0))))
     assert dims == [3, 3, 3]
+
+
+def stacked_calls(f, xs):
+    return np.stack([f(float(x)) for x in xs])
+
+
+EDGES = (-1.0, 0.25, 2.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    xs=st.lists(st.floats(-3.0, 3.0) | st.sampled_from(EDGES + (math.nan,)), min_size=1, max_size=30),
+    inner=st.none() | st.sampled_from([(-1.0, 2.0), (0.25, 0.25), (0.25, 2.0), (-math.inf, 0.25)]),
+    nested=st.booleans(),
+    outer=st.sampled_from([None, (-1.0, 0.25), (-3.0, 3.0), (2.0, math.inf)]),
+    k=st.floats(0.5, 20.0),
+    shape=st.sampled_from([(), (2,), (2, 3)]),
+    real=st.booleans(),
+)
+def test_many_is_bitwise_the_stacked_calls(xs, inner, nested, outer, k, shape, real):
+    # supports with nodes on and outside their edges, NaN nodes, the nested
+    # masked wrapper of forward_transform and the plain-callable loop
+    def fn(x):
+        val = np.full(shape, math.sin(k * x)) + x * np.arange(int(np.prod(shape))).reshape(shape)
+        return val if real else val + 1j * math.cos(x)
+
+    f = VectorFunction(fn, support=inner)
+    if nested:
+        f = VectorFunction(f, support=outer)
+    xs = np.array(xs)
+    for got, want in ((f.many(xs), stacked_calls(f, xs)),
+                      (evaluate_many(fn, xs), np.stack([np.asarray(fn(float(x)), dtype=complex) for x in xs]))):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_many_of_no_points():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return np.array([1.0, x])
+
+    for f in (fn, VectorFunction(fn), VectorFunction(fn, support=(0.0, 1.0)),
+              VectorFunction(VectorFunction(fn), support=(0.0, 1.0))):
+        got = evaluate_many(f, np.array([]))
+        assert got.dtype == complex and got.shape == (0,)
+    assert calls == []
+
+
+def test_drive_solve_calls_f_only_at_atoms(monkeypatch):
+    # a drive through a non-constant weight with an atom at 0.5: the Magnus
+    # coefficients sample f on whole arrays, the atom transfer at the atom
+    sysm = SystemSpec(
+        J=J2,
+        q=MatrixMeasure(dim=2, segments=(Segment((0.0, 1.0), lambda x: np.diag([x, 1.0 - x * x]), degree=2),)),
+        w=MatrixMeasure(dim=2, segments=(Segment((0.0, 1.0), lambda x: (1.0 + 0.5 * x) * np.eye(2), degree=1),),
+                        atoms=((0.5, np.diag([2.0, 0.0])),)),
+        interval=(0.0, 1.0),
+    )
+    points, sampled, call = [], [], VectorFunction.__call__
+
+    def counted(self, x):
+        points.append(x)
+        return call(self, x)
+
+    monkeypatch.setattr(VectorFunction, "__call__", counted)
+    f = VectorFunction(lambda x: sampled.append(x) or np.array([1.0, np.cos(x)]))
+    solve_ivp(sysm, 0, 2.7 + 0.4j, 0.0, np.array([1.0, 1.0]), f=f)
+    assert set(points) == {0.5}
+    assert len(sampled) > 100

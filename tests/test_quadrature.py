@@ -87,9 +87,10 @@ def sequential_integrate(f, lo, hi, *, breakpoints=(), rel_tol=1e-10, abs_tol=1e
     first = [nodes(a, b) for a, b in panels]
     stack = values(np.concatenate([xs for xs, _ in first]))
     for k, ((a, b), (_, h)) in enumerate(zip(panels, first)):
-        val, err, resabs = PANEL(stack[15 * k : 15 * (k + 1)], h)
+        val, err = PANEL(stack[15 * k : 15 * (k + 1)], h)
         total = val if total is None else total + val
         total_err += err
+        resabs = h * quadrature._weigh(quadrature._KRONROD_W, np.abs(stack[15 * k : 15 * (k + 1)]))
         resabs_total += float(np.max(resabs))
         heapq.heappush(heap, (-err, counter, a, b, val))
         counter += 1
@@ -109,8 +110,8 @@ def sequential_integrate(f, lo, hi, *, breakpoints=(), rel_tol=1e-10, abs_tol=1e
             continue
         (x1, h1), (x2, h2) = nodes(a, mid), nodes(mid, b)
         stack = values(np.concatenate([x1, x2]))
-        v1, e1, _ = PANEL(stack[:15], h1)
-        v2, e2, _ = PANEL(stack[15:], h2)
+        v1, e1 = PANEL(stack[:15], h1)
+        v2, e2 = PANEL(stack[15:], h2)
         total = total - val + v1 + v2
         total_err = total_err - err + e1 + e2
         heapq.heappush(heap, (-e1, counter, a, mid, v1))

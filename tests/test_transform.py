@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import rotation
+from blockweyl.config import ProblemConfig
+from blockweyl.engine import Engine
 from blockweyl.errors import AccuracyError
-from blockweyl.propagation import VectorFunction
+from blockweyl.propagation import SolutionRow, VectorFunction
 from blockweyl.spectral import ResolventFunction, eigen_scan, spectral_measure_model
 from blockweyl.transform import (
     TauVector,
@@ -282,3 +284,33 @@ def test_resolvent_on_the_whole_line():
     for x, want in ((-3.0, [-0.5 + 0.5j, 0.5 - 0.5j]), (-0.5, [-0.5 + 0.5j, 0.5 - 0.5j]),
                     (0.5, [-0.5 + 0.5j, -0.5 + 0.5j]), (3.0, [-0.5 + 0.5j, -0.5 + 0.5j])):
         assert np.max(np.abs(R(x) - np.array(want))) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4"])
+def test_synthesis_many_is_bitwise_balanced(name):
+    cfg = ProblemConfig.load(name)
+    sysm, bc = cfg.system, cfg.boundary
+    eng = Engine(sysm, bc)
+    model = spectral_measure_model(sysm, bc, (-6.5, 6.5), engine=eng, eps_schedule=cfg.eps_schedule)
+    synth = inverse_transform(sysm, model, forward_transform(sysm, bc, model, cfg.expand_f, engine=eng),
+                              engine=eng)
+    a, b = (np.clip(end, -5.0, 5.0) for end in sysm.interval)
+    xs = np.sort(np.concatenate([np.linspace(a, b, 300), sysm.atom_positions()]))
+    want = np.stack([synth.balanced(float(x)) for x in xs])
+    got = synth.many(xs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert synth.many(np.array([])).shape == (0, sysm.dim)
+
+
+def test_w_inner_of_a_synthesis_samples_it_on_arrays(p1, e1, model1, monkeypatch):
+    synth = inverse_transform(p1[0], model1, forward_transform(*p1, model1, const_f(), engine=e1), engine=e1)
+    pointwise = w_inner(p1[0], lambda x: synth(x), lambda x: synth(x))
+    calls, balanced = [], SolutionRow.balanced
+
+    def counted(self, x):
+        calls.append(x)
+        return balanced(self, x)
+
+    monkeypatch.setattr(SolutionRow, "balanced", counted)
+    assert w_inner(p1[0], synth, synth) == pointwise
+    assert calls == []
