@@ -100,8 +100,9 @@ class Engine:
     def row(self, lam: complex | np.ndarray) -> SolutionRow:
         """Solution row at one cached parameter, or stacked over an array.
 
-        An array of parameters (an eigen-scan grid) is built in one pass and
-        bypasses the cache: no later call revisits it.
+        An array of parameters (an eigen-scan grid) is built in one pass,
+        its Magnus meshes in shared lockstep rounds, and bypasses the cache:
+        no later call revisits it.  ``row(lams)[i]`` is bitwise ``row(lams[i])``.
         """
         if np.ndim(lam):
             return solution_row(self.sys, lam, sing=self.sing, anchors=self.anchors)
@@ -110,6 +111,22 @@ class Engine:
             self._rows, ROW_CAPACITY, lam,
             lambda: solution_row(self.sys, lam, sing=self.sing, anchors=self.anchors),
         )
+
+    def rows(self, lams) -> list[SolutionRow]:
+        """Cached solution rows at the parameters ``lams``, in order.
+
+        The rows not cached are built together by one array call of
+        :meth:`row`, so that a resolvent's rows at ``lam`` and ``conj(lam)``
+        share their Magnus rounds, and each is stored, bitwise the row its own
+        build would store.
+        """
+        lams = [complex(lam) for lam in lams]
+        with self._lock:
+            missing = list(dict.fromkeys(lam for lam in lams if lam not in self._rows))
+        built = self.row(np.array(missing)) if missing else []
+        fresh = {lam: self._lookup(self._rows, ROW_CAPACITY, lam, lambda i=i: built[i])
+                 for i, lam in enumerate(missing)}
+        return [fresh[lam] if lam in fresh else self.row(lam) for lam in lams]
 
     # -- derived values --------------------------------------------------------
 

@@ -31,8 +31,9 @@ Propagation runs on a 1-D array of spectral parameters at once: every stored
 value carries a leading axis over them, and a single parameter is a batch of
 one.  Constant stretches flow all parameters at once, through the system's
 decomposition or, when both densities are present, through stacked LAPACK
-calls; atom transfers are stacked too; other stretches get a mesh per
-parameter, with the steps of one mesh stacked.
+calls; atom transfers are stacked too.  Every other stretch gets a mesh per
+parameter, and a solve builds all its meshes in lockstep doubling rounds
+(:func:`_magnus_meshes`), each mesh bitwise the one its parameter gets alone.
 """
 
 from __future__ import annotations
@@ -167,20 +168,27 @@ _PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.50417
 _PADE_COEFFS = {m: [math.comb(m, j) / math.perm(2 * m, j) for j in range(m + 1)] for m, _ in _PADE_THETA}
 
 
-def _expm_stack(A: np.ndarray) -> np.ndarray:
+def _pade_order(A: np.ndarray) -> tuple[int, int]:
+    """Degree ``m`` and scaling ``s`` of :func:`_expm_stack` for the stack ``A``."""
+    norm = np.abs(A).sum(axis=-2).max(initial=0.0)
+    m = next((m for m, theta in _PADE_THETA if norm <= theta), 13)
+    s = int(np.ceil(np.log2(norm / _PADE_THETA[-1][1]))) if norm > _PADE_THETA[-1][1] else 0
+    return m, s
+
+
+def _expm_stack(A: np.ndarray, order: tuple[int, int] | None = None) -> np.ndarray:
     """``exp(A)`` of every matrix of a stack ``(..., n, n)``.
 
     Scaling and squaring of the diagonal Padé approximant ``r = (V - U)^-1
     (V + U)``, ``U`` odd and ``V`` even in ``A`` (Higham 2005): one degree
-    serves the stack, the lowest whose ``theta`` bounds its largest 1-norm;
-    beyond ``theta_13`` the stack is scaled by ``2^-s`` and ``r`` squared
-    ``s`` times.  A zero matrix gives the identity exactly.
+    serves the stack, by default the lowest whose ``theta`` bounds its
+    largest 1-norm; beyond ``theta_13`` the stack is scaled by ``2^-s`` and
+    ``r`` squared ``s`` times.  ``order = (m, s)`` imposes degree and
+    scaling, so that stacks joined into one call keep their own.  A zero
+    matrix gives the identity exactly.
     """
-    norm = np.abs(A).sum(axis=-2).max(initial=0.0)
-    m = next((m for m, theta in _PADE_THETA if norm <= theta), 13)
-    s = 0
-    if norm > _PADE_THETA[-1][1]:
-        s = int(np.ceil(np.log2(norm / _PADE_THETA[-1][1])))
+    m, s = order or _pade_order(A)
+    if s:
         A = A / 2.0**s
     b = _PADE_COEFFS[m]
     eye = np.eye(A.shape[-1])
@@ -340,7 +348,7 @@ def _stretch_is_constant(sys: SystemSpec, lo: float, hi: float) -> bool:
 
 def _stretch_fits(sys: SystemSpec, lo: float, hi: float) -> tuple[list, tuple]:
     """Chebyshev fits of the ``q`` and ``w`` densities of one stretch (None for
-    a generic density), and the pairings of :func:`_transfer_pair` without and
+    a generic density), and the pairings of :func:`_transfer_pairs` without and
     with a drive row."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fits = []
@@ -382,31 +390,40 @@ class _StretchCoefficients:
         self.fits, pairings = fitted
         self.pairing = pairings[f is not None]
 
-    def _density(self, meas, fit, xs: np.ndarray) -> np.ndarray:
-        if fit is None:
-            return meas.density_many(xs)
-        vals = chebvander((xs - self.mid) / self.half, len(fit) - 1) @ fit
-        return vals.reshape(len(xs), self.n, self.n)
+    def densities(self, xs: np.ndarray) -> tuple:
+        """``(q, w, f)`` at the points ``xs``, ``f`` None without a drive: what
+        :meth:`assemble` needs, the same for every parameter.  Both fits read
+        the leading columns of one Chebyshev matrix."""
+        degree = max((len(fit) - 1 for fit in self.fits if fit is not None), default=-1)
+        basis = chebvander((xs - self.mid) / self.half, degree) if degree >= 0 else None
+        q, w = (
+            meas.density_many(xs) if fit is None else (basis[:, : len(fit)] @ fit).reshape(len(xs), self.n, self.n)
+            for meas, fit in zip((self.sys.q, self.sys.w), self.fits)
+        )
+        return q, w, None if self.f is None else evaluate_many(self.f, xs)
 
-    def at(self, lam: complex, xs: np.ndarray) -> np.ndarray:
-        """Stacked coefficient matrices at the points ``xs``."""
-        q, w = (self._density(meas, fit, xs) for meas, fit in zip((self.sys.q, self.sys.w), self.fits))
+    def assemble(self, lam: complex, q: np.ndarray, w: np.ndarray, fs: np.ndarray | None) -> np.ndarray:
+        """Stacked coefficient matrices at ``lam`` from :meth:`densities`."""
         A = self.sys.J_inv @ (lam * w - q)
-        if self.f is None:
+        if fs is None:
             return A
-        fs = evaluate_many(self.f, xs)
-        out = np.zeros((len(xs), self.dim, self.dim), dtype=complex)
+        out = np.zeros((len(fs), self.dim, self.dim), dtype=complex)
         out[:, : self.n, : self.n] = A
         out[:, : self.n, self.n] = (self.sys.J_inv @ (w @ fs[..., None]))[..., 0]
         return out
 
+    def at(self, lam: complex, xs: np.ndarray) -> np.ndarray:
+        """Stacked coefficient matrices at the points ``xs``."""
+        return self.assemble(lam, *self.densities(xs))
+
 
 def _prefix_products(E: np.ndarray) -> np.ndarray:
-    """``M[k] = E[k-1] ... E[0]``, ``M[0]`` the identity, by a doubling scan."""
-    M = np.concatenate([np.eye(E.shape[-1], dtype=complex)[None], E])
+    """``M[j, k] = E[j, k-1] ... E[j, 0]``, ``M[j, 0]`` the identity, by a
+    doubling scan over the steps ``k`` of each stack ``E[j]``."""
+    M = np.concatenate([np.broadcast_to(np.eye(E.shape[-1], dtype=complex), (len(E), 1) + E.shape[2:]), E], axis=1)
     shift = 1
-    while shift < len(M):
-        M[shift:] = M[shift:] @ M[:-shift]
+    while shift < M.shape[1]:
+        M[:, shift:] = M[:, shift:] @ M[:, :-shift]
         shift *= 2
     return M
 
@@ -451,53 +468,87 @@ class _MagnusMesh:
         return out.reshape(start.shape)[:, : self.dim]
 
 
-def _transfer_pair(P: np.ndarray, J: np.ndarray, Jinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stretch's transfer ``P`` and ``J P^-1 J^-1``, the adjoint of the transfer at ``conj(lam)``."""
+def _transfer_pairs(P: np.ndarray, J: np.ndarray, Jinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked transfers ``P`` of a stretch and ``J P^-1 J^-1``, the adjoints of those at ``conj(lam)``."""
     try:
         return P, J @ np.linalg.inv(P) @ Jinv
     except np.linalg.LinAlgError:  # a mesh too coarse to resolve anything
-        return P, np.full_like(P, np.nan)
+        if len(P) == 1:
+            return P, np.full_like(P, np.nan)
+        return P, np.concatenate([_transfer_pairs(p[None], J, Jinv)[1] for p in P])
 
 
-def _magnus_mesh(
-    coeff: _StretchCoefficients,
-    lam: complex,
-    x_from: float,
-    x_to: float,
-    Y_from: np.ndarray,
-    tols,
-) -> _MagnusMesh:
-    """Sixth-order Magnus solution of one parameter on a uniform mesh.
+def _grouped(keys: dict) -> list[list]:
+    """The keys of ``keys`` grouped by equal values, in order of first appearance."""
+    groups: dict = {}
+    for k, key in keys.items():
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
 
-    The step count starts from ``|x_to - x_from| (1 + |lam|)``, at most half
+
+def _joined(fn, stacks: list[np.ndarray], *args) -> list[np.ndarray]:
+    """``fn`` of the stacks joined along their first axis, split back."""
+    return np.split(fn(np.concatenate(stacks), *args), np.cumsum([len(a) for a in stacks])[:-1])
+
+
+def _magnus_meshes(jobs: Sequence[tuple], tols) -> list:
+    """Sixth-order Magnus meshes of several parameters and stretches, built in lockstep.
+
+    A job ``(coeff, lam, x_from, x_to)`` is one parameter on one stretch.
+    Its step count starts from ``|x_to - x_from| (1 + |lam|)``, at most half
     the cap, and doubles until the Richardson estimate of the stretch's
     transfer matrix meets ``ode_rtol``/``ode_atol``.  The estimate also
-    covers the transfer at ``conj(lam)`` (:func:`_transfer_pair`), so both
+    covers the transfer at ``conj(lam)`` (:func:`_transfer_pairs`), so both
     parameters choose the same mesh and the Wronskian identity holds to
-    roundoff.  The step exponentials are one :func:`_expm_stack`.
+    roundoff.
+
+    A round takes every unfinished job one doubling further: the densities
+    are evaluated once per stretch and step count, the exponents in one
+    :func:`_magnus_exponents` call per state size, and the step exponentials
+    in one :func:`_expm_stack` call per group of meshes of equal size and
+    Padé order, each mesh at the order its own stack selects (Higham 2005).
+    So every mesh is bitwise the mesh its job gets alone.  Returns per job
+    ``(h, M)``, the step and the transfer products of :func:`_prefix_products`,
+    or, past ``_MAX_STEPS`` steps, the :class:`AccuracyError` to raise where
+    the propagation reaches that stretch.
     """
-    span = x_to - x_from
-    steps = min(max(2, int(np.ceil(abs(span) * (1.0 + abs(lam)) * _STEPS_PER_UNIT))), _MAX_STEPS // 2)
-    coarse = None
-    while True:
-        if steps > _MAX_STEPS:
-            raise AccuracyError(
-                f"Magnus mesh on [{min(x_from, x_to)}, {max(x_from, x_to)}] needs more than "
-                f"{_MAX_STEPS} steps at lam={complex(lam)}"
-            )
-        h = span / steps
-        xs = x_from + h * (np.arange(steps)[:, None] + _GAUSS)
-        Omega = _magnus_exponents(coeff.at(lam, xs.ravel()).reshape(steps, 3, coeff.dim, coeff.dim), h)
-        M = _prefix_products(_expm_stack(Omega))
-        ends = _transfer_pair(M[-1], *coeff.pairing)
-        if coarse is not None and _refined(ends, coarse, tols):
-            break
-        coarse, steps = ends, 2 * steps
-    if coeff.dim > coeff.n:
-        Y_from = np.concatenate([Y_from, np.ones((1,) + Y_from.shape[1:])])
-    return _MagnusMesh(
-        x0=x_from, h=h, values=M @ Y_from, coeff=lambda pts: coeff.at(lam, pts), dim=coeff.n
-    )
+    steps = {k: min(max(2, int(np.ceil(abs(x_to - x_from) * (1.0 + abs(lam)) * _STEPS_PER_UNIT))), _MAX_STEPS // 2)
+             for k, (_, lam, x_from, x_to) in enumerate(jobs)}
+    out: list = [None] * len(jobs)
+    coarse: dict = {}
+    while steps:
+        for k, (_, lam, x_from, x_to) in enumerate(jobs):
+            if steps.get(k, 0) > _MAX_STEPS:
+                del steps[k]
+                out[k] = AccuracyError(
+                    f"Magnus mesh on [{min(x_from, x_to)}, {max(x_from, x_to)}] needs more than "
+                    f"{_MAX_STEPS} steps at lam={complex(lam)}"
+                )
+        h = {k: (jobs[k][3] - jobs[k][2]) / n for k, n in steps.items()}
+        # jobs on one stretch at one step count share their nodes
+        nodesets = _grouped({k: (jobs[k][0], jobs[k][2], n) for k, n in steps.items()})
+        stacks = {}  # per job: coefficients, then exponents, then step exponentials
+        for ks in nodesets:
+            coeff, _, x_from, _ = jobs[ks[0]]
+            n = steps[ks[0]]
+            densities = coeff.densities((x_from + h[ks[0]] * (np.arange(n)[:, None] + _GAUSS)).ravel())
+            for k in ks:
+                stacks[k] = coeff.assemble(jobs[k][1], *densities).reshape(n, 3, coeff.dim, coeff.dim)
+        for ks in _grouped({k: a.shape[-1] for k, a in stacks.items()}):
+            hs = np.repeat([h[k] for k in ks], [steps[k] for k in ks])
+            stacks.update(zip(ks, _joined(_magnus_exponents, [stacks[k] for k in ks], hs)))
+        order = {k: (_pade_order(a), a.shape[-1]) for k, a in stacks.items()}
+        for ks in _grouped(order):
+            stacks.update(zip(ks, _joined(_expm_stack, [stacks[k] for k in ks], order[ks[0]][0])))
+        for ks in nodesets:
+            M = _prefix_products(np.stack([stacks[k] for k in ks]))
+            for k, Mk, ends in zip(ks, M, zip(*_transfer_pairs(M[:, -1], *jobs[ks[0]][0].pairing))):
+                if k in coarse and _refined(ends, coarse[k], tols):
+                    out[k] = (h[k], Mk)
+                    del steps[k]
+                else:
+                    coarse[k], steps[k] = ends, 2 * steps[k]
+    return out
 
 
 @dataclass
@@ -533,6 +584,17 @@ class _Piece:
         return self.meshes[0].eval_many(xs)
 
 
+def _smooth_coefficients(sys: SystemSpec, lo: float, hi: float, f) -> _StretchCoefficients | None:
+    """Coefficients of a stretch with non-constant densities or a drive ``f``
+    meeting a ``w`` density (it enters only through ``J^-1 w_dens f``), None
+    for a constant flow."""
+    if not any(seg.interval[0] < hi and seg.interval[1] > lo for seg in sys.w.segments):
+        f = None
+    if f is None and _stretch_is_constant(sys, lo, hi):
+        return None
+    return _StretchCoefficients(sys, lo, hi, f)
+
+
 def _solve_stretch(
     sys: SystemSpec,
     lams: np.ndarray,
@@ -540,37 +602,41 @@ def _solve_stretch(
     hi: float,
     x_from: float,
     Y_from: np.ndarray,
-    f: Callable[[float], np.ndarray] | None,
+    meshed: tuple | None,
 ) -> tuple[_Piece, np.ndarray]:
     """Propagate the stack ``Y_from`` over ``[lo, hi]`` from one edge (``x_from``) to the other.
 
-    Constant stretches flow all parameters at once: a stretch without ``q``
-    or without ``w`` density takes the system's flow of its density pair,
-    decomposed on first use (filling the table twice stores equal flows), a
-    stretch with both the flow of its stacked matrices.  Any other stretch,
-    and any stretch with a drive ``f`` that meets a ``w`` density segment,
-    gets a Magnus mesh per parameter, so each keeps its own steps.  Elsewhere
-    the drive is dropped: it enters only through ``J^-1 w_dens f``.
+    ``meshed`` is ``(coeff, transfers)``, the stretch's coefficients and the
+    :func:`_magnus_meshes` result of each parameter, None for a constant
+    stretch.  Constant stretches flow all parameters at once: a stretch
+    without ``q`` or without ``w`` density takes the system's flow of its
+    density pair, decomposed on first use (filling the table twice stores
+    equal flows), a stretch with both the flow of its stacked matrices.
     """
+    if meshed is not None:
+        coeff, transfers = meshed
+        for transfer in transfers:
+            if isinstance(transfer, AccuracyError):
+                raise transfer
+        if coeff.dim > coeff.n:  # the drive row
+            Y_from = np.concatenate([Y_from, np.ones((len(lams), 1) + Y_from.shape[2:])], axis=1)
+        meshes = [
+            _MagnusMesh(x0=x_from, h=h, values=M @ Y, coeff=lambda pts, lam=lam: coeff.at(lam, pts), dim=coeff.n)
+            for lam, (h, M), Y in zip(lams, transfers, Y_from)
+        ]
+        return _Piece(lo=lo, hi=hi, meshes=meshes), np.stack([mesh.end for mesh in meshes])
     x_to = hi if x_from == lo else lo
-    if not any(seg.interval[0] < hi and seg.interval[1] > lo for seg in sys.w.segments):
-        f = None
-    if f is None and _stretch_is_constant(sys, lo, hi):
-        Q, W = sys.q.density_at(0.5 * (lo + hi)), sys.w.density_at(0.5 * (lo + hi))
-        if Q.any() and W.any():
-            flow = _PencilFlow.of(sys.J_inv @ (lams[:, None, None] * W - Q))
-        else:
-            key = (Q.tobytes(), W.tobytes())
-            flow = sys.constant_flows.get(key)
-            if flow is None:
-                flow = sys.constant_flows.setdefault(key, _PencilFlow.of(sys.J_inv @ (W if W.any() else -Q)))
-            flow = flow.scaled(lams if W.any() else np.ones(len(lams)))
-        piece = _Piece(lo=lo, hi=hi, flow=flow, x_ref=x_from, y_ref=Y_from)
-        return piece, flow.apply(x_to - x_from, Y_from)
-
-    coeff = _StretchCoefficients(sys, lo, hi, f)
-    meshes = [_magnus_mesh(coeff, lam, x_from, x_to, Y, sys.tols) for lam, Y in zip(lams, Y_from)]
-    return _Piece(lo=lo, hi=hi, meshes=meshes), np.stack([mesh.end for mesh in meshes])
+    Q, W = sys.q.density_at(0.5 * (lo + hi)), sys.w.density_at(0.5 * (lo + hi))
+    if Q.any() and W.any():
+        flow = _PencilFlow.of(sys.J_inv @ (lams[:, None, None] * W - Q))
+    else:
+        key = (Q.tobytes(), W.tobytes())
+        flow = sys.constant_flows.get(key)
+        if flow is None:
+            flow = sys.constant_flows.setdefault(key, _PencilFlow.of(sys.J_inv @ (W if W.any() else -Q)))
+        flow = flow.scaled(lams if W.any() else np.ones(len(lams)))
+    piece = _Piece(lo=lo, hi=hi, flow=flow, x_ref=x_from, y_ref=Y_from)
+    return piece, flow.apply(x_to - x_from, Y_from)
 
 
 def _atom_drive(sys: SystemSpec, x: float, f: Callable[[float], np.ndarray] | None):
@@ -770,6 +836,16 @@ def _propagate(
     pieces: list[_Piece | None] = [None] * (npts - 1)
     left_vals[i0] = right_vals[i0] = Y0
 
+    # every Magnus mesh first, in shared rounds: the transfer products of a
+    # stretch do not depend on the value entering it
+    smooth = [(i, coeff) for i in range(npts - 1)
+              if (coeff := _smooth_coefficients(sys, points[i], points[i + 1], f)) is not None]
+    built = iter(_magnus_meshes([
+        (coeff, lam, *((points[i], points[i + 1]) if i >= i0 else (points[i + 1], points[i])))
+        for i, coeff in smooth for lam in lams
+    ], sys.tols))
+    meshed = {i: (coeff, [next(built) for _ in lams]) for i, coeff in smooth}
+
     cur = Y0
     for i in range(i0, npts - 1):
         if i > i0:
@@ -777,7 +853,7 @@ def _propagate(
             if sys.is_atom(points[i]):
                 cur = _transfer(sys, lams, points[i], cur, f, +1)
             right_vals[i] = cur
-        pieces[i], cur = _solve_stretch(sys, lams, points[i], points[i + 1], points[i], cur, f)
+        pieces[i], cur = _solve_stretch(sys, lams, points[i], points[i + 1], points[i], cur, meshed.get(i))
     if i0 < npts - 1:
         left_vals[-1] = right_vals[-1] = cur
 
@@ -788,7 +864,7 @@ def _propagate(
             if sys.is_atom(points[i]):
                 cur = _transfer(sys, lams, points[i], cur, f, -1)
             left_vals[i] = cur
-        pieces[i - 1], cur = _solve_stretch(sys, lams, points[i - 1], points[i], points[i], cur, f)
+        pieces[i - 1], cur = _solve_stretch(sys, lams, points[i - 1], points[i], points[i], cur, meshed.get(i - 1))
     if i0 > 0:
         left_vals[0] = right_vals[0] = cur
 
@@ -1029,8 +1105,8 @@ def wronskian_defect(
         sing = partition_points(sys)
     if anchor is None:
         anchor = choose_anchors(sys, sing)[j]
-    U = fundamental_matrix(sys, j, lam, anchor=anchor, sing=sing)
-    Uc = fundamental_matrix(sys, j, np.conj(lam), anchor=anchor, sing=sing)
+    pair = fundamental_matrix(sys, j, np.array([lam, np.conj(lam)]), anchor=anchor, sing=sing)
+    U, Uc = pair[0], pair[1]
     lo, hi = U.lo, U.hi
     if isinstance(grid, int):
         xs = np.linspace(lo, hi, grid)

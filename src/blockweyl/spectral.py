@@ -86,7 +86,7 @@ class ResolventFunction:
         self.lam = complex(lam)
         eng = engine or Engine(sys, bc)
         self.engine = eng
-        self.row = eng.row(self.lam)
+        self.row = eng.rows([self.lam, self.lam.conjugate()])[0]  # the witness reads the other
         n = sys.dim
         self.drives = SolutionRow(sys, [
             solve_ivp(sys, j, self.lam, x0, np.zeros((n, 1), dtype=complex), f, sing=eng.sing)

@@ -283,6 +283,25 @@ def test_accuracy_error_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_singular_transfer_exits_1(tmp_path):
+    # a condition cap of 1 refuses P2's point interaction: SingularTransferError
+    proc = run_cli("mfun", "--config", "P2", "--out", str(tmp_path), "--tol-override", "cond_cap=1.0")
+    assert proc.returncode == 1
+    assert "jump matrix at x=1.5707963267948966 is numerically singular" in proc.stderr
+
+
+def test_degenerate_point_exits_1(tmp_path):
+    # far from the support, with no atom, the Poisson denominator underflows
+    # at r = 1e-300: DegeneratePointError
+    def mutate(cfg):
+        cfg["fatou"].update(atoms=[], s_values=[1e6], r_schedule=[1e-300])
+
+    path = write_config(tmp_path, mutate, base="fatou_demo")
+    proc = run_cli("fatou-demo", "--config", str(path), "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "Poisson denominator underflow" in proc.stderr
+
+
 def test_cli_entry_point_flags(tmp_path):
     proc = run_cli(
         "eigen", "--config", "P1", "--out", str(tmp_path), "--range=-1.5,1.5"

@@ -55,6 +55,21 @@ def test_memo_eviction_bounds_the_store_and_keeps_results(p1, monkeypatch):
     assert np.array_equal(bounded[0], full[0]) and bounded[1] == full[1]
 
 
+def test_rows_builds_the_missing_rows_in_one_array_call(p1, monkeypatch):
+    from test_magnus import assert_same_row
+
+    eng = Engine(*p1)
+    cached = eng.row(0.5 + 1j)
+    builds = []
+    build = engine_module.solution_row
+    monkeypatch.setattr(engine_module, "solution_row",
+                        lambda sys, lam, **kw: builds.append(np.shape(lam)) or build(sys, lam, **kw))
+    rows = eng.rows([2 + 1j, 0.5 + 1j, 2 - 1j, 2 + 1j])
+    assert rows[1] is cached and rows[0] is rows[3] is eng.row(2 + 1j) and rows[2] is eng.row(2 - 1j)
+    assert builds == [(2,)]  # the two missing rows, together; later calls hit the cache
+    assert_same_row(rows[2], Engine(*p1).row(2 - 1j))
+
+
 def test_gram_of_rotation_rows_on_p1(p1):
     # P1 rows at real s are rotations and w = I dx on (0, pi): the Gram matrix is pi I
     eng = Engine(*p1)

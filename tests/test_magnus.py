@@ -10,7 +10,7 @@ from conftest import J2
 from blockweyl import propagation
 from blockweyl.errors import AccuracyError
 from blockweyl.measures import MatrixMeasure, Segment, Tolerances
-from blockweyl.propagation import VectorFunction, fundamental_matrix, solve_ivp, wronskian_defect
+from blockweyl.propagation import VectorFunction, fundamental_matrix, solution_row, solve_ivp, wronskian_defect
 from blockweyl.system import SystemSpec, jump_matrices
 
 LENGTH = 1.5
@@ -18,9 +18,10 @@ ANCHOR = 0.6
 W_LINEAR = Segment((0.0, LENGTH), lambda x: (1.0 + 0.5 * x) * np.eye(2), degree=1)
 
 
-def smooth_system(q_coeffs, *, tols=Tolerances()) -> SystemSpec:
+def smooth_system(q_coeffs, *, tols=Tolerances(), atoms=()) -> SystemSpec:
     """``w = (1 + x/2) I`` and a ``q`` density: the polynomial with ``q_coeffs``
-    (ascending, symmetric 2x2 each) or, for None, ``diag(sin 3x, cos x)``."""
+    (ascending, symmetric 2x2 each) or, for None, ``diag(sin 3x, cos x)``;
+    ``atoms`` are ``q`` atoms."""
     if q_coeffs is None:
         q_seg = Segment((0.0, LENGTH), lambda x: np.diag([np.sin(3 * x), np.cos(x)]))
     else:
@@ -28,7 +29,7 @@ def smooth_system(q_coeffs, *, tols=Tolerances()) -> SystemSpec:
         q_seg = Segment((0.0, LENGTH), lambda x: sum(ck * x**k for k, ck in enumerate(c)), degree=len(c) - 1)
     return SystemSpec(
         J=J2,
-        q=MatrixMeasure(dim=2, segments=(q_seg,)),
+        q=MatrixMeasure(dim=2, segments=(q_seg,), atoms=atoms),
         w=MatrixMeasure(dim=2, segments=(W_LINEAR,)),
         interval=(0.0, LENGTH),
         tols=tols,
@@ -194,3 +195,85 @@ def test_stretch_fits_made_once_per_system(monkeypatch):
     for (lam, drive), value in zip(solves, values):
         fresh = solve_ivp(smooth_system(q_coeffs), 0, lam, ANCHOR, u0, f=drive).left(0.3)
         assert np.array_equal(value, fresh)
+
+
+def assert_same_row(row, alone):
+    """Bitwise equal rows: stored limits, Magnus meshes and values between the breakpoints."""
+    for fund, single in zip(row.fundamentals, alone.fundamentals, strict=True):
+        for a, b in zip(fund.left_values + fund.right_values, single.left_values + single.right_values, strict=True):
+            assert np.array_equal(a, b)
+        for piece, ref in zip(fund.pieces, single.pieces, strict=True):
+            if ref.meshes is not None:
+                (mesh,), (ref_mesh,) = piece.meshes, ref.meshes
+                assert mesh.h == ref_mesh.h and np.array_equal(mesh.values, ref_mesh.values)
+    a, b = row.sys.interval
+    xs = np.linspace(a, b, 9)[1:-1] + 1e-3
+    assert np.array_equal(row.balanced_many(xs), alone.balanced_many(xs))
+
+
+@settings(max_examples=20, deadline=None)
+@given(q_coefficients, spectral_parameters, spectral_parameters)
+def test_rows_built_together_are_the_rows_built_alone(q_coeffs, lam, other):
+    # lam, conj(lam) and an unrelated parameter share their rounds; each
+    # keeps its steps and Padé orders, so nothing moves by a bit
+    sysm = smooth_system(q_coeffs, atoms=((1.1, np.diag([0.5, -0.25])),))
+    lams = np.array([lam, np.conj(lam), other])
+    together = solution_row(sysm, lams, anchors=[ANCHOR])
+    for i, one in enumerate(lams):
+        assert_same_row(together[i], solution_row(sysm, one, anchors=[ANCHOR]))
+
+
+def test_mixed_parameters_keep_their_own_steps_and_pade_orders(monkeypatch):
+    orders = []
+    expm = propagation._expm_stack
+
+    def recorded(A, order=None):
+        orders.append(order)
+        return expm(A, order)
+
+    monkeypatch.setattr(propagation, "_expm_stack", recorded)
+    sysm = smooth_system(None)
+    lams = np.array([0.3 + 0.25j, 0.3 - 0.25j, 14.0 + 2.0j, -9.0 + 0.5j])
+    together = solution_row(sysm, lams, anchors=[ANCHOR])
+    monkeypatch.undo()
+    steps = {len(piece.meshes[i].values) for piece in together.fundamentals[0].pieces for i in range(len(lams))}
+    assert len(steps) > 2 and len(set(orders)) > 1
+    for i, lam in enumerate(lams):
+        assert_same_row(together[i], solution_row(sysm, lam, anchors=[ANCHOR]))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p4"])
+def test_rows_built_together_on_shipped_problems(name, request):
+    sysm, _ = request.getfixturevalue(name)
+    lams = np.array([1.3 + 0.7j, 1.3 - 0.7j, -6.0 + 0.25j, 2.0])
+    together = solution_row(sysm, lams)
+    for i, lam in enumerate(lams):
+        assert_same_row(together[i], solution_row(sysm, lam))
+
+
+def test_smooth_row_takes_one_exponent_call_per_round(monkeypatch):
+    # a q atom and the anchor cut the segment into three stretches; the row
+    # at lam and conj(lam) builds its six meshes in shared doubling rounds
+    calls = []
+    exponents = propagation._magnus_exponents
+
+    def counted(A, h):
+        calls.append(len(A))
+        return exponents(A, h)
+
+    monkeypatch.setattr(propagation, "_magnus_exponents", counted)
+    lam = 4.0 + 1.0j
+    sysm = smooth_system(None, atoms=((1.1, np.diag([0.5, -0.25])),))
+    row = solution_row(sysm, np.array([lam, np.conj(lam)]), anchors=[ANCHOR])
+    pieces = row.fundamentals[0].pieces
+    assert len(pieces) == 3
+
+    def first_steps(piece):  # the a-priori step count of a mesh on the piece
+        span = (piece.hi - piece.lo) * (1.0 + abs(lam))
+        return min(max(2, int(np.ceil(span * propagation._STEPS_PER_UNIT))), propagation._MAX_STEPS // 2)
+
+    rounds = [int(np.log2((len(mesh.values) - 1) / first_steps(piece))) + 1
+              for piece in pieces for mesh in piece.meshes]
+    assert len(rounds) == 6 and min(rounds) >= 2
+    assert len(calls) == max(rounds)
+    assert calls[0] == 2 * sum(first_steps(piece) for piece in pieces)  # all six meshes in the first round

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import J2, rotation
+from test_magnus import assert_same_row
 from blockweyl.assembly import jump_system, norm_zero_space
-from blockweyl import spectral
+from blockweyl import propagation, spectral
 from blockweyl.engine import Engine
 from blockweyl.errors import StructuralError, TheoryViolationError
-from blockweyl.measures import IntervalSpec, integrate_bv
+from blockweyl.measures import IntervalSpec, MatrixMeasure, Segment, integrate_bv
 from blockweyl.propagation import VectorFunction, row_integrand, solve_ivp
 from blockweyl.spectral import (
     ResolventFunction,
@@ -15,7 +16,8 @@ from blockweyl.spectral import (
     spectral_measure_model,
     stieltjes_inversion,
 )
-from blockweyl.system import jump_matrices
+from blockweyl.system import BoundaryConditions, SystemSpec, jump_matrices
+from blockweyl.weyl import WITNESS_TOL
 
 PI = np.pi
 
@@ -224,8 +226,69 @@ def test_density_samples_match_scalar_samples(p2, scalar_weyl):
     assert np.array_equal(batched.atoms[0].weight, scalar.atoms[0].weight)
 
 
+def test_double_root_is_found_by_the_singular_value_dip(monkeypatch):
+    # two decoupled strings with weights 1 and c and Dirichlet rows on their
+    # first components: eigenvalues k and k/c, and 0 twice.  At the double
+    # root the determinant keeps its sign, so only a dip of the smallest
+    # singular value, refined by bounded minimization, finds it
+    c = 1.05
+    w = MatrixMeasure(dim=4, segments=(Segment((0.0, PI), lambda x: np.diag([1.0, 1.0, c, c]), degree=0),))
+    sysm = SystemSpec(J=np.kron(np.eye(2), J2), q=MatrixMeasure.zero(4), w=w, interval=(0.0, PI))
+    e, z = np.eye(4), np.zeros(4)
+    bc = BoundaryConditions(Ga=np.array([e[0], e[2], z, z]), Gb=np.array([z, z, e[0], e[2]]))
+    minima = []
+    minimize = spectral.minimize_scalar
+
+    def recorded(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        minima.append(float(res.x))
+        return res
+
+    monkeypatch.setattr(spectral, "minimize_scalar", recorded)
+    points = eigen_scan(sysm, bc, -2.97, 3.03)
+    values = np.array([p.value for p in points for _ in range(p.multiplicity)])
+    expected = np.sort([float(k) for k in range(-2, 4)] + [k / c for k in range(-3, 4)])
+    assert len(values) == 13
+    assert np.max(np.abs(values - expected)) <= 1e-12
+    assert [p.multiplicity for p in points if abs(p.value) < 1e-12] == [2]
+    assert [x for x in minima if abs(x) < 1e-12] == [p.value for p in points if p.multiplicity == 2]
+
+
 # ---------------------------------------------------------------------------
 # resolvent
+
+
+def smooth_p1(p1):
+    """P1 with a quadratic ``q`` density and a ``q`` atom: every stretch takes a Magnus mesh."""
+    sysm, bc = p1
+    c0, c1, c2 = np.array([[0.3, 0.1], [0.1, -0.2]]), np.array([[0.0, 0.05], [0.05, 0.1]]), 0.02 * np.eye(2)
+    q = MatrixMeasure(dim=2, segments=(Segment((0.0, PI), lambda x: c0 + c1 * x + c2 * x * x, degree=2),),
+                      atoms=((1.1, np.diag([0.5, -0.25])),))
+    return SystemSpec(J=sysm.J, q=q, w=sysm.w, interval=sysm.interval, tols=sysm.tols), bc
+
+
+def test_conjugate_row_of_a_resolvent_is_built_independently(p1, monkeypatch):
+    # a resolvent builds its rows at lam and conj(lam) together; corrupting
+    # the coefficients of lam alone leaves the conj(lam) row bitwise as a
+    # build of its own gives it, and the symmetry witness sees the corruption
+    sysm, bc = smooth_p1(p1)
+    lam = 2.5 + 0.75j
+    f = VectorFunction(lambda x: np.array([1.0, 0.5]))
+    clean = Engine(sysm, bc)
+    assert ResolventFunction(sysm, bc, lam, f, engine=clean).weyl.witness_norm <= WITNESS_TOL
+    assemble = propagation._StretchCoefficients.assemble
+
+    def corrupted(self, one, q, w, fs):
+        A = assemble(self, one, q, w, fs)
+        return A * (1.0 + 1e-4) if one == lam else A
+
+    monkeypatch.setattr(propagation._StretchCoefficients, "assemble", corrupted)
+    eng = Engine(sysm, bc)
+    with pytest.warns(UserWarning, match="symmetry witness"):
+        R = ResolventFunction(sysm, bc, lam, f, engine=eng)
+    assert_same_row(eng.row(np.conj(lam)), clean.row(np.conj(lam)))
+    assert not np.array_equal(R.row.fundamentals[0].left_values[-1], clean.row(lam).fundamentals[0].left_values[-1])
+    assert R.weyl.witness_norm > WITNESS_TOL
 
 
 def test_resolvent_satisfies_equation_and_bcs(p1, e1):
