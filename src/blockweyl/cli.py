@@ -213,7 +213,7 @@ def _cmd_expand(cfg: ProblemConfig, out: Path) -> int:
     recon_err = w_norm(
         sysm,
         VectorFunction(
-            fn=ArrayForm(lambda x: synth(x) - f(x), lambda xs: synth.many(xs) - f.many(xs)),
+            fn=ArrayForm(lambda xs: synth.many(xs) - f.many(xs)),
             breakpoints=tuple(sysm.atom_positions()) + tuple(f.breakpoints),
         ),
     )

@@ -64,25 +64,6 @@ class IntervalSpec:
         return True
 
 
-def _polynomial(coeffs: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Pointwise evaluator of the matrix polynomial ``sum_k coeffs[k] x^k``.
-
-    Terms are summed in ascending powers, not by Horner's rule, as in
-    :func:`_polynomial_many`: the order fixes the last bits of every density
-    value, on which all results depend, and both must agree bitwise.
-    """
-
-    def evaluate(x: float) -> np.ndarray:
-        out = np.zeros(coeffs.shape[1:], dtype=complex)
-        p = 1.0
-        for c in coeffs:
-            out = out + c * p
-            p *= x
-        return out
-
-    return evaluate
-
-
 def _polynomial_many(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Stacked values of the matrix polynomial ``sum_k coeffs[k] x^k`` at the points ``xs``."""
     val = np.zeros((len(xs),) + coeffs.shape[1:], dtype=complex)
@@ -100,13 +81,13 @@ class Segment:
     ``density`` maps a point to an ``n x n`` complex matrix.  A polynomial
     density may be given as data instead: ``coeffs`` of shape
     ``(d + 1, n, n)``, ascending in degree.  Trailing zero coefficients are
-    dropped, ``degree`` becomes that of the last nonzero one, ``density``
-    (when not given) its pointwise evaluator, and
+    dropped, ``degree`` becomes that of the last nonzero one, and
     :meth:`MatrixMeasure.density_many` evaluates the segment on a whole array
-    of points at once.  ``degree``, when given, bounds the polynomial degree:
-    0 marks a constant density, propagated in closed form, and any degree
-    lets propagation interpolate the density from ``degree + 1`` values per
-    stretch.  None means generic smooth.
+    of points at once; ``density``, when not given, is a batch of one of it.
+    ``degree``, when given, bounds the polynomial degree: 0 marks a constant
+    density, propagated in closed form, and any degree lets propagation
+    interpolate the density from ``degree + 1`` values per stretch.  None
+    means generic smooth.
     """
 
     interval: tuple[float, float]
@@ -129,7 +110,7 @@ class Segment:
             object.__setattr__(self, "coeffs", coeffs)
             object.__setattr__(self, "degree", len(coeffs) - 1)
             if self.density is None:
-                object.__setattr__(self, "density", _polynomial(coeffs))
+                object.__setattr__(self, "density", lambda x: _polynomial_many(coeffs, np.array([x]))[0])
         elif self.density is None:
             raise StructuralError("a segment needs a density or its coefficients")
 
@@ -176,19 +157,14 @@ class MatrixMeasure:
         return np.zeros((self.dim, self.dim), dtype=complex)
 
     def density_at(self, x: float) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for seg in self.segments:
-            lo, hi = seg.interval
-            if lo <= x <= hi:
-                out = out + np.asarray(seg.density(x), dtype=complex)
-        return out
+        return self.density_many(np.array([x]))[0]
 
     def density_many(self, xs: np.ndarray) -> np.ndarray:
-        """Stacked density values at an array of points, bitwise those of :meth:`density_at`.
+        """Stacked density values at an array of points; a point on a shared
+        edge gets the sum of both segments.
 
         Segments with coefficients are evaluated on all their points at once,
-        callable ones point by point; a point on a shared edge gets the sum of
-        both segments.
+        callable ones point by point.  :meth:`density_at` is a batch of one.
         """
         xs = np.asarray(xs, dtype=float)
         out = np.zeros((len(xs), self.dim, self.dim), dtype=complex)

@@ -26,6 +26,8 @@ Crossing an atom applies the transfer
 
 so a solution is a list of smooth pieces plus stored one-sided limits at its
 breakpoints; its value at a breakpoint is always understood as balanced.
+Solutions and rows are read by one routine, ``many(xs, side)``, on an
+ascending array of points, and a single point is a batch of one of it.
 
 Propagation runs on a 1-D array of spectral parameters at once: every stored
 value carries a leading axis over them, and a single parameter is a batch of
@@ -41,6 +43,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,6 +66,10 @@ from .system import (
 )
 
 
+#: the readings of a BV function at a point: its one-sided limits and their mean
+_SIDES = ("left", "right", "balanced")
+
+
 def evaluate_many(f: Callable[[float], np.ndarray], xs: np.ndarray) -> np.ndarray:
     """Complex values of ``f`` at the points ``xs``, stacked along a leading axis.
 
@@ -81,11 +89,10 @@ class VectorFunction:
 
     The callable must return *balanced* values at atoms; the solver and the
     transforms never infer them.  :meth:`many` evaluates it on an array of
-    points, bitwise the stacked values of :meth:`__call__`: one ``fn.many``
-    call when ``fn`` has that method (a nested :class:`VectorFunction`, an
-    :class:`ArrayForm`, a :class:`~blockweyl.transform.SpectralSynthesis`),
-    otherwise one ``fn`` call per point.  The integrators sample through
-    :meth:`many`.
+    points: one ``fn.many`` call when ``fn`` has that method (a nested
+    :class:`VectorFunction`, an :class:`ArrayForm`, a
+    :class:`~blockweyl.transform.SpectralSynthesis`), otherwise one ``fn``
+    call per point.  A single point is a batch of one.
     """
 
     fn: Callable[[float], np.ndarray]
@@ -93,32 +100,28 @@ class VectorFunction:
     breakpoints: tuple[float, ...] = ()
 
     def __call__(self, x: float) -> np.ndarray:
-        val = np.asarray(self.fn(x), dtype=complex)
-        if self.support is not None and not (self.support[0] <= x <= self.support[1]):
-            return np.zeros_like(val)
-        return val
+        return self.many(np.array([x]))[0]
 
     def many(self, xs: np.ndarray) -> np.ndarray:
-        """Values at the points ``xs``, stacked; rows outside the support are zero."""
+        """Values at the points ``xs``, stacked; rows outside the support, NaN among them, are zero."""
         xs = np.asarray(xs, dtype=float)
         vals = evaluate_many(self.fn, xs)
         if self.support is None:
             return vals
-        inside = (self.support[0] <= xs) & (xs <= self.support[1])  # NaN is outside, as in __call__
+        inside = (self.support[0] <= xs) & (xs <= self.support[1])
         return np.where(inside.reshape((-1,) + (1,) * (vals.ndim - 1)), vals, 0)
 
 
 @dataclass(frozen=True, eq=False)
 class ArrayForm:
-    """A function of one point, ``one(x)``, with its form ``many(xs)`` on an
-    array of points, so that wrapped in a :class:`VectorFunction` it is
-    evaluated once per batch."""
+    """A function given by its form ``many(xs)`` on an array of points, so that
+    wrapped in a :class:`VectorFunction` it is evaluated once per batch; a
+    single point is a batch of one."""
 
-    one: Callable[[float], np.ndarray]
     many: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x: float) -> np.ndarray:
-        return self.one(x)
+        return self.many(np.array([x]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +352,20 @@ def _stretch_is_constant(sys: SystemSpec, lo: float, hi: float) -> bool:
 def _stretch_fits(sys: SystemSpec, lo: float, hi: float) -> tuple[list, tuple]:
     """Chebyshev fits of the ``q`` and ``w`` densities of one stretch (None for
     a generic density), and the pairings of :func:`_transfer_pairs` without and
-    with a drive row."""
+    with a drive row.  A degree-0 fit is the density itself, at the stretch's
+    middle, which for an unbounded (constant) stretch is its infinite end."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fits = []
     for meas in (sys.q, sys.w):
         d = _density_degree(meas, lo, hi)
-        if d is not None:
+        if d is None:
+            fits.append(None)
+        elif d == 0:
+            fits.append(meas.density_many(np.array([mid])).reshape(1, -1))
+        else:
             t = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
             vals = meas.density_many(mid + half * t).reshape(d + 1, -1)
             fits.append(np.linalg.solve(chebvander(t, d), vals))
-        else:
-            fits.append(None)
     # J and J^-1, padded for the drive row, pair a transfer with that of conj(lam)
     n = sys.dim
     pairings = tuple([np.eye(n + pad, dtype=complex) for _ in range(2)] for pad in (0, 1))
@@ -368,13 +374,31 @@ def _stretch_fits(sys: SystemSpec, lo: float, hi: float) -> tuple[list, tuple]:
     return fits, pairings
 
 
+#: stretch fits kept per system (``SystemSpec.stretch_fits``): its own
+#: stretches and those that the drives of recent solves add
+FIT_CAPACITY = 64
+
+
+def _fitted(sys: SystemSpec, lo: float, hi: float) -> tuple[list, tuple]:
+    """:func:`_stretch_fits` of a stretch, made on its first solve and kept
+    per system; past :data:`FIT_CAPACITY` entries the oldest goes.  A fit is
+    deterministic, so a stretch fitted again gets the fit it had."""
+    fits = sys.stretch_fits
+    fitted = fits.get((lo, hi))
+    if fitted is None:
+        fitted = fits.setdefault((lo, hi), _stretch_fits(sys, lo, hi))
+        while len(fits) > FIT_CAPACITY:
+            fits.popitem(last=False)
+    return fitted
+
+
 class _StretchCoefficients:
     """Coefficient matrices ``J^-1 (lam w - q)`` of one smooth stretch, at any of its points.
 
     A density whose segment gives its degree ``d`` is evaluated once, at
     ``d + 1`` Chebyshev points of the stretch, and interpolated from there; a
     generic one is evaluated at every point asked for.  The fits are made once
-    per system and stretch (``SystemSpec.stretch_fits``).  With a drive ``f``
+    per system and stretch (:func:`_fitted`).  With a drive ``f``
     the matrices are augmented to ``[[A, J^-1 w f], [0, 0]]``, whose flow
     carries ``(u, 1)``.
     """
@@ -384,10 +408,7 @@ class _StretchCoefficients:
         self.n = sys.dim
         self.dim = self.n + (f is not None)
         self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fitted = sys.stretch_fits.get((lo, hi))
-        if fitted is None:
-            fitted = sys.stretch_fits.setdefault((lo, hi), _stretch_fits(sys, lo, hi))
-        self.fits, pairings = fitted
+        self.fits, pairings = _fitted(sys, lo, hi)
         self.pairing = pairings[f is not None]
 
     def densities(self, xs: np.ndarray) -> tuple:
@@ -564,18 +585,11 @@ class _Piece:
     x_ref: float = 0.0
     y_ref: np.ndarray | None = None
     meshes: list[_MagnusMesh] | None = None  # ... or one Magnus mesh per parameter
-    single: bool = False
 
     def __getitem__(self, i) -> "_Piece":
         if self.flow is not None:
             return _Piece(self.lo, self.hi, flow=self.flow[i], x_ref=self.x_ref, y_ref=self.y_ref[i].copy())
-        return _Piece(self.lo, self.hi, meshes=[self.meshes[i]], single=True)
-
-    def eval(self, x: float) -> np.ndarray:
-        if self.flow is not None:
-            return self.flow.apply(x - self.x_ref, self.y_ref)
-        vals = np.stack([mesh.eval_many(np.array([x]))[0] for mesh in self.meshes])
-        return vals[0] if self.single else vals
+        return _Piece(self.lo, self.hi, meshes=[self.meshes[i]])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Values of a single parameter at an array of points."""
@@ -626,7 +640,7 @@ def _solve_stretch(
         ]
         return _Piece(lo=lo, hi=hi, meshes=meshes), np.stack([mesh.end for mesh in meshes])
     x_to = hi if x_from == lo else lo
-    Q, W = sys.q.density_at(0.5 * (lo + hi)), sys.w.density_at(0.5 * (lo + hi))
+    Q, W = (fit.reshape(sys.dim, sys.dim) for fit in _fitted(sys, lo, hi)[0])
     if Q.any() and W.any():
         flow = _PencilFlow.of(sys.J_inv @ (lams[:, None, None] * W - Q))
     else:
@@ -716,57 +730,65 @@ class PiecewiseSolution:
             interval_index=self.interval_index,
         )
 
-    def _index_of(self, x: float) -> int | None:
+    @cached_property
+    def _points(self) -> np.ndarray:
+        return np.asarray(self.points)
+
+    def _limit(self, i: int, side: str) -> np.ndarray:
+        """The stored limit at breakpoint ``i`` from ``side``, their mean for ``"balanced"``."""
+        if side == "left":
+            return self.left_values[i]
+        if side == "right":
+            return self.right_values[i]
+        if side == "balanced":
+            return 0.5 * (self.left_values[i] + self.right_values[i])
+        raise ValueError(f"unknown side {side!r}")
+
+    def many(self, xs: np.ndarray, side: str = "balanced") -> np.ndarray:
+        """Values at an ascending array of points, stacked along a leading axis.
+
+        A point on a breakpoint takes the stored limit from ``side``; the
+        points between two breakpoints go to their piece as one slice.  A
+        solution stacked over ``lam`` is evaluated one parameter at a time.
+        A point outside ``[lo, hi]``, or NaN, raises :class:`ValueError`.
+        """
+        if side not in _SIDES:
+            raise ValueError(f"unknown side {side!r}")
+        xs = np.asarray(xs, dtype=float)
+        if np.ndim(self.lam):
+            return np.stack([self[i].many(xs, side) for i in range(len(self.lam))], axis=1)
+        # xs[starts[i]:ends[i]] sit on breakpoint i, xs[ends[i]:starts[i + 1]] inside piece i
+        starts = np.searchsorted(xs, self._points).tolist()
+        ends = np.searchsorted(xs, self._points, "right").tolist()
+        if starts[0] or ends[-1] < len(xs):
+            raise ValueError(f"points outside [{self.lo}, {self.hi}]")
+        out = np.empty((len(xs),) + self.left_values[0].shape, dtype=complex)
+        for i, (start, end) in enumerate(zip(starts, ends)):
+            if start < end:
+                out[start:end] = self._limit(i, side)
+            if i < len(self.pieces) and end < starts[i + 1]:
+                out[end : starts[i + 1]] = self.pieces[i].eval_many(xs[end : starts[i + 1]])
+        return out
+
+    def value(self, x: float, side: str = "balanced") -> np.ndarray:
+        """Value at one point: a breakpoint's stored limit, found by bisection,
+        or else :meth:`many` of the point alone."""
         i = bisect.bisect_left(self.points, x)
         if i < len(self.points) and self.points[i] == x:
-            return i
-        return None
-
-    def _piece_at(self, x: float) -> _Piece:
-        i = bisect.bisect_left(self.points, x)
-        return self.pieces[max(i - 1, 0)]
-
-    def _check(self, x: float):
-        if not (self.lo <= x <= self.hi):
-            raise ValueError(f"{x} outside [{self.lo}, {self.hi}]")
+            return self._limit(i, side)
+        return self.many(np.array([x]), side)[0]
 
     def left(self, x: float) -> np.ndarray:
-        self._check(x)
-        i = self._index_of(x)
-        return self.left_values[i] if i is not None else self._piece_at(x).eval(x)
+        return self.value(x, "left")
 
     def right(self, x: float) -> np.ndarray:
-        self._check(x)
-        i = self._index_of(x)
-        return self.right_values[i] if i is not None else self._piece_at(x).eval(x)
+        return self.value(x, "right")
 
     def balanced(self, x: float) -> np.ndarray:
-        self._check(x)
-        i = self._index_of(x)
-        if i is not None:
-            return 0.5 * (self.left_values[i] + self.right_values[i])
-        return self._piece_at(x).eval(x)
+        return self.value(x, "balanced")
 
     __call__ = balanced
-
-    def balanced_many(self, xs: np.ndarray) -> np.ndarray:
-        """Balanced values of one spectral parameter at an ascending array of points.
-
-        Points hitting a breakpoint take the stored one-sided limits;
-        everything else is evaluated piece by piece in one batch each.
-        """
-        xs = np.asarray(xs, dtype=float)
-        points = np.asarray(self.points)
-        out = np.zeros((len(xs),) + self.left_values[0].shape, dtype=complex)
-        idx = np.searchsorted(points, xs)
-        exact = points[np.minimum(idx, len(points) - 1)] == xs
-        piece_of = np.clip(idx - 1, 0, len(self.pieces) - 1)
-        for p in np.unique(piece_of[~exact]):
-            mask = (~exact) & (piece_of == p)
-            out[mask] = self.pieces[p].eval_many(xs[mask])
-        for i in np.nonzero(exact)[0]:
-            out[i] = self.balanced(float(xs[i]))
-        return out
+    balanced_many = many
 
 
 def _breakpoints_in(sys: SystemSpec, lo: float, hi: float, extra: Sequence[float]) -> list[float]:
@@ -932,13 +954,14 @@ class SolutionRow:
     built for an array of spectral parameters returns values with a leading
     axis over them; ``row[i]`` is the row of parameter ``i`` alone.  Blocks
     of other widths (the drive solutions of a resolvent, one column each) are
-    extended the same way by :meth:`value`.
+    extended the same way.  Every reading goes through :meth:`many`; a single
+    point is a batch of one.
     """
 
     def __init__(self, sys: SystemSpec, fundamentals: Sequence[PiecewiseSolution]):
         self.sys = sys
         self.fundamentals = list(fundamentals)
-        self.lam = self.fundamentals[0].lam if self.fundamentals else 0j
+        self.lam = self.fundamentals[0].lam
         self.n = sys.dim
 
     def __getitem__(self, i) -> "SolutionRow":
@@ -948,31 +971,45 @@ class SolutionRow:
     def blocks(self) -> int:
         return len(self.fundamentals)
 
-    def _block(self, fund: PiecewiseSolution, x: float, side: str) -> np.ndarray:
-        lo, hi = fund.lo, fund.hi
-        if not (x <= lo or x >= hi):  # interior (a NaN lands here and is rejected)
-            if side == "left":
-                return fund.left(x)
-            if side == "right":
-                return fund.right(x)
-            return fund.balanced(x)
-        zero = np.zeros_like(fund.left_values[0])
-        if x == lo:
-            left, right = zero, fund.right(lo)
-        elif x == hi:
-            left, right = fund.left(hi), zero
-        else:
-            return zero
-        if side == "left":
-            return left
-        if side == "right":
-            return right
-        return 0.5 * (left + right)
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, list[slice]]:
+        """The block edges, block ``j`` spanning ``edges[j]`` to ``edges[j + 1]``, and its columns."""
+        edges = np.array([fund.lo for fund in self.fundamentals] + [self.fundamentals[-1].hi])
+        stops = list(accumulate(fund.left_values[0].shape[-1] for fund in self.fundamentals))
+        return edges, [slice(start, stop) for start, stop in zip([0] + stops, stops)]
+
+    def many(self, xs: np.ndarray, side: str = "balanced") -> np.ndarray:
+        """Row values at an ascending array of points, stacked along a leading axis.
+
+        The points inside a block go to its solution as one slice.  At its own
+        edges a block keeps only its interior one-sided limit: whole from the
+        side it lies on, zero from the other, halved for ``"balanced"``.  A
+        point outside the interval, or NaN, raises :class:`ValueError`.
+        """
+        if side not in _SIDES:
+            raise ValueError(f"unknown side {side!r}")
+        xs = np.asarray(xs, dtype=float)
+        edges, columns = self._layout
+        # xs[starts[j]:ends[j]] sit on edge j, xs[ends[j]:starts[j + 1]] inside block j
+        starts = np.searchsorted(xs, edges).tolist()
+        ends = np.searchsorted(xs, edges, "right").tolist()
+        if starts[0] or ends[-1] < len(xs):
+            raise ValueError(f"points outside [{edges[0]}, {edges[-1]}]")
+        lead = self.fundamentals[0].left_values[0].shape[:-1]
+        out = np.zeros((len(xs),) + lead + (columns[-1].stop,), dtype=complex)
+        for j, (fund, cols) in enumerate(zip(self.fundamentals, columns)):
+            if ends[j] < starts[j + 1]:
+                out[ends[j] : starts[j + 1], ..., cols] = fund.many(xs[ends[j] : starts[j + 1]], side)
+            for at, limit, inner in ((slice(starts[j], ends[j]), fund.right_values[0], "right"),
+                                     (slice(starts[j + 1], ends[j + 1]), fund.left_values[-1], "left")):
+                if at.start == at.stop or side not in (inner, "balanced"):
+                    continue  # no points, or the side of the zero extension
+                # + 0.0 adds the zero extension, as the mean of the two sides does
+                out[at, ..., cols] = limit if side == inner else 0.5 * (limit + 0.0)
+        return out
 
     def value(self, x: float, side: str = "balanced") -> np.ndarray:
-        if side not in ("left", "right", "balanced"):
-            raise ValueError(f"unknown side {side!r}")
-        return np.concatenate([self._block(f, x, side) for f in self.fundamentals], axis=-1)
+        return self.many(np.array([x]), side)[0]
 
     def left(self, x: float) -> np.ndarray:
         return self.value(x, "left")
@@ -984,21 +1021,7 @@ class SolutionRow:
         return self.value(x, "balanced")
 
     __call__ = balanced
-
-    def balanced_many(self, xs: np.ndarray) -> np.ndarray:
-        """Balanced row values of one spectral parameter at an ascending array of points."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros((len(xs), self.n, self.n * self.blocks), dtype=complex)
-        for j, fund in enumerate(self.fundamentals):
-            lo, hi = fund.lo, fund.hi
-            inside = (xs > lo) & (xs < hi)
-            edge = (xs == lo) | (xs == hi)
-            cols = slice(j * self.n, (j + 1) * self.n)
-            if inside.any():
-                out[inside, :, cols] = fund.balanced_many(xs[inside])
-            for i in np.nonzero(edge)[0]:
-                out[i, :, cols] = self._block(fund, float(xs[i]), "balanced")
-        return out
+    balanced_many = many
 
 
 def solution_row(
@@ -1106,20 +1129,15 @@ def wronskian_defect(
     if anchor is None:
         anchor = choose_anchors(sys, sing)[j]
     pair = fundamental_matrix(sys, j, np.array([lam, np.conj(lam)]), anchor=anchor, sing=sing)
-    U, Uc = pair[0], pair[1]
-    lo, hi = U.lo, U.hi
     if isinstance(grid, int):
-        xs = np.linspace(lo, hi, grid)
+        xs = np.linspace(pair.lo, pair.hi, grid)
     else:
-        xs = np.asarray(list(grid), dtype=float)
-    J = sys.J
-    Jinv = sys.J_inv
+        xs = np.sort(np.asarray(list(grid), dtype=float))
     worst = 0.0
-    for x in xs:
-        for side in ("left", "right"):
-            u = getattr(U, side)(float(x))
-            uc = getattr(Uc, side)(float(x))
-            r1 = np.max(np.abs(uc.conj().T @ J @ u - J))
-            r2 = np.max(np.abs(u @ Jinv @ uc.conj().T - Jinv))
-            worst = max(worst, float(r1), float(r2))
+    for side in ("left", "right"):
+        values = pair.many(xs, side)
+        u, uc_star = values[:, 0], np.conj(np.swapaxes(values[:, 1], -1, -2))
+        r1 = np.abs(uc_star @ sys.J @ u - sys.J).max(initial=0.0)
+        r2 = np.abs(u @ sys.J_inv @ uc_star - sys.J_inv).max(initial=0.0)
+        worst = max(worst, float(r1), float(r2))
     return worst

@@ -59,7 +59,8 @@ _CHEB_FIT = np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB_T, CHEB_NODES
 
 
 class ResolventFunction:
-    """Callable balanced representative of ``R_lam f`` (with one-sided limits).
+    """Callable balanced representative of ``R_lam f`` (with one-sided limits),
+    read through :meth:`many`; a single point is a batch of one.
 
     Block ``j`` of ``coeffs`` is ``(M Ff)_j - (z_lo + z_hi)/2 + J^-1 (A_lo - A_hi)/2``,
     where ``z = Y^-1 u_j`` at the block's one-sided limits at its edges and
@@ -113,8 +114,12 @@ class ResolventFunction:
                *(getattr(f, "support", None) or ())}
         self.breakpoints = tuple(sorted(p for p in pts if a < p < b))
 
+    def many(self, xs: np.ndarray, side: str = "balanced") -> np.ndarray:
+        """Values at an ascending array of points, stacked: ``row @ coeffs`` plus the drive solutions."""
+        return self.row.many(xs, side) @ self.coeffs + self.drives.many(xs, side).sum(-1)
+
     def value(self, x: float, side: str = "balanced") -> np.ndarray:
-        return self.row.value(x, side) @ self.coeffs + self.drives.value(x, side).sum(-1)
+        return self.many(np.array([x]), side)[0]
 
     def left(self, x: float) -> np.ndarray:
         return self.value(x, "left")

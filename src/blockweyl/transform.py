@@ -148,7 +148,8 @@ def forward_transform(
 
 
 class SpectralSynthesis:
-    """Function synthesized from spectral coefficients: ``x -> sum row(x, s) W(s) g(s)``."""
+    """Function synthesized from spectral coefficients: ``x -> sum row(x, s) W(s) g(s)``,
+    read through :meth:`many`; a single point is a batch of one."""
 
     def __init__(self, sys: SystemSpec, model: SpectralMeasureModel, ghat: TauVector, engine: Engine):
         self.sys = sys
@@ -163,27 +164,21 @@ class SpectralSynthesis:
                 continue
             self._terms.append((engine.row(complex(atom.s)), coeff))
 
-    def _eval(self, x: float, side: str) -> np.ndarray:
-        out = np.zeros(self.sys.dim, dtype=complex)
-        for row, coeff in self._terms:
-            out = out + getattr(row, side)(x) @ coeff
-        return out
-
-    def many(self, xs: np.ndarray) -> np.ndarray:
-        """Balanced values at the points ``xs``, stacked; bitwise those of :meth:`balanced`."""
+    def many(self, xs: np.ndarray, side: str = "balanced") -> np.ndarray:
+        """Values at an ascending array of points, stacked: ``row.many(xs, side) @ coeff`` summed over the terms."""
         out = np.zeros((len(xs), self.sys.dim), dtype=complex)
         for row, coeff in self._terms:
-            out = out + row.balanced_many(xs) @ coeff
+            out = out + row.many(xs, side) @ coeff
         return out
 
     def balanced(self, x: float) -> np.ndarray:
-        return self._eval(x, "balanced")
+        return self.many(np.array([x]))[0]
 
     def left(self, x: float) -> np.ndarray:
-        return self._eval(x, "left")
+        return self.many(np.array([x]), "left")[0]
 
     def right(self, x: float) -> np.ndarray:
-        return self._eval(x, "right")
+        return self.many(np.array([x]), "right")[0]
 
     __call__ = balanced
 
@@ -275,8 +270,7 @@ def parseval_check(
             row = eng.row(complex(atom.s))
             funcs.append(
                 VectorFunction(
-                    fn=ArrayForm(lambda x, row=row, eta=eta: row.balanced(x) @ eta,
-                                 lambda xs, row=row, eta=eta: row.balanced_many(xs) @ eta),
+                    fn=ArrayForm(lambda xs, row=row, eta=eta: row.balanced_many(xs) @ eta),
                     breakpoints=tuple(sys.atom_positions()),
                 )
             )

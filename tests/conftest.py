@@ -60,3 +60,35 @@ def e3(p3):
 @pytest.fixture(scope="session")
 def e4(p4):
     return Engine(*p4)
+
+
+SIDES = ("left", "right", "balanced")
+
+
+def assert_point_is_a_batch_of_one(point, many, xs) -> None:
+    """``point(x)`` is bitwise ``many([x])[0]`` at every ``x`` of ``xs``;
+    where one raises ``ValueError``, so does the other."""
+    for x in xs:
+        try:
+            want = many(np.array([x]))[0]
+        except ValueError:
+            with pytest.raises(ValueError):
+                point(x)
+            continue
+        got = point(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), x
+
+
+def assert_sides_are_batches_of_one(obj, xs, outside=()) -> None:
+    """Every one-point reading of ``obj`` (``left``, ``right``, ``balanced``
+    and, where it has one, ``value``) is bitwise ``obj.many([x], side)[0]``;
+    at the points ``outside`` both raise ``ValueError``."""
+    for side in SIDES:
+        views = [getattr(obj, side)] + ([lambda x, side=side: obj.value(x, side)] if hasattr(obj, "value") else [])
+        for view in views:
+            assert_point_is_a_batch_of_one(view, lambda pts, side=side: obj.many(pts, side), xs)
+            for x in outside:
+                with pytest.raises(ValueError):
+                    obj.many(np.array([x]), side)
+                with pytest.raises(ValueError):
+                    view(x)

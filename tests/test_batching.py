@@ -1,5 +1,6 @@
 """Batched spectral parameters: stacked propagation and assembly against a per-parameter loop."""
 
+import math
 import sys
 import threading
 
@@ -8,14 +9,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import J2
+from conftest import J2, assert_point_is_a_batch_of_one, assert_sides_are_batches_of_one
 from blockweyl.config import ProblemConfig
 from blockweyl.assembly import assemble_blocks
 from blockweyl.engine import Engine
 from blockweyl.errors import BlockweylError, SingularTransferError
 from blockweyl.measures import MatrixMeasure, Segment
-from blockweyl.propagation import _transfer, solution_row
-from blockweyl.system import BoundaryConditions, EndpointSpec, SystemSpec, partition_points
+from blockweyl.propagation import SolutionRow, VectorFunction, _transfer, solution_row, solve_ivp
+from blockweyl.spectral import ResolventFunction
+from blockweyl.system import BoundaryConditions, EndpointSpec, SystemSpec, choose_anchors, partition_points
 
 BC = BoundaryConditions(Ga=np.array([[1.0, 0.0], [0.0, 0.0]]), Gb=np.array([[0.0, 0.0], [1.0, 0.0]]))
 NILPOTENT_Q = np.array([[0.0, 0.0], [0.0, -1.0]])   # J^-1 (-q) squares to zero: exact series
@@ -112,6 +114,60 @@ def test_batched_rows_and_assembly_match_loop(case):
     for i, single in enumerate(loop):
         for field in ("constraints", "source_left", "source_right", "source_mean", "jump_mean"):
             assert _close(getattr(asm, field)[i], getattr(single, field))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batched_cases(), st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_one_point_views_are_many_of_one_point(case, spots):
+    # solutions stacked and alone, rows, a drive row of one column per block,
+    # the drive and the densities, read at atoms, partition points, block
+    # edges and interior points; NaN and points off the interval raise
+    sysm, lams = case
+    row = _outcome(lambda: solution_row(sysm, lams))
+    a, b = sysm.interval
+    f = VectorFunction(lambda x: np.array([1.0, math.cos(x)]), support=(a, 0.5 * (a + b)))
+    anchors = choose_anchors(sysm, partition_points(sysm))
+    drives = _outcome(lambda: SolutionRow(sysm, [
+        solve_ivp(sysm, j, lams[0], x0, np.zeros((2, 1)), f) for j, x0 in enumerate(anchors)
+    ]))
+    if isinstance(row, tuple) or isinstance(drives, tuple):
+        return
+    edges = [fund.lo for fund in row.fundamentals] + [b]
+    xs = sorted({*sysm.atom_positions(), *edges, *(a + (b - a) * t for t in spots)})
+    outside = [math.nan, a - 0.5, b + 0.5]
+    assert drives.balanced_many(np.array(xs)).shape == (len(xs), 2, drives.blocks)
+    for r in [row, drives] + [row[i] for i in range(len(lams))]:
+        assert_sides_are_batches_of_one(r, xs, outside)
+        for fund in r.fundamentals:
+            assert_sides_are_batches_of_one(fund, xs, outside)
+    for point, many in [(f, f.many), (sysm.q.density_at, sysm.q.density_many),
+                        (sysm.w.density_at, sysm.w.density_many)]:
+        assert_point_is_a_batch_of_one(point, many, xs + outside)
+
+
+def test_drive_rows_read_many_like_their_points(p2):
+    # a drive row has one column per block
+    sysm, bc = p2
+    xs = np.array([0.3, 1.0, 2.0])
+    res = ResolventFunction(sysm, bc, 1.3 + 0.4j, VectorFunction(lambda x: np.array([1.0, 0.0])))
+    many = res.drives.balanced_many(xs)
+    assert many.shape == (3, 2, res.drives.blocks)
+    for x, value in zip(xs, many):
+        assert np.array_equal(value, res.drives.balanced(x))
+
+
+def test_stacked_solutions_read_many_like_their_points(p2):
+    # a solution stacked over lam is evaluated one parameter at a time
+    sysm, _ = p2
+    xs = np.array([0.3, 1.0, 2.0])
+    lams = np.array([1.3 + 0.2j, -2.0 + 0.5j])
+    (fund,) = solution_row(sysm, lams).fundamentals
+    many = fund.balanced_many(xs)
+    assert many.shape == (3, 2, 2, 2)
+    for x, value in zip(xs, many):
+        assert np.array_equal(value, fund.balanced(x))
+    for i, lam in enumerate(lams):
+        assert np.array_equal(many[:, i], solution_row(sysm, lam).fundamentals[0].balanced_many(xs))
 
 
 def test_cases_cover_partition_points_and_expm_fallback():

@@ -1,5 +1,8 @@
 """The sixth-order Magnus flow on stretches with non-constant coefficients."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -8,9 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import J2
 from blockweyl import propagation
+from blockweyl.config import ProblemConfig
+from blockweyl.engine import Engine
 from blockweyl.errors import AccuracyError
 from blockweyl.measures import MatrixMeasure, Segment, Tolerances
 from blockweyl.propagation import VectorFunction, fundamental_matrix, solution_row, solve_ivp, wronskian_defect
+from blockweyl.spectral import ResolventFunction
 from blockweyl.system import SystemSpec, jump_matrices
 
 LENGTH = 1.5
@@ -195,6 +201,59 @@ def test_stretch_fits_made_once_per_system(monkeypatch):
     for (lam, drive), value in zip(solves, values):
         fresh = solve_ivp(smooth_system(q_coeffs), 0, lam, ANCHOR, u0, f=drive).left(0.3)
         assert np.array_equal(value, fresh)
+
+
+def test_stretch_fits_stay_bounded_under_many_drives():
+    # each drive supported on (0, t) splits P1's interval at a new t; the fits
+    # of those stretches make way for newer ones, and a stretch fitted again
+    # gets the fit it had
+    cfg = ProblemConfig.load("P1")
+    sysm, bc = cfg.system, cfg.boundary
+    eng = Engine(sysm, bc)
+
+    def resolvent(t):
+        f = VectorFunction(lambda x: np.array([1.0, 0.0]), support=(0.0, t))
+        return ResolventFunction(sysm, bc, 1j, f, engine=eng)
+
+    first = resolvent(0.5).value(0.25)
+    for t in np.linspace(0.6, 3.0, 40):
+        resolvent(float(t))
+        assert len(sysm.stretch_fits) <= propagation.FIT_CAPACITY
+    assert (0.0, 0.5) not in sysm.stretch_fits
+    assert np.array_equal(resolvent(0.5).value(0.25), first)
+
+
+def test_stretch_fits_evicted_from_threads_match_a_serial_run():
+    # four threads share one system and its engine, and push out each other's
+    # fits; every resolvent is bitwise the one a serial run builds
+    ts = np.linspace(0.3, 3.0, 2 * propagation.FIT_CAPACITY)
+    f = [VectorFunction(lambda x: np.array([1.0, 0.0]), support=(0.0, float(t))) for t in ts]
+    bc = ProblemConfig.load("P1").boundary
+    serial_sys, sysm = (ProblemConfig.load("P1").system for _ in range(2))
+    serial = [ResolventFunction(serial_sys, bc, 1j, fk).value(0.25) for fk in f]
+    eng = Engine(sysm, bc)
+    barrier = threading.Barrier(4, timeout=60)
+    results = [None] * len(f)
+
+    def work(k):
+        barrier.wait()
+        for i in range(k, len(f), 4):
+            results[i] = ResolventFunction(sysm, bc, 1j, f[i], engine=eng).value(0.25)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that races show
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(sysm.stretch_fits) <= propagation.FIT_CAPACITY
+    for got, want in zip(results, serial, strict=True):
+        assert np.array_equal(got, want)
 
 
 def assert_same_row(row, alone):

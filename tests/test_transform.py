@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rotation
+from conftest import assert_sides_are_batches_of_one, rotation
 from blockweyl.config import ProblemConfig
 from blockweyl.engine import Engine
 from blockweyl.errors import AccuracyError
@@ -300,6 +300,23 @@ def test_synthesis_many_is_bitwise_balanced(name):
     got = synth.many(xs)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert synth.many(np.array([])).shape == (0, sysm.dim)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4"])
+def test_synthesis_and_resolvent_read_a_point_as_a_batch_of_one(name):
+    # at atoms, partition points, the interval ends and interior points, on
+    # both sides and balanced; NaN and points off the interval raise
+    cfg = ProblemConfig.load(name)
+    sysm, bc = cfg.system, cfg.boundary
+    eng = Engine(sysm, bc)
+    model = spectral_measure_model(sysm, bc, (-3.5, 3.5), engine=eng, eps_schedule=cfg.eps_schedule)
+    synth = inverse_transform(sysm, model, forward_transform(sysm, bc, model, cfg.expand_f, engine=eng),
+                              engine=eng)
+    res = ResolventFunction(sysm, bc, 1.3 + 0.4j, cfg.expand_f, engine=eng)
+    a, b = sysm.interval
+    xs = sorted({a, b, *sysm.atom_positions(), *eng.sing.partition, *np.linspace(a, b, 7)[1:-1]})
+    for fn in (synth, res):
+        assert_sides_are_batches_of_one(fn, xs, outside=[np.nan, a - 0.5, b + 0.5])
 
 
 def test_w_inner_of_a_synthesis_samples_it_on_arrays(p1, e1, model1, monkeypatch):
