@@ -18,7 +18,7 @@ array each parameter-dependent block carries a leading axis over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
@@ -236,8 +236,7 @@ class BlockAssembly:
     rows, the boundary rows and the norm-zero projector complement; the three
     source maps, built from ``x_rows``/``y_rows`` on first use, are the
     right-hand sides of the one-sided and averaged representations.
-    ``row_slices`` names the block rows for diagnostics.  ``projector`` does
-    not depend on the parameter and is never stacked.
+    ``projector`` does not depend on the parameter and is never stacked.
     """
 
     lam: complex | np.ndarray
@@ -245,15 +244,12 @@ class BlockAssembly:
     jump_mean: np.ndarray
     q_minus: np.ndarray
     q_plus: np.ndarray
-    a_minus: np.ndarray
-    a_plus: np.ndarray
     script_a_minus: np.ndarray
     script_a_plus: np.ndarray
     projector: np.ndarray
     constraints: np.ndarray
     x_rows: list[np.ndarray]
     y_rows: list[np.ndarray]
-    row_slices: dict = field(default_factory=dict)
 
     @property
     def coeff_dim(self) -> int:
@@ -305,7 +301,7 @@ def assemble_blocks(
     row = eng.row(lam)  # built once: an array of parameters is not cached
     defect, mean = jump_system(sys, lam, engine=eng, row=row)
     p_minus, p_plus = deficiency_projectors(sys, lam, engine=eng)
-    a_minus, a_plus, s_minus, s_plus = boundary_blocks(sys, bc, lam, engine=eng, row=row)
+    _, _, s_minus, s_plus = boundary_blocks(sys, bc, lam, engine=eng, row=row)
     del row  # a stacked row is large; nothing below needs it
     q_minus = np.zeros(lead + (n, width), dtype=complex)
     q_minus[..., :n] = np.eye(n) - p_minus
@@ -322,15 +318,6 @@ def assemble_blocks(
     bnd = s_minus + s_plus
     zeros_q = np.zeros_like(q_minus)
     constraints = np.concatenate([defect, q_minus, q_plus, bnd, comp_rows], axis=-2)
-
-    j = defect.shape[-2]
-    rows = {
-        "junction": (0, j),
-        "q_minus": (j, j + n),
-        "q_plus": (j + n, j + 2 * n),
-        "boundary": (j + 2 * n, j + 2 * n + bnd.shape[-2]),
-        "projector": (constraints.shape[-2] - width, constraints.shape[-2]),
-    }
 
     # boundary rows must annihilate norm-zero solutions; rows that do not are
     # not induced by square-integrable solution pairs and break the theory
@@ -365,13 +352,10 @@ def assemble_blocks(
         jump_mean=mean,
         q_minus=q_minus,
         q_plus=q_plus,
-        a_minus=a_minus,
-        a_plus=a_plus,
         script_a_minus=s_minus,
         script_a_plus=s_plus,
         projector=proj,
         constraints=constraints,
         x_rows=[right_part, q_minus, zeros_q, s_minus],
         y_rows=[left_part, zeros_q, q_plus, s_plus],
-        row_slices=rows,
     )

@@ -6,18 +6,19 @@ derived from them) for one system.  The caller owns the engine: passing one
 engine to several calls is how they share work, and a library entry point
 given none builds a short-lived engine of its own.  There is no global state.
 
-Both caches are bounded LRU stores served by one lookup: solution rows
+Both caches are :class:`~blockweyl.system.BoundedStore` instances, bounded,
+lock-guarded and least recently used out first: solution rows
 (:data:`ROW_CAPACITY` entries) and every other derived value
 (:data:`MEMO_CAPACITY` entries: Weyl samples keyed by their boundary data,
 Gram matrices, the norm-zero space, boundary validation).  Cached objects are
-immutable after construction, so concurrent readers are safe; cache access is
-guarded by a lock.
+immutable after construction, so concurrent readers are safe.  The partition
+and the anchors are computed on first use; two threads racing there compute
+equal values.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -26,6 +27,7 @@ from .measures import IntervalSpec, integrate_bv
 from .propagation import SolutionRow, solution_row
 from .system import (
     BoundaryConditions,
+    BoundedStore,
     SingularitySet,
     SystemSpec,
     choose_anchors,
@@ -44,44 +46,18 @@ class Engine:
     def __init__(self, sys: SystemSpec, bc: BoundaryConditions | None = None):
         self.sys = sys
         self.bc = bc
-        self._lock = threading.RLock()
-        self._rows: OrderedDict[complex, SolutionRow] = OrderedDict()
-        self._memo: OrderedDict = OrderedDict()
-        self._sing: SingularitySet | None = None
-        self._anchors: list[float] | None = None
-
-    def _lookup(self, store: OrderedDict, capacity: int, key, factory: Callable[[], object]):
-        """``store[key]``, built by ``factory`` on a miss; least recently used entries go first.
-
-        The factory runs outside the lock; when two threads race on one key
-        the first value stored wins.
-        """
-        with self._lock:
-            if key in store:
-                store.move_to_end(key)
-                return store[key]
-        value = factory()
-        with self._lock:
-            value = store.setdefault(key, value)
-            while len(store) > capacity:
-                store.popitem(last=False)
-            return value
+        self._rows = BoundedStore(ROW_CAPACITY)
+        self._memo = BoundedStore(MEMO_CAPACITY)
 
     # -- structural analysis -------------------------------------------------
 
-    @property
+    @cached_property
     def sing(self) -> SingularitySet:
-        with self._lock:
-            if self._sing is None:
-                self._sing = partition_points(self.sys)
-            return self._sing
+        return partition_points(self.sys)
 
-    @property
+    @cached_property
     def anchors(self) -> list[float]:
-        with self._lock:
-            if self._anchors is None:
-                self._anchors = choose_anchors(self.sys, self.sing)
-            return self._anchors
+        return choose_anchors(self.sys, self.sing)
 
     @property
     def block_count(self) -> int:
@@ -107,32 +83,28 @@ class Engine:
         if np.ndim(lam):
             return solution_row(self.sys, lam, sing=self.sing, anchors=self.anchors)
         lam = complex(lam)
-        return self._lookup(
-            self._rows, ROW_CAPACITY, lam,
-            lambda: solution_row(self.sys, lam, sing=self.sing, anchors=self.anchors),
-        )
+        return self._rows.get(lam, lambda: solution_row(self.sys, lam, sing=self.sing, anchors=self.anchors))
 
     def rows(self, lams) -> list[SolutionRow]:
         """Cached solution rows at the parameters ``lams``, in order.
 
-        The rows not cached are built together by one array call of
-        :meth:`row`, so that a resolvent's rows at ``lam`` and ``conj(lam)``
-        share their Magnus rounds, and each is stored, bitwise the row its own
-        build would store.
+        The rows that a peek at the store does not find are built together by
+        one array call of :meth:`row`, so that a resolvent's rows at ``lam``
+        and ``conj(lam)`` share their Magnus rounds, and each is stored,
+        bitwise the row its own build would store.
         """
         lams = [complex(lam) for lam in lams]
-        with self._lock:
-            missing = list(dict.fromkeys(lam for lam in lams if lam not in self._rows))
+        stored = self._rows.peek(lams)
+        missing = list(dict.fromkeys(lam for lam in lams if lam not in stored))
         built = self.row(np.array(missing)) if missing else []
-        fresh = {lam: self._lookup(self._rows, ROW_CAPACITY, lam, lambda i=i: built[i])
-                 for i, lam in enumerate(missing)}
+        fresh = {lam: self._rows.get(lam, lambda i=i: built[i]) for i, lam in enumerate(missing)}
         return [fresh[lam] if lam in fresh else self.row(lam) for lam in lams]
 
     # -- derived values --------------------------------------------------------
 
     def memo(self, key, factory: Callable[[], object]):
         """Value cached under ``key``, built by ``factory`` on a miss."""
-        return self._lookup(self._memo, MEMO_CAPACITY, key, factory)
+        return self._memo.get(key, factory)
 
     def memo_many(self, keys, factory: Callable[[list[int]], list]) -> list:
         """Values cached under ``keys``; ``factory(missing)`` builds the values
@@ -141,8 +113,8 @@ class Engine:
         Every key then goes through :meth:`memo`, which stores the new values
         and returns the cached ones as they are.
         """
-        with self._lock:
-            cached = {i: self._memo[key] for i, key in enumerate(keys) if key in self._memo}
+        stored = self._memo.peek(keys)
+        cached = {i: stored[key] for i, key in enumerate(keys) if key in stored}
         missing = [i for i in range(len(keys)) if i not in cached]
         values = dict(zip(missing, factory(missing))) if missing else {}
         values.update(cached)

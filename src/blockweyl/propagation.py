@@ -374,22 +374,10 @@ def _stretch_fits(sys: SystemSpec, lo: float, hi: float) -> tuple[list, tuple]:
     return fits, pairings
 
 
-#: stretch fits kept per system (``SystemSpec.stretch_fits``): its own
-#: stretches and those that the drives of recent solves add
-FIT_CAPACITY = 64
-
-
 def _fitted(sys: SystemSpec, lo: float, hi: float) -> tuple[list, tuple]:
     """:func:`_stretch_fits` of a stretch, made on its first solve and kept
-    per system; past :data:`FIT_CAPACITY` entries the oldest goes.  A fit is
-    deterministic, so a stretch fitted again gets the fit it had."""
-    fits = sys.stretch_fits
-    fitted = fits.get((lo, hi))
-    if fitted is None:
-        fitted = fits.setdefault((lo, hi), _stretch_fits(sys, lo, hi))
-        while len(fits) > FIT_CAPACITY:
-            fits.popitem(last=False)
-    return fitted
+    in the system's store; a stretch fitted again gets the fit it had."""
+    return sys.derived.get(("fit", lo, hi), lambda: _stretch_fits(sys, lo, hi))
 
 
 class _StretchCoefficients:
@@ -397,10 +385,10 @@ class _StretchCoefficients:
 
     A density whose segment gives its degree ``d`` is evaluated once, at
     ``d + 1`` Chebyshev points of the stretch, and interpolated from there; a
-    generic one is evaluated at every point asked for.  The fits are made once
-    per system and stretch (:func:`_fitted`).  With a drive ``f``
-    the matrices are augmented to ``[[A, J^-1 w f], [0, 0]]``, whose flow
-    carries ``(u, 1)``.
+    generic one is evaluated at every point asked for.  The fits are kept in
+    the system's store (:func:`_fitted`).  With a drive ``f`` the matrices
+    are augmented to ``[[A, J^-1 w f], [0, 0]]``, whose flow carries
+    ``(u, 1)``.
     """
 
     def __init__(self, sys: SystemSpec, lo: float, hi: float, f: Callable[[float], np.ndarray] | None):
@@ -623,9 +611,9 @@ def _solve_stretch(
     ``meshed`` is ``(coeff, transfers)``, the stretch's coefficients and the
     :func:`_magnus_meshes` result of each parameter, None for a constant
     stretch.  Constant stretches flow all parameters at once: a stretch
-    without ``q`` or without ``w`` density takes the system's flow of its
-    density pair, decomposed on first use (filling the table twice stores
-    equal flows), a stretch with both the flow of its stacked matrices.
+    without ``q`` or without ``w`` density takes the flow of its density
+    pair, decomposed on first use and kept in the system's store, a stretch
+    with both the flow of its stacked matrices.
     """
     if meshed is not None:
         coeff, transfers = meshed
@@ -644,10 +632,8 @@ def _solve_stretch(
     if Q.any() and W.any():
         flow = _PencilFlow.of(sys.J_inv @ (lams[:, None, None] * W - Q))
     else:
-        key = (Q.tobytes(), W.tobytes())
-        flow = sys.constant_flows.get(key)
-        if flow is None:
-            flow = sys.constant_flows.setdefault(key, _PencilFlow.of(sys.J_inv @ (W if W.any() else -Q)))
+        flow = sys.derived.get(("flow", Q.tobytes(), W.tobytes()),
+                               lambda: _PencilFlow.of(sys.J_inv @ (W if W.any() else -Q)))
         flow = flow.scaled(lams if W.any() else np.ones(len(lams)))
     piece = _Piece(lo=lo, hi=hi, flow=flow, x_ref=x_from, y_ref=Y_from)
     return piece, flow.apply(x_to - x_from, Y_from)
@@ -675,11 +661,8 @@ def _transfer(
     if sys.w.atom_at(x).any():
         cond = np.linalg.cond(target)
     else:  # B_plus and B_minus are free of lam: one gate per atom and direction
-        key = (x, direction)
-        cond = sys.transfer_conditions.get(key)
-        if cond is None:
-            free = jump_matrices(sys, x, 0.0)[1 if direction > 0 else 0]
-            cond = sys.transfer_conditions.setdefault(key, np.linalg.cond(free))
+        cond = sys.derived.get(("cond", x, direction),
+                               lambda: np.linalg.cond(jump_matrices(sys, x, 0.0)[1 if direction > 0 else 0]))
         cond = np.full(len(lams), cond)
     bad = ~np.isfinite(cond) | (cond > sys.tols.cond_cap)
     if bad.any():
@@ -868,27 +851,20 @@ def _propagate(
     ], sys.tols))
     meshed = {i: (coeff, [next(built) for _ in lams]) for i, coeff in smooth}
 
-    cur = Y0
-    for i in range(i0, npts - 1):
-        if i > i0:
-            left_vals[i] = cur
-            if sys.is_atom(points[i]):
-                cur = _transfer(sys, lams, points[i], cur, f, +1)
-            right_vals[i] = cur
-        pieces[i], cur = _solve_stretch(sys, lams, points[i], points[i + 1], points[i], cur, meshed.get(i))
-    if i0 < npts - 1:
-        left_vals[-1] = right_vals[-1] = cur
-
-    cur = Y0
-    for i in range(i0, 0, -1):
-        if i < i0:
-            right_vals[i] = cur
-            if sys.is_atom(points[i]):
-                cur = _transfer(sys, lams, points[i], cur, f, -1)
-            left_vals[i] = cur
-        pieces[i - 1], cur = _solve_stretch(sys, lams, points[i - 1], points[i], points[i], cur, meshed.get(i - 1))
-    if i0 > 0:
-        left_vals[0] = right_vals[0] = cur
+    # forward to hi, then backward to lo: a point's limit from the side the
+    # chain meets first, its transfer, then its other limit
+    for step, end, met, other in ((1, npts - 1, left_vals, right_vals), (-1, 0, right_vals, left_vals)):
+        cur = Y0
+        for i in range(i0, end, step):
+            if i != i0:
+                met[i] = cur
+                if sys.is_atom(points[i]):
+                    cur = _transfer(sys, lams, points[i], cur, f, step)
+                other[i] = cur
+            k = min(i, i + step)  # the stretch between points i and i + step
+            pieces[k], cur = _solve_stretch(sys, lams, points[k], points[k + 1], points[i], cur, meshed.get(k))
+        if i0 != end:
+            met[end] = other[end] = cur
 
     sol = PiecewiseSolution(
         lam=lams,

@@ -244,12 +244,11 @@ def eigen_scan(
     for s in sorted(candidates):
         if points and abs(s - points[-1].value) < 1e-7 * (1.0 + abs(s)):
             continue
-        mat = reduced(s)
-        sv = np.linalg.svd(mat, compute_uv=False)
+        _, sv, vh = np.linalg.svd(reduced(s))
         top = sv[0] if sv.size else 1.0
         if sv.size and sv[-1] > sigma_accept * max(top, scale):
             continue
-        vecs = _gram_normalized_kernel(s, mat, basis_p, eng)
+        vecs = _gram_normalized_kernel(s, sv, vh, basis_p, eng)
         if vecs.shape[1]:
             points.append(EigenPoint(value=s, multiplicity=vecs.shape[1], vectors=vecs))
     return points
@@ -314,10 +313,11 @@ def _range_basis(projector: np.ndarray) -> np.ndarray:
     return vecs[:, keep]
 
 
-def _gram_normalized_kernel(s, reduced_mat, basis_p, eng) -> np.ndarray:
-    u, sv, vh = np.linalg.svd(reduced_mat)
+def _gram_normalized_kernel(s, sv, vh, basis_p, eng) -> np.ndarray:
+    """Kernel vectors of the reduced matrix at ``s``, from its full SVD
+    ``(sv, vh)``, made orthonormal in the Gram matrix of the row at ``s``."""
     top = sv[0] if sv.size else 1.0
-    null_dim = int(np.sum(sv <= 1e-6 * max(top, 1.0))) + (reduced_mat.shape[1] - sv.size)
+    null_dim = int(np.sum(sv <= 1e-6 * max(top, 1.0))) + (vh.shape[0] - sv.size)
     if null_dim == 0:
         return np.zeros((basis_p.shape[0], 0), dtype=complex)
     K = basis_p @ vh[-null_dim:].conj().T  # coefficient vectors in ran P

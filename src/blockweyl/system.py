@@ -15,6 +15,7 @@ block linear system instead.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
@@ -23,6 +24,53 @@ import numpy as np
 
 from .errors import StructuralError
 from .measures import DEFAULT_TOLS, MatrixMeasure, Tolerances, ValidationReport, validate_measure
+
+
+class BoundedStore:
+    """Derived values by key, at most ``capacity`` of them, the least recently
+    used going first.  A value must be deterministic in its key, so that one
+    evicted and built again is equal.
+
+    Access is guarded by a lock.  A missing value is built outside it; when
+    two threads race on one key the first value stored wins.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._values: OrderedDict = OrderedDict()
+
+    def get(self, key, build: Callable[[], object]):
+        """The value stored under ``key``, built by ``build`` on a miss."""
+        with self._lock:
+            if key in self._values:
+                self._values.move_to_end(key)
+                return self._values[key]
+        value = build()
+        with self._lock:
+            value = self._values.setdefault(key, value)
+            while len(self._values) > self.capacity:
+                self._values.popitem(last=False)
+            return value
+
+    def peek(self, keys) -> dict:
+        """The stored values of ``keys`` by key, neither built nor reordered."""
+        with self._lock:
+            return {key: self._values[key] for key in keys if key in self._values}
+
+    def __iter__(self):
+        with self._lock:
+            return iter(list(self._values))
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._values)
+
+
+#: derived values kept per system (``SystemSpec.derived``): the fits of its
+#: own stretches and of those that the drives of recent solves add, its
+#: constant flows and its atom gates
+DERIVED_CAPACITY = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,15 +157,11 @@ class SystemSpec:
         atoms = sorted(set(self.q.atom_locations).union(self.w.atom_locations))
         object.__setattr__(self, "_atoms", tuple(atoms))
         object.__setattr__(self, "_atom_set", frozenset(atoms))
-        # flows of constant stretches by their (q, w) density pair, filled by
-        # propagation: at most one entry per such pair of the system
-        object.__setattr__(self, "constant_flows", {})
-        # density fits and pairings of stretches by their ends (lo, hi),
-        # filled by propagation, oldest first out past propagation.FIT_CAPACITY
-        object.__setattr__(self, "stretch_fits", OrderedDict())
-        # condition numbers of the lam-free jump matrices at atoms without w
-        # mass, by (atom, direction), filled by propagation
-        object.__setattr__(self, "transfer_conditions", {})
+        # filled by propagation: the density fits and pairings of a stretch
+        # under ("fit", lo, hi), the flow of a constant stretch under ("flow",
+        # Q bytes, W bytes), the condition number of a lam-free jump matrix
+        # at an atom without w mass under ("cond", x, direction)
+        object.__setattr__(self, "derived", BoundedStore(DERIVED_CAPACITY))
 
     @property
     def dim(self) -> int:

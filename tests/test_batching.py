@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import J2, assert_point_is_a_batch_of_one, assert_sides_are_batches_of_one
+from test_magnus import stored
 from blockweyl.config import ProblemConfig
 from blockweyl.assembly import assemble_blocks
 from blockweyl.engine import Engine
@@ -271,7 +272,7 @@ def test_lam_free_atom_gate_is_computed_once_per_atom_and_direction(monkeypatch)
     w = MatrixMeasure.constant(np.eye(2), (0.0, 2.0))
     sysm = SystemSpec(J=J2, q=MatrixMeasure.point(1.0, np.diag([0.5, -0.3])), w=w, interval=(0.0, 2.0))
     solution_row(sysm, np.array([0.3, 1.0 + 1j]))
-    assert set(sysm.transfer_conditions) == {(1.0, -1)}
+    assert set(stored(sysm, "cond")) == {(1.0, -1)}
     cond = np.linalg.cond
     calls = []
     monkeypatch.setattr(np.linalg, "cond", lambda a, *args: calls.append(np.shape(a)) or cond(a, *args))
@@ -293,7 +294,7 @@ def test_lam_free_atom_gate_is_computed_once_per_atom_and_direction(monkeypatch)
         with pytest.raises(SingularTransferError) as err:
             _transfer(singular, lams, 1.0, np.ones((3, 2), dtype=complex), None, direction)
         assert err.value.lam == lams[0] and err.value.x == 1.0
-    assert set(singular.transfer_conditions) == {(1.0, 1), (1.0, -1)}
+    assert set(stored(singular, "cond")) == {(1.0, 1), (1.0, -1)}
 
 
 def test_atom_gates_filled_from_threads_match_a_serial_fill():
@@ -320,6 +321,6 @@ def test_atom_gates_filled_from_threads_match_a_serial_fill():
             assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert sysm.transfer_conditions and sysm.transfer_conditions == serial_sys.transfer_conditions
+    assert stored(sysm, "cond") and stored(sysm, "cond") == stored(serial_sys, "cond")
     for one, other in zip(serial, results):
         assert np.array_equal(one, other)

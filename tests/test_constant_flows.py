@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import J2
+from test_magnus import stored
 from blockweyl.cli import ProblemConfig
 from blockweyl.config import resolve_config_path
 from blockweyl.measures import MatrixMeasure, Segment
@@ -159,9 +160,9 @@ def test_zero_step_is_the_exact_identity():
 def test_the_system_owns_one_flow_per_density_pair():
     # P3's anchor and its w atom split the q density into three stretches
     sysm = ProblemConfig.load("P3").system
-    assert sysm.constant_flows == {}
+    assert stored(sysm, "flow") == {}
     rows = [solution_row(sysm, lams) for lams in (np.array([0.5, 2.0 + 1j]), 3.0, np.linspace(-2, 2, 9))]
-    (entry,) = sysm.constant_flows.values()
+    (entry,) = stored(sysm, "flow").values()
     assert entry.kind == "series"
     flows = [piece.flow for row in rows for fund in row.fundamentals for piece in fund.pieces]
     assert len(flows) == 9 and all(flow.groups is entry.groups for flow in flows)
@@ -185,7 +186,7 @@ def test_filling_the_table_from_threads_stores_one_flow():
     for thread in threads:
         thread.join(timeout=120)
         assert not thread.is_alive()
-    assert len(sysm.constant_flows) == 1
+    assert len(stored(sysm, "flow")) == 1
     for one, other in zip(serial, results):
         assert np.array_equal(one, other)
 

@@ -17,7 +17,7 @@ from blockweyl.errors import AccuracyError
 from blockweyl.measures import MatrixMeasure, Segment, Tolerances
 from blockweyl.propagation import VectorFunction, fundamental_matrix, solution_row, solve_ivp, wronskian_defect
 from blockweyl.spectral import ResolventFunction
-from blockweyl.system import SystemSpec, jump_matrices
+from blockweyl.system import DERIVED_CAPACITY, SystemSpec, jump_matrices
 
 LENGTH = 1.5
 ANCHOR = 0.6
@@ -179,6 +179,11 @@ def test_dense_output_at_mesh_nodes_returns_the_stored_values(start, drive):
         assert_close(sol.balanced_many(mid), U.balanced_many(mid) @ u0, rel=1e-13)
 
 
+def stored(sysm, kind):
+    """The values of one kind in the system's store, by the rest of their key."""
+    return {key[1:]: value for key, value in sysm.derived.peek(list(sysm.derived)).items() if key[0] == kind}
+
+
 def test_stretch_fits_made_once_per_system(monkeypatch):
     # the density fits of a stretch are made on its first solve and reused by
     # later solves, with or without a drive, bitwise as a fresh fit would give
@@ -197,7 +202,7 @@ def test_stretch_fits_made_once_per_system(monkeypatch):
     solves = [(lam, drive) for lam in (2.7 + 0.4j, -1.0 + 2.0j) for drive in (None, f)]
     values = [solve_ivp(sysm, 0, lam, ANCHOR, u0, f=drive).left(0.3) for lam, drive in solves]
     # the anchor splits the segment into two stretches, fitted once each
-    assert sorted(made) == sorted(sysm.stretch_fits) == [(0.0, ANCHOR), (ANCHOR, LENGTH)]
+    assert sorted(made) == sorted(stored(sysm, "fit")) == [(0.0, ANCHOR), (ANCHOR, LENGTH)]
     for (lam, drive), value in zip(solves, values):
         fresh = solve_ivp(smooth_system(q_coeffs), 0, lam, ANCHOR, u0, f=drive).left(0.3)
         assert np.array_equal(value, fresh)
@@ -218,15 +223,15 @@ def test_stretch_fits_stay_bounded_under_many_drives():
     first = resolvent(0.5).value(0.25)
     for t in np.linspace(0.6, 3.0, 40):
         resolvent(float(t))
-        assert len(sysm.stretch_fits) <= propagation.FIT_CAPACITY
-    assert (0.0, 0.5) not in sysm.stretch_fits
+        assert len(sysm.derived) <= DERIVED_CAPACITY
+    assert ("fit", 0.0, 0.5) not in sysm.derived
     assert np.array_equal(resolvent(0.5).value(0.25), first)
 
 
 def test_stretch_fits_evicted_from_threads_match_a_serial_run():
     # four threads share one system and its engine, and push out each other's
     # fits; every resolvent is bitwise the one a serial run builds
-    ts = np.linspace(0.3, 3.0, 2 * propagation.FIT_CAPACITY)
+    ts = np.linspace(0.3, 3.0, 2 * DERIVED_CAPACITY)
     f = [VectorFunction(lambda x: np.array([1.0, 0.0]), support=(0.0, float(t))) for t in ts]
     bc = ProblemConfig.load("P1").boundary
     serial_sys, sysm = (ProblemConfig.load("P1").system for _ in range(2))
@@ -251,7 +256,7 @@ def test_stretch_fits_evicted_from_threads_match_a_serial_run():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(sysm.stretch_fits) <= propagation.FIT_CAPACITY
+    assert len(sysm.derived) <= DERIVED_CAPACITY
     for got, want in zip(results, serial, strict=True):
         assert np.array_equal(got, want)
 

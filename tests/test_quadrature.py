@@ -163,6 +163,19 @@ def test_bitwise_equal_to_sequential_bisection(k, lo, length, cuts, rel_tol, abs
               outcome(sequential_integrate, f, lo, hi, **opts))
 
 
+@pytest.mark.parametrize("below, above", [(1e12, 0.0), (0.0, 1e12)])
+def test_panel_at_floating_point_resolution_is_accepted(below, above):
+    # a jump of 1e12 at 1.0, two ulps inside [1 - 2^-52, 1 + 2^-52]: the
+    # bisection at 1.0 leaves [1, 1 + 2^-52], whose midpoint rounds onto its
+    # left end while its nodes still straddle the jump, so its error cannot
+    # shrink; the panel is accepted with its value and its error dropped
+    f = lambda x: np.array(below if x < 1.0 else above)
+    lo, hi = 1.0 - 2.0**-52, 1.0 + 2.0**-52
+    val, err = quadrature.integrate(f, lo, hi)
+    assert err <= 1e-13 and 0.0 < abs(val) <= 1e12 * (hi - lo)
+    same_bits((val, err), sequential_integrate(f, lo, hi))
+
+
 @pytest.mark.parametrize("max_panels", [64, 65, 300])
 @pytest.mark.parametrize("vectorized", [False, True])
 def test_budget_error_achieved_bitwise(max_panels, vectorized):

@@ -159,6 +159,18 @@ def test_atom_weight_vanishes_off_spectrum(p1, e1):
     assert np.max(np.abs(W)) < 1e-6
 
 
+def test_negative_atom_weight_is_a_theory_violation(p1, monkeypatch):
+    # M(s + i eps) = -i I / eps at every offset: -i eps M is -I exactly, an
+    # extrapolated weight far below the allowance, which no Herglotz M gives
+    class Sample:
+        def __init__(self, lam):
+            self.m = -1j * np.eye(2) / lam.imag
+
+    monkeypatch.setattr(spectral, "m_function_many", lambda sys, bc, lams, *, engine: [Sample(lam) for lam in lams])
+    with pytest.raises(TheoryViolationError, match="not Herglotz"):
+        atom_weight(*p1, 1.0, engine=Engine(*p1))
+
+
 def test_stieltjes_inversion_window(p1, e1):
     T, spread = stieltjes_inversion(*p1, 0.5, 1.5, engine=e1)
     assert np.max(np.abs(T - np.diag([0.0, 1 / PI]))) < 1e-4

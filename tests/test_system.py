@@ -1,3 +1,7 @@
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from blockweyl.errors import StructuralError
 from blockweyl.measures import MatrixMeasure, Segment
 from blockweyl.system import (
     BoundaryConditions,
+    BoundedStore,
     SystemSpec,
     choose_anchors,
     jump_matrices,
@@ -179,3 +184,45 @@ def test_boundary_validate_raises(p1):
     bad = BoundaryConditions(Ga=np.array([[1.0, 1j]]), Gb=np.array([[0.0, 0.0]]))
     with pytest.raises(StructuralError):
         bad.validate(sysm)
+
+
+def test_bounded_store_drops_the_least_recently_used_value():
+    store = BoundedStore(2)
+    a, b = store.get("a", list), store.get("b", list)
+    assert store.get("a", dict) is a  # a hit builds nothing and moves "a" last
+    assert store.peek(["b", "x"]) == {"b": b}  # a peek neither builds nor moves "b"
+    store.get("c", list)
+    assert list(store) == ["a", "c"] and len(store) == 2
+    assert store.get("b", dict) == {}  # built again
+
+
+def test_bounded_store_under_threads_keeps_one_value_per_key_and_its_bound():
+    # eight threads ask for 32 keys in turn, and every build yields the
+    # thread: while every key fits, each thread gets the first value stored;
+    # a store too small for them stays within its bound
+    roomy, tight = BoundedStore(64), BoundedStore(8)
+
+    def build():
+        time.sleep(0)
+        return object()
+
+    def work(k):
+        got = {}
+        for i in range(400):
+            key = (7 * i + k) % 32
+            got.setdefault(key, set()).add(roomy.get(key, build))
+            tight.get(key, build)
+            assert len(tight) <= 8
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that races show
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [future.result(timeout=60) for future in [pool.submit(work, k) for k in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    stored = roomy.peek(range(32))
+    assert len(stored) == len(roomy) == 32
+    for got in results:
+        assert all(values == {stored[key]} for key, values in got.items())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from blockweyl.engine import Engine
 from blockweyl.errors import AccuracyError
 from blockweyl.propagation import SolutionRow, VectorFunction
 from blockweyl.spectral import ResolventFunction, eigen_scan, spectral_measure_model
+from blockweyl.system import EndpointSpec
 from blockweyl.transform import (
     TauVector,
     eigen_projection,
@@ -260,6 +263,17 @@ def test_truncation_exhaustion_on_unbounded_interval():
     assert fhat.values.shape[1] == 4
     # the same atom as in the finite-interval realization: trace 2
     assert abs(np.trace(model.atoms[0].weight).real - 2.0) < 1e-3
+
+
+def test_truncations_of_data_not_square_integrable_at_a_singular_end_raise(p1, model1):
+    # P1 with its right end declared singular: the truncations keep margins
+    # (b - a) / 2^(level + 3) inside (0, pi), and data growing like
+    # (pi - x)^-2 there make each increment about twice the one before
+    sysm, bc = p1
+    singular = dataclasses.replace(sysm, endpoint_b=EndpointSpec(regular=False, l2_span=np.eye(2)))
+    f = VectorFunction(lambda x: np.array([1.0 / max(PI - x, 1e-9) ** 2, 0.0]))
+    with pytest.raises(AccuracyError, match="not shrinking"):
+        forward_transform(singular, bc, model1, f, engine=Engine(singular, bc))
 
 
 @pytest.mark.parametrize("lo", [-2.0013, -2.0025, -2.1])
