@@ -8,6 +8,9 @@ families of conditions act on that stack:
 * square-integrability rows near singular endpoints (deficiency projectors),
 * the boundary-condition rows built from the endpoint data.
 
+:data:`FAMILIES` names them as four row families, the integrability rows of
+the two ends apart.
+
 Together with the projector that removes norm-zero solutions they form the
 rectangular constraint matrix and the source maps whose (pseudo)inverse yields
 the Weyl matrix.
@@ -20,21 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 import numpy as np
 
 from .engine import Engine
 from .propagation import SolutionRow
 from .errors import ConfigError, TheoryViolationError
 from .system import BoundaryConditions, SystemSpec, jump_matrices
-
-
-def _strip_first(n: int, N: int) -> np.ndarray:
-    """Block matrix dropping the first n entries of a stacked vector."""
-    return np.hstack([np.zeros((n * N, n)), np.eye(n * N)])
-
-
-def _strip_last(n: int, N: int) -> np.ndarray:
-    return np.hstack([np.eye(n * N), np.zeros((n * N, n))])
 
 
 def _kernel_basis(mat: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -55,6 +50,23 @@ def _per_lam(fn, lam) -> np.ndarray:
     return fn(lam)
 
 
+def _junction_sides(sys: SystemSpec, lam, eng: Engine, row: SolutionRow, right, left) -> None:
+    """Write the one-sided parts of the junction rows into zeroed ``right``/``left``.
+
+    The rows of partition point ``x_k`` get ``B_plus(x_k) U_k^+`` on block
+    ``k`` of ``right`` and ``B_plus(x_k, conj lam)^* U_{k-1}^-`` on block
+    ``k - 1`` of ``left``, from the limits stored at the block edges.
+    """
+    n = sys.dim
+    for k, xk in enumerate(eng.sing.partition, start=1):
+        at = slice(n * (k - 1), n * k)
+        _, bp = jump_matrices(sys, xk, lam)
+        _, bp_c = jump_matrices(sys, xk, np.conj(lam))
+        bp_c_star = np.swapaxes(bp_c, -1, -2).conj()
+        right[..., at, n * k : n * (k + 1)] = bp @ row.fundamentals[k].right_values[0]
+        left[..., at, n * (k - 1) : n * k] = bp_c_star @ row.fundamentals[k - 1].left_values[-1]
+
+
 def jump_system(sys: SystemSpec, lam, *, engine: Engine | None = None, row: SolutionRow | None = None):
     """Junction matrices ``(defect, mean)`` acting on stacked coefficients.
 
@@ -66,47 +78,11 @@ def jump_system(sys: SystemSpec, lam, *, engine: Engine | None = None, row: Solu
     """
     eng = engine or Engine(sys)
     n = sys.dim
-    N = len(eng.sing.partition)
-    width = n * (N + 1)
-    if N == 0:
-        z = np.zeros(np.shape(lam) + (0, width), dtype=complex)
-        return z, z.copy()
-    if row is None:
-        row = eng.row(lam)
-    bplus = []
-    bplus_conj_star = []
-    u_right = []
-    u_left = []
-    for k, xk in enumerate(eng.sing.partition, start=1):
-        _, bp = jump_matrices(sys, xk, lam)
-        bplus.append(bp)
-        _, bp_c = jump_matrices(sys, xk, np.conj(lam))
-        bplus_conj_star.append(np.swapaxes(bp_c, -1, -2).conj())
-        u_right.append(row.fundamentals[k].right(xk))
-        u_left.append(row.fundamentals[k - 1].left(xk))
-
-    calB = _block_diag(bplus)
-    calB_star = _block_diag(bplus_conj_star)
-    Uplus = _block_diag(u_right)
-    Uminus = _block_diag(u_left)
-    Et = _strip_first(n, N)
-    Eb = _strip_last(n, N)
-    defect = calB @ Uplus @ Et + calB_star @ Uminus @ Eb
-    mean = calB @ Uplus @ Et - calB_star @ Uminus @ Eb
-    return defect, mean
-
-
-def _block_diag(blocks) -> np.ndarray:
-    """Block-diagonal matrix of equally stacked blocks."""
-    n = sum(b.shape[-2] for b in blocks)
-    m = sum(b.shape[-1] for b in blocks)
-    out = np.zeros(blocks[0].shape[:-2] + (n, m), dtype=complex)
-    r = c = 0
-    for b in blocks:
-        out[..., r : r + b.shape[-2], c : c + b.shape[-1]] = b
-        r += b.shape[-2]
-        c += b.shape[-1]
-    return out
+    right = np.zeros(np.shape(lam) + (eng.coeff_dim - n, eng.coeff_dim), dtype=complex)
+    left = np.zeros_like(right)
+    if eng.sing.partition:  # with no junction rows no row is needed
+        _junction_sides(sys, lam, eng, eng.row(lam) if row is None else row, right, left)
+    return right + left, right - left
 
 
 def norm_zero_space(sys: SystemSpec, *, engine: Engine | None = None):
@@ -228,46 +204,57 @@ def boundary_blocks(
     return a_minus, a_plus, script_minus, script_plus
 
 
+#: the row families of the block system, in the order they are stacked
+FAMILIES = ("junction", "q_minus", "q_plus", "boundary")
+
+
 @dataclass
 class BlockAssembly:
     """All block matrices of one spectral parameter, or stacked over an array.
 
-    ``constraints`` stacks the junction rows, the two square-integrability
-    rows, the boundary rows and the norm-zero projector complement; the three
-    source maps, built from ``x_rows``/``y_rows`` on first use, are the
-    right-hand sides of the one-sided and averaged representations.
-    ``projector`` does not depend on the parameter and is never stacked.
+    Every constraint row outside the projector rows is the sum of a part
+    acting through the right limits of the solution row and one acting
+    through its left limits: ``right`` and ``left`` stack these parts for the
+    families of :data:`FAMILIES`, at the slices ``rows`` gives.  So
+    ``constraints`` is ``right + left`` over the norm-zero projector
+    complement ``I - P``, and the source maps of the two one-sided
+    representations are ``[right; 0]`` and ``-[left; 0]``.  ``projector``
+    does not depend on the parameter and is never stacked; ``svd`` is the
+    thin SVD ``(u, s, vh)`` of ``constraints``, taken on first use.
     """
 
     lam: complex | np.ndarray
-    jump_defect: np.ndarray
-    jump_mean: np.ndarray
-    q_minus: np.ndarray
-    q_plus: np.ndarray
-    script_a_minus: np.ndarray
-    script_a_plus: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    rows: dict[str, slice]
     projector: np.ndarray
     constraints: np.ndarray
-    x_rows: list[np.ndarray]
-    y_rows: list[np.ndarray]
 
     @property
     def coeff_dim(self) -> int:
         return self.constraints.shape[-1]
 
-    def _source(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """``blocks`` stacked over zero rows in place of the projector rows."""
+    def family(self, name: str) -> np.ndarray:
+        """The constraint rows of one family of :data:`FAMILIES`."""
+        return self.constraints[..., self.rows[name], :]
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.linalg.svd(self.constraints, full_matrices=False)
+
+    def _source(self, side: np.ndarray) -> np.ndarray:
+        """``side`` stacked over zero rows in place of the projector rows."""
         width = self.coeff_dim
-        zero = np.zeros(self.constraints.shape[:-2] + (width, width), dtype=complex)
-        return np.concatenate(blocks + [zero], axis=-2)
+        zero = np.zeros(side.shape[:-2] + (width, width), dtype=complex)
+        return np.concatenate([side, zero], axis=-2)
 
     @cached_property
     def source_left(self) -> np.ndarray:
-        return -self._source(self.y_rows)
+        return -self._source(self.left)
 
     @cached_property
     def source_right(self) -> np.ndarray:
-        return self._source(self.x_rows)
+        return self._source(self.right)
 
     @cached_property
     def source_mean(self) -> np.ndarray:
@@ -294,33 +281,40 @@ def assemble_blocks(
     """
     eng = engine or Engine(sys, bc)
     n = sys.dim
-    N = len(eng.sing.partition)
-    width = n * (N + 1)
+    width = eng.coeff_dim
     lead = np.shape(lam)
 
     row = eng.row(lam)  # built once: an array of parameters is not cached
-    defect, mean = jump_system(sys, lam, engine=eng, row=row)
     p_minus, p_plus = deficiency_projectors(sys, lam, engine=eng)
-    _, _, s_minus, s_plus = boundary_blocks(sys, bc, lam, engine=eng, row=row)
+    a_minus, a_plus, _, _ = boundary_blocks(sys, bc, lam, engine=eng, row=row)
+    sizes = (width - n, n, n, a_minus.shape[-2])
+    rows = {name: slice(stop - size, stop) for name, size, stop in zip(FAMILIES, sizes, accumulate(sizes))}
+    right = np.zeros(lead + (sum(sizes), width), dtype=complex)
+    left = np.zeros_like(right)
+    junction = rows["junction"]
+    _junction_sides(sys, lam, eng, row, right[..., junction, :], left[..., junction, :])
     del row  # a stacked row is large; nothing below needs it
-    q_minus = np.zeros(lead + (n, width), dtype=complex)
-    q_minus[..., :n] = np.eye(n) - p_minus
-    q_plus = np.zeros(lead + (n, width), dtype=complex)
-    q_plus[..., width - n :] = np.eye(n) - p_plus
+    right[..., rows["q_minus"], :n] = np.eye(n) - p_minus
+    left[..., rows["q_plus"], width - n :] = np.eye(n) - p_plus
+    right[..., rows["boundary"], :n] = a_minus
+    left[..., rows["boundary"], width - n :] = a_plus
     _, proj = norm_zero_space(sys, engine=eng)
     comp = np.eye(width, dtype=complex) - proj
-
-    # one-sided pieces of the junction rows
-    left_part = 0.5 * (defect - mean)    # B(conj)^* U^- E_bot
-    right_part = 0.5 * (defect + mean)   # B U^+ E_top
-
-    comp_rows = np.broadcast_to(comp, lead + comp.shape) if lead else comp
-    bnd = s_minus + s_plus
-    zeros_q = np.zeros_like(q_minus)
-    constraints = np.concatenate([defect, q_minus, q_plus, bnd, comp_rows], axis=-2)
+    constraints = np.empty(lead + (sum(sizes) + width, width), dtype=complex)
+    np.add(right, left, out=constraints[..., :-width, :])
+    constraints[..., -width:, :] = comp
+    asm = BlockAssembly(
+        lam=np.asarray(lam, dtype=complex) if lead else complex(lam),
+        right=right,
+        left=left,
+        rows=rows,
+        projector=proj,
+        constraints=constraints,
+    )
 
     # boundary rows must annihilate norm-zero solutions; rows that do not are
     # not induced by square-integrable solution pairs and break the theory
+    bnd = asm.family("boundary")
     if bnd.size:
         flat = bnd.reshape((-1,) + bnd.shape[-2:])
         resid = np.max(np.abs(flat @ comp), axis=(1, 2))
@@ -335,9 +329,8 @@ def assemble_blocks(
     lams = np.ravel(np.asarray(lam, dtype=complex))
     nonreal = np.flatnonzero(lams.imag != 0.0) if check_rank else []
     if len(nonreal):
-        flat = constraints.reshape((-1,) + constraints.shape[-2:])[nonreal]
-        s = np.linalg.svd(flat, compute_uv=False)
-        bad = s[:, -1] <= sys.tols.rank_rel * s[:, 0] if s.shape[1] == width else np.ones(len(s), bool)
+        s = asm.svd[1].reshape(len(lams), -1)[nonreal]
+        bad = s[:, -1] <= sys.tols.rank_rel * s[:, 0]
         if bad.any():
             k = int(np.argmax(bad))
             raise TheoryViolationError(
@@ -345,17 +338,4 @@ def assemble_blocks(
                 f"(sigma_min/sigma_max = {s[k, -1] / s[k, 0]:.3e}); the parameter may "
                 "sit on the exceptional set or the model is inconsistent"
             )
-
-    return BlockAssembly(
-        lam=np.asarray(lam, dtype=complex) if lead else complex(lam),
-        jump_defect=defect,
-        jump_mean=mean,
-        q_minus=q_minus,
-        q_plus=q_plus,
-        script_a_minus=s_minus,
-        script_a_plus=s_plus,
-        projector=proj,
-        constraints=constraints,
-        x_rows=[right_part, q_minus, zeros_q, s_minus],
-        y_rows=[left_part, zeros_q, q_plus, s_plus],
-    )
+    return asm

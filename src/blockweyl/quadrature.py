@@ -94,8 +94,10 @@ def integrate(
     """Integrate ``f`` over ``[lo, hi]``, returning (value, error estimate).
 
     A ``vectorized`` integrand receives an ascending array of nodes and must
-    return the correspondingly stacked values.  Raises :class:`AccuracyError`
-    when the panel budget is exhausted before the tolerance is met.
+    return the correspondingly stacked values.  A panel too narrow to bisect
+    is accepted as it is; its error leaves the stopping test but stays in
+    the returned estimate.  Raises :class:`AccuracyError` when the panel
+    budget is exhausted before the tolerance is met.
     """
     if hi <= lo:
         probe = np.asarray(f(np.array([lo]))[0] if vectorized else f(lo), dtype=complex)
@@ -119,7 +121,8 @@ def integrate(
     heap = []  # (-err, counter, lo, hi, value)
     halves = {}  # counter of a leaf -> (value, error) of its two halves, weighed ahead
     total = None
-    total_err = 0.0
+    total_err = 0.0  # of the panels in the heap
+    accepted_err = 0.0  # of the panels accepted at floating-point resolution
     resabs_total = 0.0
     counter = 0
     panels = list(zip(edges[:-1], edges[1:]))
@@ -156,15 +159,17 @@ def integrate(
         if counter >= max_panels:
             raise AccuracyError(
                 f"quadrature did not converge after {counter} panels "
-                f"(error estimate {total_err:.3e})",
-                achieved=total_err,
+                f"(error estimate {total_err + accepted_err:.3e})",
+                achieved=total_err + accepted_err,
             )
         neg_err, key, a, b, val = heapq.heappop(heap)
         err = -neg_err
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
-            # panel at floating-point resolution; accept its contribution
+            # panel at floating-point resolution: accept it, value and error,
+            # and stop weighing its error against the tolerance
             total_err -= err
+            accepted_err += err
             continue
         if key not in halves:
             # bisect ahead the largest other leaves whose errors, with this
@@ -185,4 +190,4 @@ def integrate(
         heapq.heappush(heap, (-e2, counter, mid, b, v2))
         counter += 1
 
-    return total, total_err
+    return total, total_err + accepted_err

@@ -150,15 +150,6 @@ class EigenPoint:
         return self.vectors @ self.vectors.conj().T
 
 
-def _solution_constraints(sys, bc, s, eng) -> np.ndarray:
-    """Constraint rows without the projector, stacked over an array ``s``."""
-    asm = assemble_blocks(sys, bc, s, engine=eng, check_rank=False)
-    return np.concatenate(
-        [asm.jump_defect, asm.q_minus, asm.q_plus, asm.script_a_minus + asm.script_a_plus],
-        axis=-2,
-    )
-
-
 def eigen_scan(
     sys: SystemSpec,
     bc: BoundaryConditions,
@@ -188,7 +179,8 @@ def eigen_scan(
         return []
 
     def reduced(s) -> np.ndarray:
-        return _solution_constraints(sys, bc, s, eng) @ basis_p
+        constraints = assemble_blocks(sys, bc, s, engine=eng, check_rank=False).constraints
+        return constraints[..., : -eng.coeff_dim, :] @ basis_p
 
     def smin(s: float) -> float:
         sv = np.linalg.svd(reduced(s), compute_uv=False)

@@ -82,7 +82,8 @@ def forward_transform(
     Compactly supported data (always the case on a finite interval with
     regular endpoints) integrates directly; otherwise the support is exhausted
     by shrinking truncations until the transform increments become Cauchy
-    (raising :class:`AccuracyError` if they fail to shrink).
+    (raising :class:`AccuracyError` if they fail to shrink, or are still
+    above ``cauchy_tol`` after ``max_levels`` truncations).
     """
     eng = engine or Engine(sys, bc)
     support = [a.s for a in model.atoms]
@@ -144,7 +145,11 @@ def forward_transform(
                     )
             prev_gap = gap
         prev = cur
-    return prev
+    raise AccuracyError(
+        f"truncation increments of the forward transform did not reach {cauchy_tol:.1e} "
+        f"in {max_levels} truncations",
+        achieved=prev_gap,
+    )
 
 
 class SpectralSynthesis:

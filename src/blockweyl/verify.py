@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import assemble_blocks
+from .assembly import FAMILIES, assemble_blocks
 from .engine import Engine
 from .measures import IntervalSpec, integrate_bv, validate_measure
 from .propagation import VectorFunction, row_integrand, wronskian_defect
@@ -56,12 +56,7 @@ def verify_battery(sys: SystemSpec, bc: BoundaryConditions) -> list[dict]:
 
     asm = assemble_blocks(sys, bc, 1j, engine=eng)
     comp = np.eye(eng.coeff_dim) - asm.projector
-    worst = max(
-        float(np.max(np.abs(asm.jump_defect @ comp))) if asm.jump_defect.size else 0.0,
-        float(np.max(np.abs(asm.q_minus @ comp))),
-        float(np.max(np.abs(asm.q_plus @ comp))),
-        float(np.max(np.abs((asm.script_a_minus + asm.script_a_plus) @ comp))),
-    )
+    worst = max(float(np.max(np.abs(asm.family(name) @ comp), initial=0.0)) for name in FAMILIES)
     add("norm_zero_annihilation", worst, 1e-9)
 
     gap = asm.source_left - asm.source_right + asm.constraints
@@ -92,7 +87,7 @@ def verify_battery(sys: SystemSpec, bc: BoundaryConditions) -> list[dict]:
     add("projector_absorption", float(np.max(np.abs(asm.projector @ sample.m @ asm.projector - sample.m))), 1e-10)
 
     F = asm.constraints
-    u, s, vh = np.linalg.svd(F, full_matrices=False)
+    u, s, _ = asm.svd
     keep = s > sys.tols.pinv_rel * s[0]
     proj_range = (u[:, keep] * 1.0) @ u[:, keep].conj().T
     resid = (np.eye(F.shape[0]) - proj_range) @ asm.source_mean @ eng.J_blocks_inv @ asm.projector

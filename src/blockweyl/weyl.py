@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_blocks
+from .assembly import FAMILIES, assemble_blocks
 from .engine import Engine
 from .system import BoundaryConditions, SystemSpec
 
@@ -50,9 +50,9 @@ class WeylSample:
         return (self.m - self.m.conj().T) / 2j
 
 
-def _pinv(mat: np.ndarray, rel: float) -> np.ndarray:
-    """Moore-Penrose inverse of a matrix, or of each matrix of a stack."""
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+def _pinv(svd, rel: float) -> np.ndarray:
+    """Moore-Penrose inverse of a matrix, or of each matrix of a stack, from its thin SVD."""
+    u, s, vh = svd
     cutoff = rel * s[..., :1]
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return np.swapaxes(vh.conj(), -1, -2) @ (inv[..., :, None] * np.swapaxes(u.conj(), -1, -2))
@@ -68,8 +68,9 @@ def symmetry_witness(
     """The matrix certifying ``M(lam) = M(conj lam)^*`` when it vanishes.
 
     Returns the witness, its Frobenius norm and a per-block norm table built
-    from the one-sided row decomposition (junction, q_minus, q_plus, boundary
-    labels 1..4; the projector block row is identically zero).
+    from the one-sided row stacks, keyed by pairs of
+    :data:`~blockweyl.assembly.FAMILIES` (the projector block row is
+    identically zero).
     """
     eng = engine or Engine(sys, bc)
     asm = assemble_blocks(sys, bc, lam, engine=eng, check_rank=False)
@@ -81,14 +82,11 @@ def symmetry_witness(
         + asm.constraints @ P @ Jinv @ asm_c.source_mean.conj().T
     )
     blocks = {}
-    labels = ["junction", "q_minus", "q_plus", "boundary"]
-    for i, (xi, yi) in enumerate(zip(asm.x_rows, asm.y_rows)):
-        for k, (xk, yk) in enumerate(zip(asm_c.x_rows, asm_c.y_rows)):
-            if xi.shape[0] == 0 or xk.shape[0] == 0:
-                blocks[(labels[i], labels[k])] = 0.0
-                continue
-            blk = xi @ Jinv @ xk.conj().T - yi @ Jinv @ yk.conj().T
-            blocks[(labels[i], labels[k])] = float(np.linalg.norm(blk))
+    for i in FAMILIES:
+        xi, yi = asm.right[asm.rows[i]], asm.left[asm.rows[i]]
+        for k in FAMILIES:
+            xk, yk = asm_c.right[asm_c.rows[k]], asm_c.left[asm_c.rows[k]]
+            blocks[(i, k)] = float(np.linalg.norm(xi @ Jinv @ xk.conj().T - yi @ Jinv @ yk.conj().T))
     return omega, float(np.linalg.norm(omega)), blocks
 
 
@@ -129,11 +127,12 @@ def m_function_many(
         asm = assemble_blocks(sys, bc, batch[0] if len(batch) == 1 else np.array(batch), engine=eng)
         P = asm.projector
         Jinv = eng.J_blocks_inv
+        Fd = _pinv(asm.svd, sys.tols.pinv_rel)
+        stack = (len(batch),) + P.shape
+        m_left = np.reshape(P @ Fd @ asm.source_left @ Jinv @ P, stack)
+        m_right = np.reshape(P @ Fd @ asm.source_right @ Jinv @ P, stack)
         F = asm.constraints.reshape(len(batch), *asm.constraints.shape[-2:])
-        Fd = _pinv(F, sys.tols.pinv_rel)
-        svals = np.linalg.svd(F, compute_uv=False)
-        m_left = P @ Fd @ asm.source_left @ Jinv @ P
-        m_right = P @ Fd @ asm.source_right @ Jinv @ P
+        svals = asm.svd[1].reshape(len(batch), -1)
         return [_sample(sys, bc, eng, *one, with_witness)
                 for one in zip(batch, F, svals, m_left, m_right)]
 

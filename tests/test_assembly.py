@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import J2
+from test_batching import PARTITION_ATOM
 from blockweyl.assembly import (
+    FAMILIES,
     assemble_blocks,
     boundary_blocks,
     deficiency_projectors,
@@ -12,7 +14,7 @@ from blockweyl.assembly import (
 )
 from blockweyl.engine import Engine
 from blockweyl.errors import TheoryViolationError
-from blockweyl.measures import MatrixMeasure
+from blockweyl.measures import MatrixMeasure, Segment
 from blockweyl.propagation import solution_row
 from blockweyl.system import BoundaryConditions, EndpointSpec, SystemSpec, jump_matrices
 
@@ -45,6 +47,30 @@ def test_jump_system_matches_direct_evaluation(p4):
         u_right = row.right(0.0) @ eta
         direct = bp @ u_right - bm @ u_left
         assert np.max(np.abs(defect @ eta - direct)) < 1e-12
+
+
+def test_jump_system_at_two_partition_points_matches_direct_evaluation():
+    # the one case where per-block products may differ in roundoff from
+    # block-diagonal ones: B_plus degenerates at lam = 1 at both atoms
+    dq, dw = PARTITION_ATOM
+    sysm = SystemSpec(
+        J=J2,
+        q=MatrixMeasure(dim=2, atoms=((-0.5, dq), (0.5, dq))),
+        w=MatrixMeasure(dim=2, segments=(Segment((-1.0, 1.0), lambda x: np.eye(2), degree=0),),
+                        atoms=((-0.5, dw), (0.5, dw))),
+        interval=(-1.0, 1.0),
+    )
+    eng = Engine(sysm)
+    assert eng.sing.partition == [-0.5, 0.5]
+    rng = np.random.default_rng(5)
+    eta = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    for lam in (0.4 + 0.7j, np.array([0.4 + 0.7j, -1.5, 2.0 - 0.3j])):
+        defect, _ = jump_system(sysm, lam, engine=eng)
+        row = solution_row(sysm, lam)
+        for k, x in enumerate((-0.5, 0.5)):
+            bm, bp = jump_matrices(sysm, x, lam)
+            direct = (bp @ row.right(x) - bm @ row.left(x)) @ eta
+            assert np.max(np.abs((defect @ eta)[..., 2 * k : 2 * k + 2] - direct)) < 1e-12
 
 
 def test_norm_zero_space_p4_and_p1(p1, p4):
@@ -135,8 +161,8 @@ def test_assembly_p1_structure(p1):
     asm = assemble_blocks(sysm, bc, 1j)
     assert asm.constraints.shape == (8, 2)
     assert np.linalg.matrix_rank(asm.constraints) == 2
-    assert np.max(np.abs(asm.q_minus)) == 0.0 and np.max(np.abs(asm.q_plus)) == 0.0
-    core = asm.script_a_minus + asm.script_a_plus
+    assert np.max(np.abs(asm.family("q_minus"))) == 0.0 and np.max(np.abs(asm.family("q_plus"))) == 0.0
+    core = asm.family("boundary")
     assert abs(np.linalg.det(core)) > 0.1  # invertible boundary core off the spectrum
     # the averaged source carries no projector row
     assert np.max(np.abs(asm.source_mean[-2:])) == 0.0
@@ -150,14 +176,14 @@ def test_assembly_p4_shape_rank_and_identities(p4):
     assert asm.constraints.shape == (11, 4)
     assert np.linalg.matrix_rank(asm.constraints) == 4
     comp = np.eye(4) - asm.projector
-    for M in (asm.jump_defect, asm.q_minus, asm.q_plus, asm.script_a_minus + asm.script_a_plus):
-        if M.size:
-            assert np.max(np.abs(M @ comp)) < 1e-9
+    for name in FAMILIES:
+        assert np.max(np.abs(asm.family(name) @ comp), initial=0.0) < 1e-9
     gap = asm.source_left - asm.source_right + asm.constraints
     assert np.max(np.abs(gap[:-4])) < 1e-12
     assert np.max(np.abs(gap[-4:] - comp)) < 1e-12
     # averaged source: junction block uses the signed mean, last row zero
-    assert np.max(np.abs(asm.source_mean[:2] - 0.5 * asm.jump_mean)) < 1e-12
+    junction = asm.rows["junction"]
+    assert np.max(np.abs(asm.source_mean[:2] - 0.5 * (asm.right - asm.left)[junction])) < 1e-12
     assert np.max(np.abs(asm.source_mean[-4:])) == 0.0
 
 

@@ -113,7 +113,7 @@ def test_batched_rows_and_assembly_match_loop(case):
         assert asm == failures[0]
         return
     for i, single in enumerate(loop):
-        for field in ("constraints", "source_left", "source_right", "source_mean", "jump_mean"):
+        for field in ("constraints", "source_left", "source_right", "source_mean", "right", "left"):
             assert _close(getattr(asm, field)[i], getattr(single, field))
 
 

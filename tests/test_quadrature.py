@@ -82,7 +82,7 @@ def sequential_integrate(f, lo, hi, *, breakpoints=(), rel_tol=1e-10, abs_tol=1e
         h = 0.5 * (b - a)
         return 0.5 * (a + b) + h * quadrature._NODES, h
 
-    heap, total, total_err, resabs_total, counter = [], None, 0.0, 0.0, 0
+    heap, total, total_err, accepted_err, resabs_total, counter = [], None, 0.0, 0.0, 0.0, 0
     panels = list(zip(edges[:-1], edges[1:]))
     first = [nodes(a, b) for a, b in panels]
     stack = values(np.concatenate([xs for xs, _ in first]))
@@ -101,12 +101,13 @@ def sequential_integrate(f, lo, hi, *, breakpoints=(), rel_tol=1e-10, abs_tol=1e
 
     while not tol_met():
         if counter >= max_panels:
-            raise AccuracyError("budget", achieved=total_err)
+            raise AccuracyError("budget", achieved=total_err + accepted_err)
         neg_err, _, a, b, val = heapq.heappop(heap)
         err = -neg_err
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             total_err -= err
+            accepted_err += err
             continue
         (x1, h1), (x2, h2) = nodes(a, mid), nodes(mid, b)
         stack = values(np.concatenate([x1, x2]))
@@ -118,7 +119,7 @@ def sequential_integrate(f, lo, hi, *, breakpoints=(), rel_tol=1e-10, abs_tol=1e
         counter += 1
         heapq.heappush(heap, (-e2, counter, mid, b, v2))
         counter += 1
-    return total, total_err
+    return total, total_err + accepted_err
 
 
 def outcome(integrate, *args, **kwargs):
@@ -168,11 +169,12 @@ def test_panel_at_floating_point_resolution_is_accepted(below, above):
     # a jump of 1e12 at 1.0, two ulps inside [1 - 2^-52, 1 + 2^-52]: the
     # bisection at 1.0 leaves [1, 1 + 2^-52], whose midpoint rounds onto its
     # left end while its nodes still straddle the jump, so its error cannot
-    # shrink; the panel is accepted with its value and its error dropped
+    # shrink; the panel is accepted with its value, and its error (about
+    # 1.01e-5) leaves the stopping test but stays in the returned estimate
     f = lambda x: np.array(below if x < 1.0 else above)
     lo, hi = 1.0 - 2.0**-52, 1.0 + 2.0**-52
     val, err = quadrature.integrate(f, lo, hi)
-    assert err <= 1e-13 and 0.0 < abs(val) <= 1e12 * (hi - lo)
+    assert err >= 1e-5 and 0.0 < abs(val) <= 1e12 * (hi - lo)
     same_bits((val, err), sequential_integrate(f, lo, hi))
 
 

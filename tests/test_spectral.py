@@ -123,17 +123,28 @@ def test_p1_roots_in_off_grid_windows_are_the_integers(p1):
         assert abs(points[0].value - (k + 1)) <= 1e-15 * max(1.0, abs(k + 1))
 
 
+def test_duplicate_candidates_are_accepted_once(p1):
+    # the range starts on the eigenvalue 1: the determinant finds it and the
+    # range end adds it again, and the second candidate is skipped
+    points = eigen_scan(*p1, 1.0, 2.5, engine=Engine(*p1))
+    assert [(p.value, p.multiplicity) for p in points] == [(1.0, 1), (2.0, 1)]
+
+
+def test_candidates_whose_singular_value_does_not_collapse_are_rejected(p1):
+    assert eigen_scan(*p1, 0.5, 1.5, engine=Engine(*p1), sigma_accept=1e-300) == []
+
+
 def test_coarse_grid_halves_brackets_and_finds_the_same_roots(p1, p2, monkeypatch):
     # the interpolant over a cell of width 0.9 (0.45 on P2, whose roots come in
     # pairs 0.5 apart) is not at roundoff, so brackets are halved and resampled
     stacked = []
-    constraints = spectral._solution_constraints
+    assemble = spectral.assemble_blocks
 
-    def counted(sys, bc, s, eng):
+    def counted(sys, bc, s, **kwargs):
         stacked.append(np.ndim(s) > 0)
-        return constraints(sys, bc, s, eng)
+        return assemble(sys, bc, s, **kwargs)
 
-    monkeypatch.setattr(spectral, "_solution_constraints", counted)
+    monkeypatch.setattr(spectral, "assemble_blocks", counted)
     for problem, lo, hi, step in ((p1, -80.3, 80.3, 0.9), (p2, -40.3, 40.3, 0.45)):
         fine = [p.value for p in eigen_scan(*problem, lo, hi, engine=Engine(*problem))]
         stacked.clear()

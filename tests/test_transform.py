@@ -276,6 +276,18 @@ def test_truncations_of_data_not_square_integrable_at_a_singular_end_raise(p1, m
         forward_transform(singular, bc, model1, f, engine=Engine(singular, bc))
 
 
+def test_truncations_that_run_out_before_converging_raise(p1, e1):
+    # square-integrable data (pi - x)^(-1/4) at the singular end: the nine
+    # gaps shrink from about 7e-2 to 3e-6 but never reach cauchy_tol = 1e-8
+    sysm, bc = p1
+    singular = dataclasses.replace(sysm, endpoint_b=EndpointSpec(regular=False, l2_span=np.eye(2)))
+    model = spectral_measure_model(*p1, (0.5, 1.5), engine=e1)
+    f = VectorFunction(lambda x: np.array([(PI - x) ** -0.25, 0.0]))
+    with pytest.raises(AccuracyError, match="did not reach") as info:
+        forward_transform(singular, bc, model, f, engine=Engine(singular, bc))
+    assert 1e-6 < info.value.achieved < 1e-5
+
+
 @pytest.mark.parametrize("lo", [-2.0013, -2.0025, -2.1])
 def test_whole_line_atom_off_the_density_grid_raises(lo):
     # the 801-point grid misses the atom at -1: the peak node's weight has a
