@@ -152,28 +152,10 @@ def deficiency_projectors(sys: SystemSpec, lam, *, engine: Engine | None = None)
     return one(sys.endpoint_a), one(sys.endpoint_b)
 
 
-def boundary_blocks(
-    sys: SystemSpec,
-    bc: BoundaryConditions,
-    lam,
-    *,
-    engine: Engine | None = None,
-    row: SolutionRow | None = None,
-):
-    """Endpoint blocks ``(A_minus, A_plus, script_A_minus, script_A_plus)``.
-
-    ``A_minus = -Ga U_0^+(a) P_minus`` and ``A_plus = Gb U_N^-(b) P_plus``;
-    the script variants embed them into the first/last block column of the
-    stacked coefficient space.  ``row`` is as in :func:`jump_system`.
-    """
-    eng = engine or Engine(sys)
-    eng.memo(("validated", bc), lambda: bc.validate(sys))  # a failure is not cached
+def _endpoint_blocks(sys: SystemSpec, bc: BoundaryConditions, lam, p_minus, p_plus, row: SolutionRow):
+    """``(A_minus, A_plus)`` of :func:`boundary_blocks` from the deficiency projectors."""
     n = sys.dim
-    N = len(eng.sing.partition)
     lead = np.shape(lam)
-    p_minus, p_plus = deficiency_projectors(sys, lam, engine=eng)
-    if row is None:
-        row = eng.row(lam)
     a, b = sys.interval
 
     if sys.endpoint_a.regular:
@@ -197,8 +179,28 @@ def boundary_blocks(
         a_plus = np.zeros(lead + (bc.count, n), dtype=complex)  # projector annihilates
     else:
         raise ConfigError("singular endpoint b needs a boundary_limit evaluator")
+    return a_minus, a_plus
 
-    pad = np.zeros(lead + (a_minus.shape[-2], n * N), dtype=complex)
+
+def boundary_blocks(
+    sys: SystemSpec,
+    bc: BoundaryConditions,
+    lam,
+    *,
+    engine: Engine | None = None,
+    row: SolutionRow | None = None,
+):
+    """Endpoint blocks ``(A_minus, A_plus, script_A_minus, script_A_plus)``.
+
+    ``A_minus = -Ga U_0^+(a) P_minus`` and ``A_plus = Gb U_N^-(b) P_plus``;
+    the script variants embed them into the first/last block column of the
+    stacked coefficient space.  ``row`` is as in :func:`jump_system`.
+    """
+    eng = engine or Engine(sys)
+    eng.memo(("validated", bc), lambda: bc.validate(sys))  # a failure is not cached
+    p_minus, p_plus = deficiency_projectors(sys, lam, engine=eng)
+    a_minus, a_plus = _endpoint_blocks(sys, bc, lam, p_minus, p_plus, eng.row(lam) if row is None else row)
+    pad = np.zeros(np.shape(lam) + (a_minus.shape[-2], sys.dim * len(eng.sing.partition)), dtype=complex)
     script_minus = np.concatenate([a_minus, pad], axis=-1)
     script_plus = np.concatenate([pad, a_plus], axis=-1)
     return a_minus, a_plus, script_minus, script_plus
@@ -286,7 +288,8 @@ def assemble_blocks(
 
     row = eng.row(lam)  # built once: an array of parameters is not cached
     p_minus, p_plus = deficiency_projectors(sys, lam, engine=eng)
-    a_minus, a_plus, _, _ = boundary_blocks(sys, bc, lam, engine=eng, row=row)
+    eng.memo(("validated", bc), lambda: bc.validate(sys))  # a failure is not cached
+    a_minus, a_plus = _endpoint_blocks(sys, bc, lam, p_minus, p_plus, row)
     sizes = (width - n, n, n, a_minus.shape[-2])
     rows = {name: slice(stop - size, stop) for name, size, stop in zip(FAMILIES, sizes, accumulate(sizes))}
     right = np.zeros(lead + (sum(sizes), width), dtype=complex)

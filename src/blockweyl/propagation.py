@@ -36,6 +36,14 @@ decomposition or, when both densities are present, through stacked LAPACK
 calls; atom transfers are stacked too.  Every other stretch gets a mesh per
 parameter, and a solve builds all its meshes in lockstep doubling rounds
 (:func:`_magnus_meshes`), each mesh bitwise the one its parameter gets alone.
+The Magnus path takes its stacked products of small matrices (the
+coefficients, commutators, Padé powers and squarings, the prefix scan and
+the dense-output sub-steps) by broadcast entries (:func:`_small_matmul`),
+whose result for one matrix does not depend on the stack it sits in; no
+kernel is chosen by stack size, since that would tie a mesh's bits to the
+meshes sharing its round.  The ``diag`` and ``series`` flows, atom
+transfers and the solve of each Padé step keep numpy's ``matmul`` and
+LAPACK.
 """
 
 from __future__ import annotations
@@ -179,6 +187,24 @@ def _pade_order(A: np.ndarray) -> tuple[int, int]:
     return m, s
 
 
+def _small_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``X @ Y`` of broadcast stacks of small matrices, summed over broadcast entries.
+
+    ``out[..., i, j] = X[..., i, 0] Y[..., 0, j] + X[..., i, 1] Y[..., 1, j] + ...``
+    in ascending order of the inner index, by elementwise products of whole
+    stacks: on stacks of 2x2 and 3x3 matrices this is faster than
+    ``np.matmul``, which hands every matrix to BLAS on its own, though slower
+    on a single matrix.  Each product depends only on its own operands, not
+    on the stack's length, its other matrices or the product's place in it,
+    so a stack's products are bitwise those of any slice of it and of each
+    matrix alone.
+    """
+    out = X[..., :, :1] * Y[..., :1, :]
+    for k in range(1, X.shape[-1]):
+        out += X[..., :, k : k + 1] * Y[..., k : k + 1, :]
+    return out
+
+
 def _expm_stack(A: np.ndarray, order: tuple[int, int] | None = None) -> np.ndarray:
     """``exp(A)`` of every matrix of a stack ``(..., n, n)``.
 
@@ -187,23 +213,26 @@ def _expm_stack(A: np.ndarray, order: tuple[int, int] | None = None) -> np.ndarr
     serves the stack, by default the lowest whose ``theta`` bounds its
     largest 1-norm; beyond ``theta_13`` the stack is scaled by ``2^-s`` and
     ``r`` squared ``s`` times.  ``order = (m, s)`` imposes degree and
-    scaling, so that stacks joined into one call keep their own.  A zero
-    matrix gives the identity exactly.
+    scaling, so that stacks joined into one call keep their own.  The
+    powers, ``U`` and the squarings are products of :func:`_small_matmul`
+    and the solve is one stacked LAPACK call, so each matrix's exponential
+    is bitwise the one it gets alone at the same order.  A zero matrix gives
+    the identity exactly.
     """
     m, s = order or _pade_order(A)
     if s:
         A = A / 2.0**s
     b = _PADE_COEFFS[m]
     eye = np.eye(A.shape[-1])
-    A2 = A @ A
+    A2 = _small_matmul(A, A)
     powers = [A2]  # A^2, A^4, ..., A^(m-1)
     for _ in range(m // 2 - 1):
-        powers.append(powers[-1] @ A2)
-    U = A @ sum((b[2 * k + 3] * P for k, P in enumerate(powers)), b[1] * eye)
+        powers.append(_small_matmul(powers[-1], A2))
+    U = _small_matmul(A, sum((b[2 * k + 3] * P for k, P in enumerate(powers)), b[1] * eye))
     V = sum((b[2 * k + 2] * P for k, P in enumerate(powers)), b[0] * eye)
     E = np.linalg.solve(V - U, V + U)
     for _ in range(s):
-        E = E @ E
+        E = _small_matmul(E, E)
     return E
 
 
@@ -320,7 +349,7 @@ _MAX_STEPS = 2**14
 
 
 def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return X @ Y - Y @ X
+    return _small_matmul(X, Y) - _small_matmul(Y, X)
 
 
 def _magnus_exponents(A: np.ndarray, h) -> np.ndarray:
@@ -413,7 +442,7 @@ class _StretchCoefficients:
 
     def assemble(self, lam: complex, q: np.ndarray, w: np.ndarray, fs: np.ndarray | None) -> np.ndarray:
         """Stacked coefficient matrices at ``lam`` from :meth:`densities`."""
-        A = self.sys.J_inv @ (lam * w - q)
+        A = _small_matmul(self.sys.J_inv, lam * w - q)
         if fs is None:
             return A
         out = np.zeros((len(fs), self.dim, self.dim), dtype=complex)
@@ -426,15 +455,46 @@ class _StretchCoefficients:
         return self.assemble(lam, *self.densities(xs))
 
 
+def _with_identity(E: np.ndarray) -> np.ndarray:
+    """The stacks ``E[j]`` of steps, each led by the identity."""
+    return np.concatenate([np.broadcast_to(np.eye(E.shape[-1], dtype=complex), (len(E), 1) + E.shape[2:]), E], axis=1)
+
+
 def _prefix_products(E: np.ndarray) -> np.ndarray:
     """``M[j, k] = E[j, k-1] ... E[j, 0]``, ``M[j, 0]`` the identity, by a
-    doubling scan over the steps ``k`` of each stack ``E[j]``."""
-    M = np.concatenate([np.broadcast_to(np.eye(E.shape[-1], dtype=complex), (len(E), 1) + E.shape[2:]), E], axis=1)
+    doubling scan over the steps ``k`` of each stack ``E[j]``.
+
+    Round ``s = 1, 2, 4, ...`` takes ``M[k] <- M[k] M[k - s]`` for ``k >= s``,
+    ``sum_s (L + 1 - s)`` products of :func:`_small_matmul` for ``L`` steps;
+    so each stack's products are bitwise those it gets alone.
+    """
+    M = _with_identity(E)
     shift = 1
     while shift < M.shape[1]:
-        M[:, shift:] = M[:, shift:] @ M[:, :-shift]
+        M[:, shift:] = _small_matmul(M[:, shift:], M[:, :-shift])
         shift *= 2
     return M
+
+
+def _total_products(E: np.ndarray) -> np.ndarray:
+    """``_prefix_products(E)[:, -1]``, bitwise, from the scan's products that it depends on.
+
+    Before the scan's round of shift ``s`` the last entry ``M[L]`` depends
+    only on the entries ``L - i s``.  So each round forms just the entries
+    ``L - 2 i s`` of the next, each times its neighbour ``L - (2 i + 1) s``
+    as the scan does: about ``L`` products in all, in the scan's association.
+    """
+    M = _with_identity(E)
+    last = M.shape[1] - 1
+    shift = 1
+    while shift <= last:
+        # M holds the entries last % shift, last % shift + shift, ..., last
+        if (last // shift) % 2:
+            M = _small_matmul(M[:, 1::2], M[:, 0:-1:2])
+        else:
+            M = np.concatenate([M[:, :1], _small_matmul(M[:, 2::2], M[:, 1:-1:2])], axis=1)
+        shift *= 2
+    return M[:, -1]
 
 
 def _refined(fine, coarse, tols) -> bool:
@@ -473,7 +533,7 @@ class _MagnusMesh:
         d = self.values.shape[1]
         A = self.coeff(((xs - s)[:, None] + s[:, None] * _GAUSS).ravel()).reshape(len(xs), 3, d, d)
         start = self.values[k]
-        out = _expm_stack(_magnus_exponents(A, s)) @ start.reshape(len(xs), d, -1)
+        out = _small_matmul(_expm_stack(_magnus_exponents(A, s)), start.reshape(len(xs), d, -1))
         return out.reshape(start.shape)[:, : self.dim]
 
 
@@ -516,10 +576,14 @@ def _magnus_meshes(jobs: Sequence[tuple], tols) -> list:
     :func:`_magnus_exponents` call per state size, and the step exponentials
     in one :func:`_expm_stack` call per group of meshes of equal size and
     Padé order, each mesh at the order its own stack selects (Higham 2005).
-    So every mesh is bitwise the mesh its job gets alone.  Returns per job
-    ``(h, M)``, the step and the transfer products of :func:`_prefix_products`,
-    or, past ``_MAX_STEPS`` steps, the :class:`AccuracyError` to raise where
-    the propagation reaches that stretch.
+    The Richardson test reads only the transfer of each mesh, which
+    :func:`_total_products` forms without the other products; the full scan
+    :func:`_prefix_products` runs only for the meshes the test accepts.
+    Every product goes through :func:`_small_matmul`, so every mesh is
+    bitwise the mesh its job gets alone.  Returns per job ``(h, M)``, the
+    step and the transfer products of :func:`_prefix_products`, or, past
+    ``_MAX_STEPS`` steps, the :class:`AccuracyError` to raise where the
+    propagation reaches that stretch.
     """
     steps = {k: min(max(2, int(np.ceil(abs(x_to - x_from) * (1.0 + abs(lam)) * _STEPS_PER_UNIT))), _MAX_STEPS // 2)
              for k, (_, lam, x_from, x_to) in enumerate(jobs)}
@@ -549,14 +613,18 @@ def _magnus_meshes(jobs: Sequence[tuple], tols) -> list:
         order = {k: (_pade_order(a), a.shape[-1]) for k, a in stacks.items()}
         for ks in _grouped(order):
             stacks.update(zip(ks, _joined(_expm_stack, [stacks[k] for k in ks], order[ks[0]][0])))
+        accepted = []
         for ks in nodesets:
-            M = _prefix_products(np.stack([stacks[k] for k in ks]))
-            for k, Mk, ends in zip(ks, M, zip(*_transfer_pairs(M[:, -1], *jobs[ks[0]][0].pairing))):
+            totals = _total_products(np.stack([stacks[k] for k in ks]))
+            for k, ends in zip(ks, zip(*_transfer_pairs(totals, *jobs[ks[0]][0].pairing))):
                 if k in coarse and _refined(ends, coarse[k], tols):
-                    out[k] = (h[k], Mk)
+                    accepted.append(k)
                     del steps[k]
                 else:
                     coarse[k], steps[k] = ends, 2 * steps[k]
+        for ks in _grouped({k: stacks[k].shape for k in accepted}):
+            for k, M in zip(ks, _prefix_products(np.stack([stacks[k] for k in ks]))):
+                out[k] = (h[k], M)
     return out
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import J2
 from test_batching import PARTITION_ATOM
+from blockweyl import assembly
 from blockweyl.assembly import (
     FAMILIES,
     assemble_blocks,
@@ -235,3 +236,27 @@ def test_boundary_rows_must_annihilate_norm_zero_space(p3):
     assert classical.selfadjointness_defect(sysm.J) < 1e-12
     with pytest.raises(TheoryViolationError):
         assemble_blocks(sysm, classical, 1j)
+
+
+def test_one_deficiency_projector_call_per_assembly(p3, monkeypatch):
+    sysm, bc = p3
+    calls = []
+    projectors = assembly.deficiency_projectors
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return projectors(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "deficiency_projectors", counted)
+    eng = Engine(sysm, bc)
+    lams = (1j, 2j, 1 + 1j)
+    assembled = [assemble_blocks(sysm, bc, lam, engine=eng) for lam in lams]
+    assert len(calls) == len(lams)
+    monkeypatch.undo()
+    # the boundary rows are the blocks of boundary_blocks
+    n = sysm.dim
+    for lam, asm in zip(lams, assembled):
+        a_minus, a_plus, _, _ = boundary_blocks(sysm, bc, lam, engine=eng)
+        rows = asm.rows["boundary"]
+        assert np.array_equal(asm.right[rows, :n], a_minus)
+        assert np.array_equal(asm.left[rows, asm.coeff_dim - n :], a_plus)

@@ -341,3 +341,73 @@ def test_smooth_row_takes_one_exponent_call_per_round(monkeypatch):
     assert len(rounds) == 6 and min(rounds) >= 2
     assert len(calls) == max(rounds)
     assert calls[0] == 2 * sum(first_steps(piece) for piece in pieces)  # all six meshes in the first round
+
+
+def random_stack(rng, shape, complex_):
+    X = rng.standard_normal(shape) * np.exp(rng.uniform(-3.0, 3.0, shape))
+    return X + 1j * rng.standard_normal(shape) if complex_ else X
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 40), st.booleans(), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_small_matmul_matches_matmul(n, k, length, shared, x_complex, y_complex, seed):
+    # (n, n) x (L, n, n) or (L, n, n) x (L, n, k); each entry within a few
+    # ulps of the sum of |products| of its inner index
+    rng = np.random.default_rng(seed)
+    X = random_stack(rng, (n, n) if shared else (length, n, n), x_complex)
+    Y = random_stack(rng, (length, n, n if shared else k), y_complex)
+    out = propagation._small_matmul(X, Y)
+    assert out.shape == np.broadcast_shapes(X.shape[:-1] + (1,), Y.shape[:-2] + (1, Y.shape[-1]))
+    bound = 4 * n * np.finfo(float).eps * (np.abs(X) @ np.abs(Y))
+    assert np.all(np.abs(out - X @ Y) <= bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 301), st.booleans(), st.integers(0, 2**32 - 1))
+def test_small_matmul_of_a_stack_is_bitwise_that_of_its_parts(n, length, complex_, seed):
+    # what the lockstep meshes rest on: a product does not depend on the
+    # stack it is taken in
+    rng = np.random.default_rng(seed)
+    X, Y = random_stack(rng, (length, n, n), complex_), random_stack(rng, (length, n, n), complex_)
+    out = propagation._small_matmul(X, Y)
+    start, stop = sorted(rng.integers(0, length + 1, 2))
+    step = int(rng.integers(1, 4))
+    assert np.array_equal(propagation._small_matmul(X[start:stop:step], Y[start:stop:step]), out[start:stop:step])
+    for i in range(length):
+        assert np.array_equal(propagation._small_matmul(X[i], Y[i]), out[i])
+    shared = propagation._small_matmul(X[0], Y)
+    assert all(np.array_equal(propagation._small_matmul(X[0], Y[i]), shared[i]) for i in range(length))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 3), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_total_products_are_the_last_prefix_products(steps, meshes, d, seed):
+    rng = np.random.default_rng(seed)
+    E = np.eye(d) + 0.2 * random_stack(rng, (meshes, steps, d, d), True)
+    assert np.array_equal(propagation._total_products(E), propagation._prefix_products(E)[:, -1])
+
+
+def test_full_scan_runs_once_per_accepted_mesh(monkeypatch):
+    # every round tests the transfers of all unfinished meshes; only those
+    # it accepts get all their products
+    scanned, accepted = [], []
+    scan, meshes = propagation._prefix_products, propagation._magnus_meshes
+
+    def counted_scan(E):
+        scanned[-1] += len(E)
+        return scan(E)
+
+    def counted_meshes(jobs, tols):
+        scanned.append(0)
+        out = meshes(jobs, tols)
+        accepted.append(sum(not isinstance(mesh, AccuracyError) for mesh in out))
+        return out
+
+    monkeypatch.setattr(propagation, "_prefix_products", counted_scan)
+    monkeypatch.setattr(propagation, "_magnus_meshes", counted_meshes)
+    sysm = smooth_system(None, atoms=((1.1, np.diag([0.5, -0.25])),))
+    row = solution_row(sysm, np.array([4.0 + 1.0j, 4.0 - 1.0j, -9.0 + 0.5j]), anchors=[ANCHOR])
+    solve_ivp(sysm, 0, 2.0 + 0.5j, ANCHOR, np.array([1.0, 0.0]), f=VectorFunction(lambda x: np.array([x, 1.0])))
+    assert len(row.fundamentals[0].pieces) == 3
+    assert accepted == [9, 3] and scanned == accepted
