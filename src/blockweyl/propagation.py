@@ -197,8 +197,12 @@ def _small_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     on a single matrix.  Each product depends only on its own operands, not
     on the stack's length, its other matrices or the product's place in it,
     so a stack's products are bitwise those of any slice of it and of each
-    matrix alone.
+    matrix alone.  Both operands are first given the same number of axes:
+    numpy's complex multiply takes another inner loop for one-element
+    operands whose axis counts differ, which changes the last bit.
     """
+    if X.ndim != Y.ndim:
+        X, Y = X[(None,) * (Y.ndim - X.ndim)], Y[(None,) * (X.ndim - Y.ndim)]
     out = X[..., :, :1] * Y[..., :1, :]
     for k in range(1, X.shape[-1]):
         out += X[..., :, k : k + 1] * Y[..., k : k + 1, :]

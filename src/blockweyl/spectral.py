@@ -21,10 +21,10 @@ of the Weyl matrix with shrinking imaginary offsets.  The model builder
 cross-validates one against the other.
 
 Both ways work on stacks of spectral parameters.  The scan refines its roots
-from stacked assemblies at Chebyshev nodes of the sign-change brackets, and
-every set of Weyl samples (the offsets of an atom weight, the nodes of a
-round of quadrature bisections, a density grid) is one
-:func:`~blockweyl.weyl.m_function_many` call.
+from stacked assemblies at Chebyshev nodes of its sign-change brackets and of
+the cells around singular-value dips, and every set of Weyl samples (the
+offsets of an atom weight, the nodes of a round of quadrature bisections, a
+density grid) is one :func:`~blockweyl.weyl.m_function_many` call.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from numpy.polynomial.chebyshev import chebder, chebroots, chebvander
 
 from . import quadrature
 from .assembly import assemble_blocks, norm_zero_space
@@ -50,8 +50,11 @@ CHEB_NODES = 13
 #: an interpolant is trusted when its trailing coefficients are below this
 #: times the Hadamard bound of the sampled matrices (their rounding scale)
 CHEB_TOL = 1e-13
+#: roots of a trusted interpolant within this of the real axis are real, and
+#: two within it of each other a double root (in units of the half-width)
+CHEB_NEAR = 1e-5
 _CHEB_T = np.sin(np.pi * np.arange(1 - CHEB_NODES, CHEB_NODES, 2) / (2 * (CHEB_NODES - 1)))
-_CHEB_FIT = np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB_T, CHEB_NODES - 1))
+_CHEB_FIT = np.linalg.inv(chebvander(_CHEB_T, CHEB_NODES - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +168,14 @@ def eigen_scan(
     The constraint stack (junction, integrability and boundary rows, without
     the norm-zero row) restricted to the complement of the norm-zero space
     loses rank exactly at eigenvalues.  It is assembled for all grid points
-    in one batched pass.  When the restriction is square with real entries, a
-    signed determinant brackets roots by its sign changes, and the roots of
-    all brackets are refined together by Chebyshev interpolation
-    (:func:`_bracket_roots`, one stacked assembly per round).  Local minima of
-    the smallest restricted singular value that no bracket explains are
-    refined by bounded minimization.  Every candidate is accepted when that
-    singular value collapses to the noise floor.
+    in one batched pass.  When the restriction is square and real, its
+    determinant brackets roots by sign changes.  A local minimum of the
+    smallest restricted singular value that no bracket within a grid step
+    explains (an even-order root, two roots in a cell, a complex determinant)
+    flags the cells within two grid steps, squared by the leading left
+    singular vectors there.  Brackets and flagged cells are refined together
+    (:func:`_bracket_roots`, one stacked assembly per round); a root is
+    accepted when that singular value collapses to the noise floor.
     """
     eng = engine or Engine(sys, bc)
     basis_p = _range_basis(norm_zero_space(sys, engine=eng)[1])
@@ -182,10 +186,6 @@ def eigen_scan(
         constraints = assemble_blocks(sys, bc, s, engine=eng, check_rank=False).constraints
         return constraints[..., : -eng.coeff_dim, :] @ basis_p
 
-    def smin(s: float) -> float:
-        sv = np.linalg.svd(reduced(s), compute_uv=False)
-        return float(sv[-1]) if sv.size else 0.0
-
     npts = max(9, int(np.ceil((lam_max - lam_min) / grid_step)) + 1)
     grid = np.linspace(lam_min, lam_max, npts)
     samples = reduced(grid)  # (grid points, rows, r)
@@ -193,41 +193,39 @@ def eigen_scan(
     scale = float(np.median(svals)) or 1.0
 
     candidates: list[float] = []
+    cells: dict[int, tuple] = {}  # grid cell -> (projection or None for the live rows, end values)
+    explained = np.zeros(len(grid), dtype=bool)  # grid points within a grid step of a sign-change root
     r = basis_p.shape[1]
-    # rows that vanish identically over the grid are structural zeros; when the
-    # surviving rows form a square real matrix a signed determinant provides
-    # sign-change brackets
+    # rows that vanish over the whole grid are structural zeros; when the others
+    # form a square real matrix, its determinant's sign changes bracket roots
     row_peak = np.max(np.abs(samples), axis=(0, 2))
     live = row_peak > 1e-12 * max(1.0, float(np.max(row_peak)))
-    use_det = int(np.sum(live)) == r
-    if use_det:
+    if int(np.sum(live)) == r:
         dets = np.linalg.det(samples[:, live])
         if np.max(np.abs(dets.imag)) <= 1e-9 * max(float(np.max(np.abs(dets.real))), 1e-300):
             dre = dets.real
-            brackets = []
             for i in range(len(grid)):
                 if dre[i] == 0.0:
                     candidates.append(float(grid[i]))
+                    explained[max(i - 1, 0) : i + 2] = True
                 elif i + 1 < len(grid) and dre[i] * dre[i + 1] < 0:
-                    brackets.append((float(grid[i]), float(grid[i + 1]), dre[i], dre[i + 1]))
+                    cells[i] = (None, dre[i], dre[i + 1])
+                    explained[i : i + 2] = True
+    padded = np.concatenate([[np.inf], svals, [np.inf]])  # minima are one-sided at the window ends
+    for i in np.flatnonzero((svals <= padded[:-2]) & (svals <= padded[2:]) & (svals < 0.5 * scale) & ~explained):
+        u, lo = np.linalg.svd(samples[i])[0][:, :r].conj().T, max(i - 2, 0)
+        ends = np.linalg.det(u @ samples[lo : i + 3])
+        for j in range(lo, min(i + 2, len(grid) - 1)):
+            cells.setdefault(j, (u, ends[j - lo], ends[j + 1 - lo]))
 
-            def det_many(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                mats = reduced(s)[:, live]
-                return np.linalg.det(mats).real, np.prod(np.linalg.norm(mats, axis=-1), axis=-1)
+    def det_many(s: np.ndarray, projections) -> tuple[np.ndarray, np.ndarray]:
+        mats = reduced(s.ravel()).reshape(s.shape + samples.shape[1:])
+        mats = np.stack([m[:, live] if u is None else u @ m for m, u in zip(mats, projections)])
+        dets, hadamard = np.linalg.det(mats), np.prod(np.linalg.norm(mats, axis=-1), axis=-1)
+        return (dets if any(u is not None for u in projections) else dets.real), hadamard
 
-            candidates += _bracket_roots(det_many, brackets)
-        else:
-            use_det = False
-    # singular-value dips catch everything else (and even-order det roots)
-    for i in range(1, len(grid) - 1):
-        if svals[i] <= svals[i - 1] and svals[i] <= svals[i + 1] and svals[i] < 0.5 * scale:
-            if use_det and any(grid[i - 1] <= cand <= grid[i + 1] for cand in candidates):
-                continue
-            res = minimize_scalar(
-                smin, bounds=(float(grid[i - 1]), float(grid[i + 1])),
-                method="bounded", options={"xatol": 1e-12},
-            )
-            candidates.append(float(res.x))
+    candidates += _bracket_roots(det_many, [(grid[j], grid[j + 1], fa, fb, u)
+                                            for j, (u, fa, fb) in sorted(cells.items())])
     for edge in (0, len(grid) - 1):
         if svals[edge] < sigma_accept * scale:
             candidates.append(float(grid[edge]))
@@ -246,57 +244,69 @@ def eigen_scan(
     return points
 
 
-def _bracket_roots(det_many, brackets) -> list[float]:
-    """Roots of a real determinant in its sign-change brackets ``(a, b, f(a), f(b))``.
+def _bracket_roots(det_many, cells) -> list[float]:
+    """Roots of a determinant in grid cells ``(a, b, f(a), f(b), u)``.
 
-    Each bracket is sampled at the interior Chebyshev-Lobatto nodes, all
-    brackets in one call of ``det_many`` (determinants and Hadamard bounds of
-    the sampled matrices).  The interpolant keeps the end values, so it
-    changes sign and has a real root; it is trusted when its two trailing
-    coefficients are at roundoff, below :data:`CHEB_TOL` times the largest
-    Hadamard bound (J. P. Boyd, SIAM J. Numer. Anal. 40 (2002)), and its real
-    roots in the bracket are returned.  An untrusted bracket is halved at its
-    middle node, keeping the half with the sign change, and resampled with the
-    others in the next round.  Widths follow ``brentq(xtol=1e-13, rtol=1e-15)``:
-    a bracket that narrows to ``1e-13 + 1e-15 |s|`` returns its midpoint, and
-    a root within half that of an end returns the end.
+    ``u = None`` marks a sign-change bracket of the real determinant of the
+    live rows; another cell's matrices are squared by the projection ``u``,
+    whose complex determinant vanishes at every eigenvalue in the cell.  All
+    cells are sampled at their interior Chebyshev-Lobatto nodes in one call
+    of ``det_many`` (determinants and Hadamard bounds, given the nodes and
+    the projections).  A cell whose interpolant through those values and its
+    end values is trusted, its two trailing coefficients below
+    :data:`CHEB_TOL` times the largest Hadamard bound (J. P. Boyd, SIAM J.
+    Numer. Anal. 40 (2002)), ends with the interpolant's near-real roots
+    (:func:`_near_real_roots`).  Otherwise, halved at its middle node, a
+    bracket keeps the half with the sign change and a projected cell both
+    halves.  As in ``brentq(xtol=1e-13, rtol=1e-15)``, a cell that narrows to
+    ``1e-13 + 1e-15 |s|`` returns its midpoint, and a root within half that
+    of an end returns the end.
     """
     def tol(s):
         return 1e-13 + 1e-15 * np.abs(s)
 
     roots: list[float] = []
-    while brackets:
-        a, b, fa, fb = (np.array(col) for col in zip(*brackets))
-        narrow = b - a <= tol(np.maximum(np.abs(a), np.abs(b)))
-        roots += [float(x) for x in 0.5 * (a[narrow] + b[narrow])]
-        a, b, fa, fb = a[~narrow], b[~narrow], fa[~narrow], fb[~narrow]
-        if not a.size:
+    while cells:
+        wide = [b - a > tol(max(abs(a), abs(b))) for a, b, *_ in cells]
+        roots += [float(0.5 * (a + b)) for (a, b, *_), w in zip(cells, wide) if not w]
+        if not any(wide):
             break
+        a, b, fa, fb, us = zip(*(cell for cell, w in zip(cells, wide) if w))
+        a, b, fa, fb = np.array(a), np.array(b), np.array(fa), np.array(fb)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         nodes = mid[:, None] + half[:, None] * _CHEB_T[1:-1]
-        inner, hadamard = det_many(nodes.ravel())
-        values = np.column_stack([fa, inner.reshape(nodes.shape), fb])
+        inner, hadamard = det_many(nodes, us)
+        values = np.column_stack([fa, inner, fb])
         coeffs = values @ _CHEB_FIT.T
-        floors = CHEB_TOL * np.max(hadamard.reshape(nodes.shape), axis=1)
-        brackets = []
+        floors = CHEB_TOL * np.max(hadamard, axis=1)
+        cells = []
         for k, c in enumerate(coeffs):
-            ts = np.array([])
             if np.max(np.abs(c[-2:])) <= floors[k]:
-                ts = np.polynomial.chebyshev.chebroots(c)
-                ts = np.clip(ts.real[(ts.imag == 0) & (np.abs(ts.real) <= 1.0 + 1e-12)], -1.0, 1.0)
-            for x in mid[k] + half[k] * ts:
-                ends = [end for end in (a[k], b[k]) if abs(x - end) <= 0.5 * tol(end)]
-                roots.append(float(ends[0] if ends else x))
-            if ts.size:
+                for x in mid[k] + half[k] * _near_real_roots(c):
+                    ends = [end for end in (a[k], b[k]) if abs(x - end) <= 0.5 * tol(end)]
+                    roots.append(float(ends[0] if ends else x))
                 continue
             fm = values[k, CHEB_NODES // 2]  # the value at the midpoint
-            if fm == 0.0:
+            halves = [(a[k], mid[k], fa[k], fm, us[k]), (mid[k], b[k], fm, fb[k], us[k])]
+            if us[k] is not None:
+                cells += halves
+            elif fm == 0.0:
                 roots.append(float(mid[k]))
-            elif fa[k] * fm < 0:
-                brackets.append((a[k], mid[k], fa[k], fm))
             else:
-                brackets.append((mid[k], b[k], fm, fb[k]))
+                cells.append(halves[int((fa[k] * fm).real >= 0)])  # the half with the sign change
     return roots
+
+
+def _near_real_roots(c: np.ndarray) -> np.ndarray:
+    """The roots in ``[-1, 1]`` of the Chebyshev series ``c`` within :data:`CHEB_NEAR`
+    of the real axis, two within it of each other being the derivative's root."""
+    ts, merged = chebroots(c), []
+    for t in ts[(np.abs(ts.imag) <= CHEB_NEAR) & (np.abs(ts.real) <= 1.0 + 1e-12)]:
+        if merged and abs(t - merged[-1]) <= CHEB_NEAR:
+            crit = chebroots(chebder(c))
+            t = crit[np.argmin(np.abs(crit - 0.5 * (t + merged.pop())))]
+        merged.append(t)
+    return np.clip(np.real(merged), -1.0, 1.0)
 
 
 def _range_basis(projector: np.ndarray) -> np.ndarray:

@@ -43,8 +43,11 @@ class BoundedStore:
     def get(self, key, build: Callable[[], object]):
         """The value stored under ``key``, built by ``build`` on a miss."""
         with self._lock:
-            if key in self._values:
+            try:
                 self._values.move_to_end(key)
+            except KeyError:
+                pass
+            else:
                 return self._values[key]
         value = build()
         with self._lock:

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import J2
@@ -365,6 +365,7 @@ def test_small_matmul_matches_matmul(n, k, length, shared, x_complex, y_complex,
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 301), st.booleans(), st.integers(0, 2**32 - 1))
+@example(n=1, length=1, complex_=True, seed=60)  # a 1x1 product taken with a shared left factor
 def test_small_matmul_of_a_stack_is_bitwise_that_of_its_parts(n, length, complex_, seed):
     # what the lockstep meshes rest on: a product does not depend on the
     # stack it is taken in

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import J2, rotation
 from test_magnus import assert_same_row
@@ -249,32 +251,94 @@ def test_density_samples_match_scalar_samples(p2, scalar_weyl):
     assert np.array_equal(batched.atoms[0].weight, scalar.atoms[0].weight)
 
 
-def test_double_root_is_found_by_the_singular_value_dip(monkeypatch):
-    # two decoupled strings with weights 1 and c and Dirichlet rows on their
-    # first components: eigenvalues k and k/c, and 0 twice.  At the double
-    # root the determinant keeps its sign, so only a dip of the smallest
-    # singular value, refined by bounded minimization, finds it
-    c = 1.05
+def two_channel(c):
+    """Two decoupled strings with weights 1 and ``c`` and Dirichlet rows on
+    their first components: eigenvalues ``k`` and ``k/c``, and 0 twice."""
     w = MatrixMeasure(dim=4, segments=(Segment((0.0, PI), lambda x: np.diag([1.0, 1.0, c, c]), degree=0),))
     sysm = SystemSpec(J=np.kron(np.eye(2), J2), q=MatrixMeasure.zero(4), w=w, interval=(0.0, PI))
     e, z = np.eye(4), np.zeros(4)
-    bc = BoundaryConditions(Ga=np.array([e[0], e[2], z, z]), Gb=np.array([z, z, e[0], e[2]]))
-    minima = []
-    minimize = spectral.minimize_scalar
+    return sysm, BoundaryConditions(Ga=np.array([e[0], e[2], z, z]), Gb=np.array([z, z, e[0], e[2]]))
 
-    def recorded(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        minima.append(float(res.x))
-        return res
 
-    monkeypatch.setattr(spectral, "minimize_scalar", recorded)
-    points = eigen_scan(sysm, bc, -2.97, 3.03)
+def two_channel_eigenvalues(c, lo, hi):
+    ks = range(int(np.floor(lo * c)) - 1, int(np.ceil(hi * c)) + 2)
+    return np.sort([v for k in ks for v in (float(k), k / c) if lo <= v <= hi])
+
+
+def complex_channels(cs):
+    """``J = i I``, ``w = diag(cs)``, ``u(pi) = e^{0.3i} u(0)``: eigenvalues
+    ``(0.3/pi + 2k)/c``; the determinant is never real, so only dips see them."""
+    n = len(cs)
+    w = MatrixMeasure(dim=n, segments=(Segment((0.0, PI), lambda x: np.diag(cs).astype(float), degree=0),))
+    sysm = SystemSpec(J=1j * np.eye(n), q=MatrixMeasure.zero(n), w=w, interval=(0.0, PI))
+    return sysm, BoundaryConditions(Ga=np.eye(n, dtype=complex), Gb=np.exp(0.3j) * np.eye(n))
+
+
+def complex_eigenvalues(cs, lo, hi):
+    values = np.sort([(0.3 / PI + 2 * k) / c for c in cs for k in range(-8, 9)])
+    return values[(values >= lo) & (values <= hi)]
+
+
+def assert_finds_every_eigenvalue(points, expected):
+    values = np.array([p.value for p in points for _ in range(p.multiplicity)])
+    assert len(values) == len(expected)
+    assert len(values) == 0 or np.max(np.abs(values - expected)) <= 1e-12
+
+
+def test_double_root_is_found_by_the_singular_value_dip(monkeypatch):
+    # at the double root 0 the determinant keeps its sign, so only a dip of
+    # the smallest singular value sees it: its cells are squared by the dip's
+    # left singular vectors, and the root is the one of the derivative of a
+    # trusted interpolant
+    c = 1.05
+    cells = []
+    refine = spectral._bracket_roots
+
+    def recorded(det_many, given):
+        cells.extend(given)
+        return refine(det_many, given)
+
+    monkeypatch.setattr(spectral, "_bracket_roots", recorded)
+    points = eigen_scan(*two_channel(c), -2.97, 3.03)
     values = np.array([p.value for p in points for _ in range(p.multiplicity)])
     expected = np.sort([float(k) for k in range(-2, 4)] + [k / c for k in range(-3, 4)])
     assert len(values) == 13
     assert np.max(np.abs(values - expected)) <= 1e-12
     assert [p.multiplicity for p in points if abs(p.value) < 1e-12] == [2]
-    assert [x for x in minima if abs(x) < 1e-12] == [p.value for p in points if p.multiplicity == 2]
+    assert [u is not None for a, b, _, _, u in cells if a <= 0.0 <= b] == [True]
+
+
+@pytest.mark.parametrize("window", [(-3.0, 3.0), (-2.97, 3.03), (0.13, 6.13), (-10.4, 10.4)])
+@pytest.mark.parametrize("c", [1.001, 1.003, 1.005, 1.01, 1.02, 1.05])
+def test_pairs_in_one_cell_are_both_found(c, window):
+    # k and k/c often share a grid cell, where the determinant keeps its sign
+    assert_finds_every_eigenvalue(eigen_scan(*two_channel(c), *window), two_channel_eigenvalues(c, *window))
+
+
+@pytest.mark.parametrize("cs, window", [((1.0, c), w) for c in (1.001, 1.003, 1.01, 1.05)
+                                        for w in ((-3.0, 3.0), (-10.4, 10.4))] + [((1.0,), (-10.4, 10.4))])
+def test_complex_determinant_roots_are_found_by_dips(cs, window):
+    assert_finds_every_eigenvalue(eigen_scan(*complex_channels(cs), *window), complex_eigenvalues(cs, *window))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(1.001, 1.05), st.floats(-10.0, 6.0), st.floats(0.5, 12.0))
+@example(c=1.01, lo=-3.16, width=6.17)  # the pair 3/c, 3 in the last cell, a dip at the window end
+def test_two_channel_scan_finds_every_eigenvalue(c, lo, width):
+    hi = lo + width
+    near = two_channel_eigenvalues(c, lo - 1.0, hi + 1.0)
+    assume(np.min(np.abs(near[:, None] - [lo, hi])) > 1e-6)  # no eigenvalue on a window end
+    assert_finds_every_eigenvalue(eigen_scan(*two_channel(c), lo, hi), two_channel_eigenvalues(c, lo, hi))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(1.001, 1.1), st.floats(-10.0, 6.0), st.floats(0.5, 12.0))
+@example(c=1.0667, lo=1.29, width=1.62)  # two dips two grid steps apart, neither explained
+def test_complex_scan_finds_every_eigenvalue(c, lo, width):
+    hi = lo + width
+    near = complex_eigenvalues((1.0, c), lo - 2.5, hi + 2.5)
+    assume(np.min(np.abs(near[:, None] - [lo, hi])) > 1e-6)
+    assert_finds_every_eigenvalue(eigen_scan(*complex_channels((1.0, c)), lo, hi), complex_eigenvalues((1.0, c), lo, hi))
 
 
 # ---------------------------------------------------------------------------
