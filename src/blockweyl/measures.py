@@ -269,6 +269,7 @@ def integrate_bv(
     *,
     breakpoints: Sequence[float] = (),
     tols: Tolerances = DEFAULT_TOLS,
+    widest: Callable[[float, float], float] | None = None,
 ) -> np.ndarray:
     """Integrate ``integrand`` against ``dm`` over ``iv``.
 
@@ -281,7 +282,8 @@ def integrate_bv(
     functions do so trivially.  Atoms at the interval endpoints enter exactly
     when the matching ``include_*`` flag is set.  The density part uses
     adaptive Gauss-Kronrod quadrature with panel edges pinned at atoms,
-    segment edges and any caller-supplied breakpoints.
+    segment edges and any caller-supplied breakpoints; ``widest``, when given,
+    cuts those panels further (:func:`blockweyl.quadrature.integrate`).
     """
     lo, hi = iv.lower, iv.upper
 
@@ -305,6 +307,7 @@ def integrate_bv(
             rel_tol=tols.quad_rel,
             abs_tol=tols.quad_abs,
             vectorized=True,
+            widest=widest,
         )
         parts.append(val)
     for x, w in m.atoms:

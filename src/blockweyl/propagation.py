@@ -52,7 +52,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Callable, Sequence
 
 import numpy as np
@@ -1125,6 +1125,48 @@ def row_integrand(
     return integrand
 
 
+def _row_rate(sys: SystemSpec, lam: complex, lo: float, hi: float) -> float:
+    """A bound on the rate of the solution row at ``lam`` on the stretch
+    ``(lo, hi)``, 0 where it has no fit: a generic density, or a non-constant
+    one on an unbounded stretch.
+
+    On a constant stretch it is the spectral radius of ``J^-1 (lam W - Q)``,
+    never above the 2-norm that bounds it, since the eigenvalue solver may
+    round past it (P1's at 2 reads 2 + 4e-16, its norm 2); on a fitted one it
+    is ``sum_k ||C_k||_2`` over the Chebyshev coefficients ``C_k`` of
+    ``J^-1 (lam w(x) - q(x))`` in the stretch's fit (:func:`_fitted`), a
+    bound of that matrix's norm there.
+    """
+    degrees = [_density_degree(meas, lo, hi) for meas in (sys.q, sys.w)]
+    if None in degrees or (max(degrees) and not np.isfinite(hi - lo)):
+        return 0.0
+    q, w = (fit.reshape(len(fit), sys.dim, sys.dim) for fit in _fitted(sys, lo, hi)[0])
+    C = np.zeros((max(len(q), len(w)), sys.dim, sys.dim), dtype=complex)
+    C[: len(w)] += lam * w
+    C[: len(q)] -= q
+    C = sys.J_inv @ C
+    norms = np.linalg.norm(C, 2, axis=(1, 2))
+    if len(C) == 1:
+        return float(min(norms[0], np.max(np.abs(np.linalg.eigvals(C[0])))))
+    return float(np.sum(norms))
+
+
+def _row_period(sys: SystemSpec, lam: complex, lo: float, hi: float) -> Callable[[float, float], float]:
+    """``widest`` of :func:`blockweyl.quadrature.integrate` for a transform
+    integral over ``[lo, hi]``: one period ``2 pi / rho`` of the row at
+    ``lam`` on a panel, ``rho`` the largest :func:`_row_rate` of the stretches
+    it meets, and no limit where that is 0."""
+    a, b = sys.interval
+    points = [a] + _breakpoints_in(sys, a, b, ()) + [b]
+    rates = [(s, t, _row_rate(sys, lam, s, t)) for s, t in pairwise(points) if s < hi and t > lo]
+
+    def widest(s: float, t: float) -> float:
+        rho = max((r for u, v, r in rates if u < t and v > s), default=0.0)
+        return 2 * np.pi / rho if rho else np.inf
+
+    return widest
+
+
 def forward_transform_compact(
     sys: SystemSpec,
     f: Callable[[float], np.ndarray],
@@ -1139,7 +1181,10 @@ def forward_transform_compact(
     ``f`` must be compactly supported (or the interval finite) and evaluate to
     balanced values at atoms of ``w``.  The integral is
     :func:`blockweyl.measures.integrate_bv` of :func:`row_integrand` over the
-    support of ``f`` clipped to the interval.
+    support of ``f`` clipped to the interval.  Its quadrature starts on panels
+    no wider than one period of the row (:func:`_row_period`): a wider
+    panel fails the Kronrod-Gauss test at the default tolerance, so the
+    adaptive loop would bisect it anyway, and it still certifies the result.
     """
     if row_conj is None:
         row_conj = solution_row(sys, np.conj(lam), sing=sing, anchors=anchors)
@@ -1152,7 +1197,7 @@ def forward_transform_compact(
     breaks = list(getattr(f, "breakpoints", ())) + sys.atom_positions()
     return integrate_bv(
         row_integrand(row_conj, f), sys.w, IntervalSpec(lo, hi),
-        breakpoints=breaks, tols=sys.tols,
+        breakpoints=breaks, tols=sys.tols, widest=_row_period(sys, np.conj(lam), lo, hi),
     )
 
 

@@ -15,11 +15,19 @@ scale of the relative tolerance, are weighed on the initial panels only.
 Integrands may return complex arrays of any fixed shape.  Initial panel
 edges can be pinned at known breakpoints (atoms, segment edges, support
 boundaries) so discontinuities of the integrand never sit inside a panel.
+A caller that knows how far the loop will bisect may give the widest panel
+it wants (``widest``, as the transforms do: one period of the solution row);
+the initial panels are then cut at repeated midpoints ``0.5 * (a + b)``, as
+the loop bisects, so the loop starts on panels it would itself have made
+(:func:`_initial_panels`).  A panel too narrow to bisect is accepted with
+the largest absolute entry of its value as error when that exceeds its
+Kronrod-Gauss gap, since its nodes may straddle a jump.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import pairwise
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,6 +88,54 @@ def _panel(stack: np.ndarray, h: float):
     return kron, float(np.max(np.abs(kron - gauss)))
 
 
+def _initial_panels(
+    lo: float,
+    hi: float,
+    breakpoints: Sequence[float],
+    widest: Callable[[float, float], float] | None,
+    max_panels: int,
+) -> list[tuple[float, float]]:
+    """The panels :func:`integrate` starts from.
+
+    ``[lo, hi]`` is cut at the breakpoints inside it, less any within
+    ``1e-15`` relative of the edge before.  With ``widest``, each of those
+    panels ``[a, b]`` is cut further at repeated midpoints, as the loop
+    bisects, until no piece is wider than ``widest(a, b)``; the cuts stop one
+    level short of any depth that would give more than half of
+    ``max_panels`` panels, leaving the other half to the loop.
+    """
+    edges = [lo]
+    for b in sorted(set(float(b) for b in breakpoints)):
+        if lo < b < hi and b - edges[-1] > 1e-15 * max(1.0, abs(b)):
+            edges.append(b)
+    edges.append(hi)
+    panels = list(pairwise(edges))
+    if widest is None:
+        return panels
+    depths = []
+    for a, b in panels:
+        depth, width, limit = 0, b - a, widest(a, b)
+        while width > limit:
+            depth, width = depth + 1, 0.5 * width
+        depths.append(depth)
+    level = max(depths)
+    while level > 0 and sum(2 ** min(d, level) for d in depths) > max_panels // 2:
+        level -= 1
+    pieces = []
+
+    def cut(a: float, b: float, depth: int) -> None:
+        mid = 0.5 * (a + b)
+        if depth > 0 and a < mid < b:
+            cut(a, mid, depth - 1)
+            cut(mid, b, depth - 1)
+        else:
+            pieces.append((a, b))
+
+    for (a, b), depth in zip(panels, depths):
+        cut(a, b, min(depth, level))
+    return pieces
+
+
 def integrate(
     f: Callable[[float], np.ndarray],
     lo: float,
@@ -90,23 +146,23 @@ def integrate(
     abs_tol: float = 1e-13,
     max_panels: int = 4096,
     vectorized: bool = False,
+    widest: Callable[[float, float], float] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Integrate ``f`` over ``[lo, hi]``, returning (value, error estimate).
 
     A ``vectorized`` integrand receives an ascending array of nodes and must
-    return the correspondingly stacked values.  A panel too narrow to bisect
-    is accepted as it is; its error leaves the stopping test but stays in
-    the returned estimate.  Raises :class:`AccuracyError` when the panel
-    budget is exhausted before the tolerance is met.
+    return the correspondingly stacked values.  ``widest(a, b)``, when given,
+    is the widest initial panel wanted between the breakpoints ``a`` and
+    ``b`` (:func:`_initial_panels`).  A panel too narrow to bisect is accepted
+    as it is; its error leaves the stopping test, and the returned estimate
+    counts it as the larger of its Kronrod-Gauss gap and the largest absolute
+    entry of its value, an estimate and not a bound.  Raises
+    :class:`AccuracyError` when the panel budget is exhausted before the
+    tolerance is met.
     """
     if hi <= lo:
         probe = np.asarray(f(np.array([lo]))[0] if vectorized else f(lo), dtype=complex)
         return np.zeros_like(probe), 0.0
-    edges = [lo]
-    for b in sorted(set(float(b) for b in breakpoints)):
-        if lo < b < hi and b - edges[-1] > 1e-15 * max(1.0, abs(b)):
-            edges.append(b)
-    edges.append(hi)
 
     def values(xs: np.ndarray) -> np.ndarray:
         if vectorized:
@@ -125,7 +181,7 @@ def integrate(
     accepted_err = 0.0  # of the panels accepted at floating-point resolution
     resabs_total = 0.0
     counter = 0
-    panels = list(zip(edges[:-1], edges[1:]))
+    panels = _initial_panels(lo, hi, breakpoints, widest, max_panels)
     first = [nodes(a, b) for a, b in panels]
     stack = values(np.concatenate([xs for xs, _ in first]))  # every initial panel in one call
     for k, ((a, b), (_, h)) in enumerate(zip(panels, first)):
@@ -166,10 +222,12 @@ def integrate(
         err = -neg_err
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
-            # panel at floating-point resolution: accept it, value and error,
-            # and stop weighing its error against the tolerance
+            # panel at floating-point resolution: accept it and stop weighing
+            # its error against the tolerance; its nodes may straddle a jump,
+            # where the Kronrod-Gauss gap bounds nothing, so it reports its
+            # value's largest entry as error where that is larger
             total_err -= err
-            accepted_err += err
+            accepted_err += max(err, float(np.max(np.abs(val))))
             continue
         if key not in halves:
             # bisect ahead the largest other leaves whose errors, with this

@@ -1,15 +1,21 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_sides_are_batches_of_one, rotation
+from test_spectral import smooth_p1
+from blockweyl import propagation, quadrature
 from blockweyl.config import ProblemConfig
 from blockweyl.engine import Engine
 from blockweyl.errors import AccuracyError
-from blockweyl.propagation import SolutionRow, VectorFunction
+from blockweyl.measures import IntervalSpec, MatrixMeasure, Segment, integrate_bv
+from blockweyl.propagation import SolutionRow, VectorFunction, forward_transform_compact, row_integrand
 from blockweyl.spectral import ResolventFunction, eigen_scan, spectral_measure_model
-from blockweyl.system import EndpointSpec
+from blockweyl.system import EndpointSpec, SystemSpec
 from blockweyl.transform import (
     TauVector,
     eigen_projection,
@@ -357,3 +363,171 @@ def test_w_inner_of_a_synthesis_samples_it_on_arrays(p1, e1, model1, monkeypatch
     monkeypatch.setattr(SolutionRow, "balanced", counted)
     assert w_inner(p1[0], synth, synth) == pointwise
     assert calls == []
+
+
+# -- transform quadrature started at one period of the row ----------------
+
+
+@pytest.fixture(scope="module")
+def row_systems(p1, p2):
+    """P1, P2 and P1 with a quadratic ``q`` density and a ``q`` atom, each
+    with an engine: constant stretches, an atom, fitted stretches."""
+    return {name: (sysm, Engine(sysm, bc)) for name, (sysm, bc) in
+            (("P1", p1), ("P2", p2), ("smooth_p1", smooth_p1(p1)))}
+
+
+def quadratic_pieces(xb, left, right):
+    """``f`` with quadratic pieces on (0, xb) and (xb, pi), balanced at ``xb``."""
+    poly = lambda c, x: c[0] + c[1] * x + c[2] * x * x
+    pick = lambda x: poly(left, x) if x < xb else poly(right, x) if x > xb else 0.5 * (poly(left, x) + poly(right, x))
+    return VectorFunction(pick, support=(0.0, PI), breakpoints=(xb,))
+
+
+def plain_transform(sysm, row, f, integrand=None):
+    """The transform's integral from its base panels alone, and the integral
+    of the integrand's absolute value (as the mean of 4001 samples times
+    the length, the weights having no atoms), the scale of the quadrature's
+    relative tolerance."""
+    integrand = integrand or row_integrand(row, f)
+    plain = integrate_bv(integrand, sysm.w, IntervalSpec(*sysm.interval),
+                         breakpoints=list(f.breakpoints) + sysm.atom_positions(), tols=sysm.tols)
+    xs = np.linspace(*sysm.interval, 4001)
+    scale = (xs[-1] - xs[0]) * np.mean(np.abs(row_integrand(row, f)(xs, sysm.w.density_many(xs))), axis=0)
+    return plain, float(np.max(scale))
+
+
+coefficients = st.lists(st.complex_numbers(max_magnitude=3.0), min_size=6, max_size=6).map(
+    lambda c: np.array(c).reshape(3, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["P1", "P2", "smooth_p1"]), s=st.floats(-200.0, 200.0),
+       xb=st.floats(0.3, PI - 0.3), left=coefficients, right=coefficients)
+def test_transform_matches_the_plain_integral(row_systems, name, s, xb, left, right):
+    sysm, eng = row_systems[name]
+    f = quadratic_pieces(xb, left, right)
+    row = eng.row(np.conj(s))
+    plain, scale = plain_transform(sysm, row, f)
+    got = forward_transform_compact(sysm, f, s, row_conj=row)
+    assert np.max(np.abs(got - plain)) <= 1e-12 * scale
+
+
+def test_transform_evaluates_fewer_nodes_than_the_plain_integral(p1, e1, monkeypatch):
+    sysm, _ = p1
+    f = quadratic_pieces(1.3, np.array([[1.0, 0.5], [0.2, -1.0], [0.1, 0.3]]),
+                         np.array([[-0.4, 1.0], [0.7, 0.2], [0.0, -0.1]]))
+    row = e1.row(np.conj(80.0))
+    nodes = []
+
+    def counted(row, f):
+        integrand = row_integrand(row, f)
+
+        def count(xs, dms):
+            nodes.append(len(xs))
+            return integrand(xs, dms)
+
+        return count
+
+    plain, _ = plain_transform(sysm, row, f, counted(row, f))
+    plain_nodes = sum(nodes)
+    nodes.clear()
+    monkeypatch.setattr(propagation, "row_integrand", counted)
+    got = forward_transform_compact(sysm, f, 80.0, row_conj=row)
+    assert np.max(np.abs(got - plain)) < 1e-12
+    assert sum(nodes) <= 0.65 * plain_nodes
+
+
+def dyadic_midpoints(lo, hi, depth):
+    """Every repeated midpoint ``0.5 * (a + b)`` of ``[lo, hi]``, down to ``depth`` bisections."""
+    if depth == 0 or not lo < 0.5 * (lo + hi) < hi:
+        return set()
+    mid = 0.5 * (lo + hi)
+    return {mid} | dyadic_midpoints(lo, mid, depth - 1) | dyadic_midpoints(mid, hi, depth - 1)
+
+
+def initial_panels(sysm, s, breaks, period=True):
+    """The panels a transform at ``s`` over (0, pi) starts from, with or
+    without the cuts at one period of the row."""
+    widest = propagation._row_period(sysm, s, 0.0, PI) if period else None
+    return quadrature._initial_panels(0.0, PI, breaks, widest, 4096)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "smooth_p1"])
+@pytest.mark.parametrize("s", [-37.5, 80.0, 200.0])
+def test_split_points_are_repeated_midpoints_of_the_base_panels(row_systems, name, s):
+    sysm, _ = row_systems[name]
+    breaks = [1.3] + sysm.atom_positions()
+    base = initial_panels(sysm, s, breaks, period=False)
+    pieces = initial_panels(sysm, s, breaks)
+    edges = {x for panel in base for x in panel}
+    midpoints = set().union(*(dyadic_midpoints(a, b, 12) for a, b in base))
+    cuts = {x for panel in pieces for x in panel}
+    assert len(pieces) > len(base) and cuts - edges <= midpoints
+    # no panel is left wider than one period of the row, |s| on the free system
+    if name != "smooth_p1":
+        assert max(b - a for a, b in pieces) <= 2 * PI / abs(s)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2"])
+def test_no_split_point_where_one_period_covers_the_panel(row_systems, name):
+    # the free row at 2 has period pi, which covers (0, pi) and both halves
+    # of P2: the README example's two integrals are the same bits
+    sysm, eng = row_systems[name]
+    atoms = sysm.atom_positions()
+    assert initial_panels(sysm, 2.0, atoms) == initial_panels(sysm, 2.0, atoms, period=False)
+    assert initial_panels(sysm, 1.9, [1.3]) == initial_panels(sysm, 1.9, [1.3], period=False)
+    row = eng.row(np.conj(2.0))
+    f = const_f()
+    plain = integrate_bv(row_integrand(row, f), sysm.w, IntervalSpec(*sysm.interval),
+                         breakpoints=atoms, tols=sysm.tols)
+    assert forward_transform_compact(sysm, f, 2.0, row_conj=row).tobytes() == plain.tobytes()
+
+
+def test_split_points_at_a_huge_parameter_stay_within_half_the_budget(p1, e1, monkeypatch):
+    # at 1e6 the row has 5e5 periods on (0, pi): the quadrature still runs
+    # out of panels, as it does from the base panels, and the split points
+    # give it at most half of its budget to start from
+    sysm, _ = p1
+    row = e1.row(1e6)
+    with pytest.raises(AccuracyError, match="did not converge"):
+        integrate_bv(row_integrand(row, const_f()), sysm.w, IntervalSpec(*sysm.interval), tols=sysm.tols)
+    cut, initial = quadrature._initial_panels, []
+
+    def counted(*args):
+        initial.append(len(cut(*args)))
+        return cut(*args)
+
+    monkeypatch.setattr(quadrature, "_initial_panels", counted)
+    with pytest.raises(AccuracyError, match="did not converge"):
+        forward_transform_compact(sysm, const_f(), 1e6, row_conj=row)
+    assert initial and 4096 // 4 < max(initial) <= 4096 // 2
+
+
+def test_transform_with_more_base_panels_than_half_the_budget(p1, e1):
+    # 2100 breakpoints of f at 80: no cut fits in half the budget, so the
+    # transform starts from its base panels, the same bits as without cuts
+    sysm, _ = p1
+    f = VectorFunction(lambda x: np.array([np.cos(x), 1.0]), support=(0.0, PI),
+                       breakpoints=tuple(np.linspace(0.0, PI, 2102)[1:-1]))
+    row = e1.row(np.conj(80.0))
+    plain = integrate_bv(row_integrand(row, f), sysm.w, IntervalSpec(*sysm.interval),
+                         breakpoints=list(f.breakpoints) + sysm.atom_positions(), tols=sysm.tols)
+    assert forward_transform_compact(sysm, f, 80.0, row_conj=row).tobytes() == plain.tobytes()
+
+
+def test_no_period_on_an_unbounded_stretch_with_a_non_constant_density():
+    # a degree-1 q density on (1, inf) has no Chebyshev fit (its nodes would
+    # be NaN): the stretch gives no period, while the fitted stretch (0, 1)
+    # gives one of the row at 30, 2 pi / 30
+    ramp = np.array([np.zeros((2, 2)), 0.1 * np.eye(2)])
+    q = MatrixMeasure(dim=2, segments=(Segment((0.0, 1.0), coeffs=ramp), Segment((1.0, np.inf), coeffs=ramp)))
+    w = MatrixMeasure(dim=2, segments=(Segment((0.0, np.inf), coeffs=np.eye(2)[None]),))
+    with warnings.catch_warnings():
+        # the system's own checks evaluate the ramp at its infinite end
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sysm = SystemSpec(J=np.array([[0.0, -1.0], [1.0, 0.0]]), q=q, w=w, interval=(0.0, np.inf),
+                          endpoint_b=EndpointSpec(regular=False, l2_span=np.eye(2)), anchors=(0.0,))
+    widest = propagation._row_period(sysm, 30.0, 0.0, 2.0)
+    assert widest(1.0, 2.0) == np.inf
+    assert abs(widest(0.0, 0.5) - 2 * PI / 30.0) < 1e-14
+    assert widest(0.5, 1.5) == widest(0.0, 0.5)

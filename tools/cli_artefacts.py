@@ -23,8 +23,9 @@ as real and imaginary part, go to ``OUTDIR/workload_values.json``.  One
 more process, with BLAS pinned the same way, times the Parseval-200 fixture
 of acceptance criterion 07 (P1's ``spectral_measure_model`` on
 (-200.25, 200.25) and ``parseval_check`` at truncation 200 with f = (1, 0),
-imports and config loading left out); its time goes to ``timings.json`` as
-``parseval_200``.
+imports and config loading left out), once in each of three fresh processes
+since single runs of it are noisy; the median time goes to ``timings.json``
+as ``parseval_200``.
 
 ``--compare`` reads the manifests and files of two such runs.  For every
 artefact (and standard output) whose content differs it prints the largest
@@ -46,6 +47,7 @@ import hashlib
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -57,6 +59,7 @@ COMMANDS = ("validate", "analyze", "mfun", "eigen", "tau", "expand", "verify")
 RUNS = [(c, p) for p in ("P1", "P2", "P3", "P4") for c in COMMANDS] + [("fatou-demo", "fatou_demo")]
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 WORKLOAD_SEED, WORKLOAD_OPS = 7, 60
+PARSEVAL_RUNS = 3
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -249,8 +252,10 @@ def main(argv: list[str]) -> int:
     (root / "workloads.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     (root / "workload_values.json").write_text(json.dumps(values, sort_keys=True) + "\n")
     print(f"{sum(map(len, digests.values()))} workload outputs, {time.perf_counter() - start:.2f} s", flush=True)
-    timings["parseval_200"] = float(last_line("cli_artefacts.parseval_200()"))
-    print(f"Parseval-200 fixture: {timings['parseval_200']:.2f} s", flush=True)
+    runs = [float(last_line("cli_artefacts.parseval_200()")) for _ in range(PARSEVAL_RUNS)]
+    timings["parseval_200"] = statistics.median(runs)
+    print(f"Parseval-200 fixture: median {timings['parseval_200']:.2f} s of "
+          f"{', '.join(f'{t:.2f}' for t in runs)} s", flush=True)
     (root / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
     print(f"{len(manifest['artefacts'])} artefacts, {len(RUNS)} commands -> {root / 'manifest.json'}")
     return 0
