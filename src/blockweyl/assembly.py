@@ -270,6 +270,7 @@ def assemble_blocks(
     *,
     engine: Engine | None = None,
     check_rank: bool = True,
+    row: SolutionRow | None = None,
 ) -> BlockAssembly:
     """Build the constraint matrix and source maps at ``lam``.
 
@@ -280,13 +281,15 @@ def assemble_blocks(
     signals either a modelling bug or a parameter too close to an exceptional
     point and raises :class:`TheoryViolationError` (unless
     ``check_rank=False``, used when the caller scans real parameters).
+    ``row`` is as in :func:`jump_system`.
     """
     eng = engine or Engine(sys, bc)
     n = sys.dim
     width = eng.coeff_dim
     lead = np.shape(lam)
 
-    row = eng.row(lam)  # built once: an array of parameters is not cached
+    if row is None:
+        row = eng.row(lam)  # built once: an array of parameters is not cached
     p_minus, p_plus = deficiency_projectors(sys, lam, engine=eng)
     eng.memo(("validated", bc), lambda: bc.validate(sys))  # a failure is not cached
     a_minus, a_plus = _endpoint_blocks(sys, bc, lam, p_minus, p_plus, row)

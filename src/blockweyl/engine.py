@@ -73,25 +73,29 @@ class Engine:
 
     # -- fundamental rows ----------------------------------------------------
 
-    def row(self, lam: complex | np.ndarray) -> SolutionRow:
+    def row(self, lam: complex | np.ndarray, built: Callable[[], SolutionRow] | None = None) -> SolutionRow:
         """Solution row at one cached parameter, or stacked over an array.
 
         An array of parameters (an eigen-scan grid) is built in one pass,
-        its Magnus meshes in shared lockstep rounds, and bypasses the cache:
-        no later call revisits it.  ``row(lams)[i]`` is bitwise ``row(lams[i])``.
+        its Magnus meshes in shared lockstep rounds, and bypasses the cache.
+        ``row(lams)[i]`` is bitwise ``row(lams[i])``, so a caller that built
+        such a stack may store its slice: on a miss at one parameter,
+        ``built()`` is stored in place of a new build, as the acceptance pass
+        of :func:`~blockweyl.spectral.eigen_scan` does.
         """
         if np.ndim(lam):
             return solution_row(self.sys, lam, sing=self.sing, anchors=self.anchors)
         lam = complex(lam)
-        return self._rows.get(lam, lambda: solution_row(self.sys, lam, sing=self.sing, anchors=self.anchors))
+        build = built or (lambda: solution_row(self.sys, lam, sing=self.sing, anchors=self.anchors))
+        return self._rows.get(lam, build)
 
     def rows(self, lams) -> list[SolutionRow]:
         """Cached solution rows at the parameters ``lams``, in order.
 
         The rows that a peek at the store does not find are built together by
         one array call of :meth:`row`, so that a resolvent's rows at ``lam``
-        and ``conj(lam)`` share their Magnus rounds, and each is stored,
-        bitwise the row its own build would store.
+        and ``conj(lam)`` share their Magnus rounds, and each is stored as its
+        slice of that stack, bitwise the row its own build would store.
         """
         lams = [complex(lam) for lam in lams]
         stored = self._rows.peek(lams)

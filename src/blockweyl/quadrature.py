@@ -19,14 +19,17 @@ A caller that knows how far the loop will bisect may give the widest panel
 it wants (``widest``, as the transforms do: one period of the solution row);
 the initial panels are then cut at repeated midpoints ``0.5 * (a + b)``, as
 the loop bisects, so the loop starts on panels it would itself have made
-(:func:`_initial_panels`).  A panel too narrow to bisect is accepted with
-the largest absolute entry of its value as error when that exceeds its
-Kronrod-Gauss gap, since its nodes may straddle a jump.
+(:func:`_initial_panels`).  A panel too narrow to bisect, one whose halves'
+15 nodes need not be distinct floats (a scalar test on its width in ulps of
+its edges), is accepted with the largest absolute entry of its value as
+error when that exceeds its Kronrod-Gauss gap, since its nodes may straddle
+a jump.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from itertools import pairwise
 from typing import Callable, Sequence
 
@@ -73,6 +76,8 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 ascending nodes
 _KRONROD_W = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GAUSS_W = np.zeros(15)
 _GAUSS_W[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+#: the gap between the two closest nodes of a half, in widths of its parent
+_HALF_GAP = 0.25 * float(_XGK[0] - _XGK[1])
 
 
 def _weigh(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -86,6 +91,14 @@ def _panel(stack: np.ndarray, h: float):
     kron = h * _weigh(_KRONROD_W, stack)
     gauss = h * _weigh(_GAUSS_W, stack)
     return kron, float(np.max(np.abs(kron - gauss)))
+
+
+def _at_resolution(a: float, b: float) -> bool:
+    """Whether the panel ``[a, b]`` is too narrow to bisect: its midpoint
+    rounds onto an edge, or the closest two nodes of its halves are at most
+    two ulps of its larger edge apart, so they need not be distinct floats."""
+    mid = 0.5 * (a + b)
+    return mid <= a or mid >= b or (b - a) * _HALF_GAP <= 2.0 * math.ulp(max(abs(a), abs(b)))
 
 
 def _initial_panels(
@@ -125,7 +138,7 @@ def _initial_panels(
 
     def cut(a: float, b: float, depth: int) -> None:
         mid = 0.5 * (a + b)
-        if depth > 0 and a < mid < b:
+        if depth > 0 and not _at_resolution(a, b):
             cut(a, mid, depth - 1)
             cut(mid, b, depth - 1)
         else:
@@ -153,12 +166,12 @@ def integrate(
     A ``vectorized`` integrand receives an ascending array of nodes and must
     return the correspondingly stacked values.  ``widest(a, b)``, when given,
     is the widest initial panel wanted between the breakpoints ``a`` and
-    ``b`` (:func:`_initial_panels`).  A panel too narrow to bisect is accepted
-    as it is; its error leaves the stopping test, and the returned estimate
-    counts it as the larger of its Kronrod-Gauss gap and the largest absolute
-    entry of its value, an estimate and not a bound.  Raises
-    :class:`AccuracyError` when the panel budget is exhausted before the
-    tolerance is met.
+    ``b`` (:func:`_initial_panels`).  A panel too narrow to bisect
+    (:func:`_at_resolution`) is accepted as it is; its error leaves the
+    stopping test, and the returned estimate counts it as the larger of its
+    Kronrod-Gauss gap and the largest absolute entry of its value, an
+    estimate and not a bound.  Raises :class:`AccuracyError` when the panel
+    budget is exhausted before the tolerance is met.
     """
     if hi <= lo:
         probe = np.asarray(f(np.array([lo]))[0] if vectorized else f(lo), dtype=complex)
@@ -220,12 +233,11 @@ def integrate(
             )
         neg_err, key, a, b, val = heapq.heappop(heap)
         err = -neg_err
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            # panel at floating-point resolution: accept it and stop weighing
-            # its error against the tolerance; its nodes may straddle a jump,
-            # where the Kronrod-Gauss gap bounds nothing, so it reports its
-            # value's largest entry as error where that is larger
+        if _at_resolution(a, b):
+            # accept it and stop weighing its error against the tolerance; its
+            # nodes may straddle a jump, where the Kronrod-Gauss gap bounds
+            # nothing, so it reports its value's largest entry as error where
+            # that is larger
             total_err -= err
             accepted_err += max(err, float(np.max(np.abs(val))))
             continue
@@ -236,11 +248,12 @@ def integrate(
             for neg, k, c, d, _ in sorted(heap):
                 if cover >= total_err - tol or 2 * len(leaves) + 2 > max_panels - counter:
                     break
-                if k not in halves and c < 0.5 * (c + d) < d:
+                if k not in halves and not _at_resolution(c, d):
                     leaves.append((k, c, d))
                     cover -= neg
             weigh_halves(leaves)
         (v1, e1), (v2, e2) = halves.pop(key)
+        mid = 0.5 * (a + b)
         total = total - val + v1 + v2
         total_err = total_err - err + e1 + e2
         heapq.heappush(heap, (-e1, counter, a, mid, v1))

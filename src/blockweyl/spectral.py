@@ -22,9 +22,10 @@ cross-validates one against the other.
 
 Both ways work on stacks of spectral parameters.  The scan refines its roots
 from stacked assemblies at Chebyshev nodes of its sign-change brackets and of
-the cells around singular-value dips, and every set of Weyl samples (the
-offsets of an atom weight, the nodes of a round of quadrature bisections, a
-density grid) is one :func:`~blockweyl.weyl.m_function_many` call.
+the cells around singular-value dips, and accepts them from one more, and
+every set of Weyl samples (the offsets of all atom weights of a model, the
+nodes of a round of quadrature bisections, a density grid) is one
+:func:`~blockweyl.weyl.m_function_many` call.
 """
 from __future__ import annotations
 
@@ -32,12 +33,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebroots, chebvander
+from numpy.polynomial.chebyshev import chebcompanion, chebder, chebroots, chebvander
 
 from . import quadrature
 from .assembly import assemble_blocks, norm_zero_space
 from .engine import Engine
-from .errors import AccuracyError, StructuralError, TheoryViolationError
+from .errors import AccuracyError, BlockweylError, StructuralError, TheoryViolationError
 from .propagation import SolutionRow, _atom_drive, solve_ivp
 from .system import BoundaryConditions, SystemSpec
 from .weyl import m_function, m_function_many
@@ -55,6 +56,11 @@ CHEB_TOL = 1e-13
 CHEB_NEAR = 1e-5
 _CHEB_T = np.sin(np.pi * np.arange(1 - CHEB_NODES, CHEB_NODES, 2) / (2 * (CHEB_NODES - 1)))
 _CHEB_FIT = np.linalg.inv(chebvander(_CHEB_T, CHEB_NODES - 1))
+#: ``chebcompanion`` of a degree-12 series less its last column's coefficient
+#: term, and the scaling of that term (J. P. Boyd, SIAM J. Numer. Anal. 40 (2002))
+_COLLEAGUE = chebcompanion(np.eye(CHEB_NODES)[-1])
+_COLLEAGUE_SCALE = np.array([1.0] + [np.sqrt(0.5)] * (CHEB_NODES - 2))
+_COLLEAGUE_SCALE = _COLLEAGUE_SCALE / _COLLEAGUE_SCALE[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +180,17 @@ def eigen_scan(
     explains (an even-order root, two roots in a cell, a complex determinant)
     flags the cells within two grid steps, squared by the leading left
     singular vectors there.  Brackets and flagged cells are refined together
-    (:func:`_bracket_roots`, one stacked assembly per round); a root is
-    accepted when that singular value collapses to the noise floor.
+    (:func:`_bracket_roots`, one stacked assembly per round); the roots are
+    then accepted together (:func:`_accept`, one stacked assembly).  The
+    basis of the norm-zero complement is memoized in the engine.
     """
     eng = engine or Engine(sys, bc)
-    basis_p = _range_basis(norm_zero_space(sys, engine=eng)[1])
+    basis_p = eng.memo("norm_zero_range", lambda: _range_basis(norm_zero_space(sys, engine=eng)[1]))
     if basis_p.shape[1] == 0:
         return []
 
-    def reduced(s) -> np.ndarray:
-        constraints = assemble_blocks(sys, bc, s, engine=eng, check_rank=False).constraints
+    def reduced(s, row: SolutionRow | None = None) -> np.ndarray:
+        constraints = assemble_blocks(sys, bc, s, engine=eng, check_rank=False, row=row).constraints
         return constraints[..., : -eng.coeff_dim, :] @ basis_p
 
     npts = max(9, int(np.ceil((lam_max - lam_min) / grid_step)) + 1)
@@ -230,11 +237,37 @@ def eigen_scan(
         if svals[edge] < sigma_accept * scale:
             candidates.append(float(grid[edge]))
 
+    return _accept(sorted(set(candidates)), reduced, basis_p, eng, sigma_accept, scale)
+
+
+def _accept(
+    candidates: list[float], reduced, basis_p, eng: Engine, sigma_accept: float, scale: float
+) -> list[EigenPoint]:
+    """The eigenvalues among the ascending, distinct ``candidates``.
+
+    In order, a candidate within ``1e-7 (1 + |s|)`` of the last accepted
+    value is skipped.  Another is accepted when the smallest singular value
+    of ``reduced(s)`` is at most ``sigma_accept`` times the larger of the
+    largest one and the grid's ``scale``, and its kernel, Gram-normalized,
+    is not empty.  Several candidates are assembled in one stacked call of
+    ``reduced`` on their rows, built by one array call, and take one stacked
+    SVD; each candidate the loop reaches stores its row in the engine, as
+    its own assembly would, before its Gram matrix reads it.  A single
+    candidate is assembled on its own, at its cached row.
+    """
+    if not candidates:
+        return []
+    stack = np.array(candidates)
+    rows = eng.row(stack) if len(stack) > 1 else None
+    mats = reduced(stack, rows) if rows is not None else reduced(candidates[0])[None]
+    _, svals, vhs = np.linalg.svd(mats)
     points: list[EigenPoint] = []
-    for s in sorted(candidates):
+    for i, s in enumerate(candidates):
         if points and abs(s - points[-1].value) < 1e-7 * (1.0 + abs(s)):
             continue
-        _, sv, vh = np.linalg.svd(reduced(s))
+        if rows is not None:
+            eng.row(s, lambda i=i: rows[i])
+        sv, vh = svals[i], vhs[i]
         top = sv[0] if sv.size else 1.0
         if sv.size and sv[-1] > sigma_accept * max(top, scale):
             continue
@@ -256,9 +289,11 @@ def _bracket_roots(det_many, cells) -> list[float]:
     end values is trusted, its two trailing coefficients below
     :data:`CHEB_TOL` times the largest Hadamard bound (J. P. Boyd, SIAM J.
     Numer. Anal. 40 (2002)), ends with the interpolant's near-real roots
-    (:func:`_near_real_roots`).  Otherwise, halved at its middle node, a
-    bracket keeps the half with the sign change and a projected cell both
-    halves.  As in ``brentq(xtol=1e-13, rtol=1e-15)``, a cell that narrows to
+    (:func:`_near_real_roots`); the trusted cells of a round find their
+    interpolants' roots together, from one stacked eigensolve of their
+    colleague matrices (:func:`_colleague_roots`).  Otherwise, halved at its
+    middle node, a bracket keeps the half with the sign change and a
+    projected cell both halves.  As in ``brentq(xtol=1e-13, rtol=1e-15)``, a cell that narrows to
     ``1e-13 + 1e-15 |s|`` returns its midpoint, and a root within half that
     of an end returns the end.
     """
@@ -278,11 +313,12 @@ def _bracket_roots(det_many, cells) -> list[float]:
         inner, hadamard = det_many(nodes, us)
         values = np.column_stack([fa, inner, fb])
         coeffs = values @ _CHEB_FIT.T
-        floors = CHEB_TOL * np.max(hadamard, axis=1)
+        trusted = np.max(np.abs(coeffs[:, -2:]), axis=1) <= CHEB_TOL * np.max(hadamard, axis=1)
+        found = iter(_colleague_roots(coeffs[trusted]))
         cells = []
         for k, c in enumerate(coeffs):
-            if np.max(np.abs(c[-2:])) <= floors[k]:
-                for x in mid[k] + half[k] * _near_real_roots(c):
+            if trusted[k]:
+                for x in mid[k] + half[k] * _near_real_roots(c, next(found)):
                     ends = [end for end in (a[k], b[k]) if abs(x - end) <= 0.5 * tol(end)]
                     roots.append(float(ends[0] if ends else x))
                 continue
@@ -297,10 +333,24 @@ def _bracket_roots(det_many, cells) -> list[float]:
     return roots
 
 
-def _near_real_roots(c: np.ndarray) -> np.ndarray:
-    """The roots in ``[-1, 1]`` of the Chebyshev series ``c`` within :data:`CHEB_NEAR`
-    of the real axis, two within it of each other being the derivative's root."""
-    ts, merged = chebroots(c), []
+def _colleague_roots(coeffs: np.ndarray) -> list[np.ndarray]:
+    """``chebroots`` of each row of ``coeffs``, bitwise, from one stacked
+    ``eigvals`` of their colleague matrices, rotated as ``chebroots`` rotates
+    them.  The matrices are ``chebcompanion``'s, built by the same operations;
+    a row whose last coefficient is zero, which ``chebroots`` trims, is left
+    to ``chebroots``."""
+    full = coeffs[:, -1] != 0.0
+    mats = np.repeat(_COLLEAGUE[None], int(np.sum(full)), axis=0).astype(coeffs.dtype)
+    mats[:, :, -1] -= (coeffs[full, :-1] / coeffs[full, -1:]) * _COLLEAGUE_SCALE * 0.5
+    found = iter(np.sort(np.linalg.eigvals(mats[:, ::-1, ::-1]), axis=-1))
+    return [next(found) if whole else chebroots(c) for c, whole in zip(coeffs, full)]
+
+
+def _near_real_roots(c: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The roots ``ts`` in ``[-1, 1]`` of the Chebyshev series ``c`` within
+    :data:`CHEB_NEAR` of the real axis, two within it of each other being the
+    derivative's root."""
+    merged = []
     for t in ts[(np.abs(ts.imag) <= CHEB_NEAR) & (np.abs(ts.real) <= 1.0 + 1e-12)]:
         if merged and abs(t - merged[-1]) <= CHEB_NEAR:
             crit = chebroots(chebder(c))
@@ -383,34 +433,56 @@ def atom_weight(
     symmetrizes and clips eigenvalues in ``[-psd_clip, 0)`` to zero.  Larger
     negativity raises :class:`TheoryViolationError`.  The ``converged`` flag
     holds when the extrapolation spread is at most ``1e-3`` times the largest
-    entry of the estimate (``1e-8`` absolute for a vanishing weight).  The
-    offsets are sampled in one :func:`~blockweyl.weyl.m_function_many` call.
+    entry of the estimate (``1e-8`` absolute for a vanishing weight).  A
+    batch of one of :func:`_atom_weights`: the offsets are sampled in one
+    :func:`~blockweyl.weyl.m_function_many` call.
     """
     eng = engine or Engine(sys, bc)
+    return next(_atom_weights(sys, bc, [s], eps_schedule, eng, psd_clip))
+
+
+def _atom_weights(sys, bc, values, eps_schedule, eng, psd_clip: float = 1e-8):
+    """Yield :func:`atom_weight` at each of ``values``, in order.
+
+    The offsets of every value are sampled in one
+    :func:`~blockweyl.weyl.m_function_many` call, bitwise the samples of one
+    call per value.  Should that call raise, each value samples its own
+    offsets as it is reached, so the first value that fails raises as it
+    does alone.  The weights are yielded one at a time, so a caller's check
+    of one value runs before the next value's Herglotz check.
+    """
     eps = sorted((float(e) for e in eps_schedule), reverse=True)
     if not eps:
         raise ValueError("empty eps schedule")
-    samples = m_function_many(sys, bc, [complex(s, e) for e in eps], engine=eng)
-    vals = [-1j * e * w.m for e, w in zip(eps, samples)]
+    lams = [complex(s, e) for s in values for e in eps]
+    try:
+        samples = m_function_many(sys, bc, lams, engine=eng)
+    except BlockweylError:
+        if len(values) == 1:
+            raise
+        samples = None
     ratios = [a / b for a, b in zip(eps[:-1], eps[1:])]
-    est, spread = _richardson(vals, ratios)
-    # the error bar against the weight's own size, absolute below 1e-5
-    converged = spread <= 1e-3 * max(float(np.max(np.abs(est))), 1e-5)
+    for k, s in enumerate(values):
+        at = slice(k * len(eps), (k + 1) * len(eps))
+        mine = samples[at] if samples is not None else m_function_many(sys, bc, lams[at], engine=eng)
+        vals = [-1j * e * w.m for e, w in zip(eps, mine)]
+        est, spread = _richardson(vals, ratios)
+        # the error bar against the weight's own size, absolute below 1e-5
+        converged = spread <= 1e-3 * max(float(np.max(np.abs(est))), 1e-5)
 
-    W = 0.5 * (est + est.conj().T)
-    mu, V = np.linalg.eigh(W)
-    scale = max(1.0, float(np.max(np.abs(mu))))
-    # negativity below the extrapolation error bar is numerical noise
-    allowance = max(psd_clip * scale, 10.0 * spread + 1e-12)
-    if np.min(mu) < -allowance:
-        raise TheoryViolationError(
-            f"atom weight at s={s} has eigenvalue {np.min(mu):.3e}; "
-            "the Weyl matrix is not Herglotz here"
-        )
-    mu = np.clip(mu, 0.0, None)
-    W = (V * mu) @ V.conj().T
-    diag = {"spread": spread, "converged": bool(converged), "eps": tuple(eps)}
-    return W, diag
+        W = 0.5 * (est + est.conj().T)
+        mu, V = np.linalg.eigh(W)
+        scale = max(1.0, float(np.max(np.abs(mu))))
+        # negativity below the extrapolation error bar is numerical noise
+        allowance = max(psd_clip * scale, 10.0 * spread + 1e-12)
+        if np.min(mu) < -allowance:
+            raise TheoryViolationError(
+                f"atom weight at s={s} has eigenvalue {np.min(mu):.3e}; "
+                "the Weyl matrix is not Herglotz here"
+            )
+        mu = np.clip(mu, 0.0, None)
+        W = (V * mu) @ V.conj().T
+        yield W, {"spread": spread, "converged": bool(converged), "eps": tuple(eps)}
 
 
 def stieltjes_inversion(
@@ -531,7 +603,10 @@ def spectral_measure_model(
     scan's Gram-orthonormalized weights are stored.  Problems with singular
     endpoints fall back to inversion-only atoms located at peaks of the
     sampled density and are marked accordingly; a peak whose weight did not
-    converge raises :class:`AccuracyError`.
+    converge raises :class:`AccuracyError`.  On either path every atom
+    weight comes from one :func:`~blockweyl.weyl.m_function_many` call over
+    all (atom, offset) pairs (:func:`_atom_weights`), and each atom is
+    checked in order, raising as its own :func:`atom_weight` would.
     """
     eng = engine or Engine(sys, bc)
     lo, hi = lam_range
@@ -542,8 +617,8 @@ def spectral_measure_model(
     regular = sys.endpoint_a.regular and sys.endpoint_b.regular
     if regular:
         points = eigen_scan(sys, bc, lo, hi, engine=eng)
-        for p in points:
-            inv_w, diag = atom_weight(sys, bc, p.value, eps_schedule, engine=eng)
+        weights = _atom_weights(sys, bc, [p.value for p in points], eps_schedule, eng)
+        for p, (inv_w, diag) in zip(points, weights):
             oracle_w = p.weight
             gap = float(np.max(np.abs(inv_w - oracle_w)))
             if gap > cross_tol * max(1.0, float(np.max(np.abs(oracle_w)))):
@@ -565,18 +640,19 @@ def spectral_measure_model(
         grid = np.linspace(lo, hi, max(density_samples, 801))
         trace = np.trace(_imag_m(sys, bc, grid, eps0, eng), axis1=-2, axis2=-1).real
         floor = np.median(trace)
-        for i in range(1, len(grid) - 1):
-            if trace[i] > trace[i - 1] and trace[i] > trace[i + 1] and trace[i] > 100 * floor:
-                W, diag = atom_weight(sys, bc, float(grid[i]), eps_schedule, engine=eng)
-                if not diag["converged"]:
-                    raise AccuracyError(
-                        f"atom weight at the density peak s={grid[i]} did not converge "
-                        f"(extrapolation spread {diag['spread']:.3e})",
-                        achieved=diag["spread"],
-                    )
-                model.atoms.append(
-                    SpectralAtom(s=float(grid[i]), weight=W, multiplicity=int(np.linalg.matrix_rank(W)))
+        peaks = [i for i in range(1, len(grid) - 1)
+                 if trace[i] > trace[i - 1] and trace[i] > trace[i + 1] and trace[i] > 100 * floor]
+        weights = _atom_weights(sys, bc, [float(grid[i]) for i in peaks], eps_schedule, eng)
+        for i, (W, diag) in zip(peaks, weights):
+            if not diag["converged"]:
+                raise AccuracyError(
+                    f"atom weight at the density peak s={grid[i]} did not converge "
+                    f"(extrapolation spread {diag['spread']:.3e})",
+                    achieved=diag["spread"],
                 )
+            model.atoms.append(
+                SpectralAtom(s=float(grid[i]), weight=W, multiplicity=int(np.linalg.matrix_rank(W)))
+            )
         model.verified = False
         model.notes.append("inversion-only path; atoms located from density peaks")
 

@@ -105,7 +105,7 @@ def sequential_integrate(f, lo, hi, *, breakpoints=(), rel_tol=1e-10, abs_tol=1e
         neg_err, _, a, b, val = heapq.heappop(heap)
         err = -neg_err
         mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
+        if quadrature._at_resolution(a, b):
             total_err -= err
             accepted_err += max(err, float(np.max(np.abs(val))))
             continue
@@ -192,17 +192,17 @@ def test_panel_at_floating_point_resolution_reports_its_value_as_error(below, ab
     same_bits((val, err), sequential_integrate(f, lo, hi))
 
 
-@pytest.mark.xfail(strict=True, reason="known limit: the 15 nodes of a panel a few ulps wide round onto "
-                   "one or two points, so its Kronrod-Gauss gap vanishes and the tolerance test accepts it")
 @pytest.mark.parametrize("below, above", [(1e12, 0.0), (0.0, 1e12)])
 def test_error_of_a_panel_a_few_ulps_wide_covers_the_true_error(below, above):
-    # [1 - 2^-52, 1] can be bisected, so no panel is accepted at resolution;
-    # the integral returns about 1.11e-4 with an error near 1e-19, where the
-    # true error is 1.11e-4
+    # [1 - 2^-52, 1] can be bisected, but the nodes of its halves round onto
+    # one or two floats, where their Kronrod-Gauss gaps vanish (the integral
+    # returned about 1.11e-4 with an error near 1e-19, a true error of
+    # 1.11e-4); it is accepted at resolution and reports its value as error
     f = lambda x: np.array(below if x < 1.0 else above)
     lo, hi = 1.0 - 2.0**-52, 1.0
     val, err = quadrature.integrate(f, lo, hi)
     assert err >= abs(val - below * (hi - lo))
+    same_bits((val, err), sequential_integrate(f, lo, hi))
 
 
 def test_initial_panels_are_cut_to_the_widest_wanted_within_half_the_budget():

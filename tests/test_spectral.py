@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import J2, rotation
 from test_magnus import assert_same_row
+from numpy.polynomial.chebyshev import chebroots
+
 from blockweyl.assembly import jump_system, norm_zero_space
+from blockweyl.config import ProblemConfig
 from blockweyl import propagation, spectral
 from blockweyl.engine import Engine
 from blockweyl.errors import StructuralError, TheoryViolationError
@@ -339,6 +342,151 @@ def test_complex_scan_finds_every_eigenvalue(c, lo, width):
     near = complex_eigenvalues((1.0, c), lo - 2.5, hi + 2.5)
     assume(np.min(np.abs(near[:, None] - [lo, hi])) > 1e-6)
     assert_finds_every_eigenvalue(eigen_scan(*complex_channels((1.0, c)), lo, hi), complex_eigenvalues((1.0, c), lo, hi))
+
+
+# ---------------------------------------------------------------------------
+# the batched acceptance and atom weights against a loop
+
+
+def accept_one_by_one(candidates, reduced, basis_p, eng, sigma_accept, scale):
+    """The acceptance pass as a loop: one assembly, at the candidate's cached
+    row, and one SVD per candidate the loop reaches."""
+    points = []
+    for s in candidates:
+        if points and abs(s - points[-1].value) < 1e-7 * (1.0 + abs(s)):
+            continue
+        _, sv, vh = np.linalg.svd(reduced(s))
+        top = sv[0] if sv.size else 1.0
+        if sv.size and sv[-1] > sigma_accept * max(top, scale):
+            continue
+        vecs = spectral._gram_normalized_kernel(s, sv, vh, basis_p, eng)
+        if vecs.shape[1]:
+            points.append(spectral.EigenPoint(value=s, multiplicity=vecs.shape[1], vectors=vecs))
+    return points
+
+
+def batched_model_cases():
+    def shipped(name, window):
+        cfg = ProblemConfig.load(name)
+        return lambda: (cfg.system, cfg.boundary, Engine(cfg.system, cfg.boundary), window, dict(eps_schedule=cfg.eps_schedule))
+
+    def built(make, window, **options):
+        def fresh():
+            sysm, bc = make()
+            return sysm, bc, Engine(sysm, bc), window, options
+        return fresh
+
+    def singular():
+        from test_transform import whole_line_point_interaction
+
+        sysm, bc, eng = whole_line_point_interaction()
+        return sysm, bc, eng, (-2.0, 2.0), dict(density_samples=801)
+
+    return {
+        **{name: shipped(name, (-80.5, 80.5)) for name in ("P1", "P2", "P3", "P4")},
+        "two_channel": built(lambda: two_channel(1.01), (-2.97, 3.03)),
+        "complex": built(lambda: complex_channels((1.0, 1.01)), (-3.0, 3.0)),
+        "singular": singular,
+    }
+
+
+def model_fields(model):
+    return [(a.s, a.weight, a.vectors, a.multiplicity, a.inversion_gap) for a in model.atoms]
+
+
+def assert_same_fields(got, want):
+    assert len(got) == len(want)
+    for one, other in zip(got, want):
+        for x, y in zip(one, other):
+            if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            else:
+                assert type(x) is type(y) and x == y
+
+
+@pytest.mark.parametrize("case", ["P1", "P2", "P3", "P4", "two_channel", "complex", "singular"])
+def test_batched_model_is_bitwise_the_loop(case, scalar_weyl, monkeypatch):
+    # one stacked acceptance pass and one Weyl call for all atom weights give
+    # the atoms of a loop over the candidates and of one Weyl call per sample
+    make = batched_model_cases()[case]
+    sysm, bc, eng, window, options = make()
+    batched = spectral_measure_model(sysm, bc, window, engine=eng, **options)
+    scalar_weyl()
+    monkeypatch.setattr(spectral, "_accept", accept_one_by_one)
+    sysm, bc, eng, window, options = make()
+    scalar = spectral_measure_model(sysm, bc, window, engine=eng, **options)
+    assert len(batched.atoms) >= 1
+    assert_same_fields(model_fields(batched), model_fields(scalar))
+
+
+def test_model_of_161_atoms_makes_one_acceptance_assembly_and_one_weyl_build(p1, monkeypatch):
+    from blockweyl import engine as engine_module, weyl
+
+    def recording(fn, at, lams):
+        """``fn``, recording the spectral parameters of each call, its positional argument ``at``."""
+        def recorded(*args, **kwargs):
+            lams.append(np.asarray(args[at]))
+            return fn(*args, **kwargs)
+        return recorded
+
+    scan, samples, built = [], [], []
+    monkeypatch.setattr(spectral, "assemble_blocks", recording(spectral.assemble_blocks, 2, scan))
+    monkeypatch.setattr(weyl, "assemble_blocks", recording(weyl.assemble_blocks, 2, samples))
+    monkeypatch.setattr(engine_module, "solution_row", recording(engine_module.solution_row, 1, built))
+    model = spectral_measure_model(*p1, (-80.3, 80.3), engine=Engine(*p1))
+    values = np.array([a.s for a in model.atoms])
+    assert len(values) == 161
+    # the grid, one round of brackets, then every candidate at once (was one
+    # assembly per candidate, 161)
+    assert [np.shape(lam) for lam in scan[2:]] == [(161,)] and np.array_equal(scan[2], values)
+    # every offset of every atom in one stacked build (was one per atom, 161),
+    # then the sample at i for the Nevanlinna constants
+    assert [np.shape(lam) for lam in samples] == [(3 * 161,), ()]
+    assert np.array_equal(samples[0].real, np.repeat(values, 3))
+    # the Gram matrices find the acceptance rows in the engine (the loop made
+    # 325 row builds: 161 acceptance rows and 161 offset triples among them)
+    assert len(built) == 6
+
+
+def test_model_raises_for_the_first_failing_atom_as_the_loop_does(p1, monkeypatch):
+    # a Weyl failure at the atom 1 makes the batched call raise; each atom
+    # then samples its own offsets, so a disagreement at an earlier atom, or
+    # else the failure at 1, is raised, as by a loop over the atoms
+    sample = spectral.m_function_many
+
+    def failing(sys, bc, lams, *, engine):
+        if any(complex(lam).real == 1.0 for lam in lams):
+            raise TheoryViolationError("no sample at 1")
+        return sample(sys, bc, lams, engine=engine)
+
+    monkeypatch.setattr(spectral, "m_function_many", failing)
+    with pytest.raises(TheoryViolationError, match="no sample at 1"):
+        spectral_measure_model(*p1, (-2.5, 2.5), engine=Engine(*p1))
+    with pytest.raises(TheoryViolationError, match=r"disagree at s=-2\.0 "):
+        spectral_measure_model(*p1, (-2.5, 2.5), engine=Engine(*p1), cross_tol=0.0)
+
+
+def test_colleague_roots_are_bitwise_those_of_chebroots():
+    rng = np.random.default_rng(5)
+    for k in range(60):
+        coeffs = rng.normal(size=(k % 7, spectral.CHEB_NODES)) * 10.0 ** rng.uniform(-6, 6, size=(k % 7, 1))
+        if k % 2:
+            coeffs = coeffs + 1j * rng.normal(size=coeffs.shape)
+        if k % 7 and k % 3 == 0:
+            coeffs[0, -1] = 0.0  # trimmed by chebroots to a lower degree
+        for got, c in zip(spectral._colleague_roots(coeffs), coeffs):
+            want = chebroots(c)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_range_basis_of_the_scan_is_memoized(p1, monkeypatch):
+    calls = []
+    basis = spectral._range_basis
+    monkeypatch.setattr(spectral, "_range_basis", lambda proj: calls.append(1) or basis(proj))
+    eng = Engine(*p1)
+    first = eigen_scan(*p1, 0.5, 1.5, engine=eng)
+    again = eigen_scan(*p1, 1.5, 2.5, engine=eng)
+    assert len(calls) == 1 and [p.value for p in first + again] == [1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,18 @@ It also runs the first 60 operations of each workload of ``perfbench/``
 (imported, not changed) at seed 7 in one more process, with BLAS pinned to
 one thread as the benchmark pins it, and writes ``OUTDIR/workloads.json``:
 per workload, the sha256 of each operation's output (its arrays, numbers and
-strings, or the error it raised).  The numbers of each output, complex ones
-as real and imaginary part, go to ``OUTDIR/workload_values.json``.  One
-more process, with BLAS pinned the same way, times the Parseval-200 fixture
-of acceptance criterion 07 (P1's ``spectral_measure_model`` on
-(-200.25, 200.25) and ``parseval_check`` at truncation 200 with f = (1, 0),
-imports and config loading left out), once in each of three fresh processes
-since single runs of it are noisy; the median time goes to ``timings.json``
-as ``parseval_200``.
+strings, or the error it raised), and under ``"<workload> set-up"`` the
+sha256 of the atoms of each spectral model its set-up builds (the two of
+``expansion``), so that a change to the set-up shows too.  The numbers of
+each output, complex ones as real and imaginary part, go to
+``OUTDIR/workload_values.json``.  More processes, with BLAS pinned the same
+way, time the Parseval-200 fixture of acceptance criterion 07 (P1's
+``spectral_measure_model`` on (-200.25, 200.25) and ``parseval_check`` at
+truncation 200 with f = (1, 0)) and P1's ``spectral_measure_model`` on
+(-80.5, 80.5), the model of the ``expansion`` set-up, imports and config
+loading left out.  Each runs once in each of three fresh processes, since
+single runs are noisy; the median times go to ``timings.json`` as
+``parseval_200`` and ``model_P1_80``.
 
 ``--compare`` reads the manifests and files of two such runs.  For every
 artefact (and standard output) whose content differs it prints the largest
@@ -34,10 +38,11 @@ absolute difference of the numbers in it and the largest relative one,
 brackets, CSV separators and headers, words) must be identical, as must the
 artefact names and exit codes; otherwise it names the mismatch and exits 1.
 Where both runs wrote ``workloads.json`` it prints, per workload, the
-operations whose outputs differ and, where both wrote their numbers, the
-largest absolute and relative difference of those numbers.  Where both wrote ``timings.json`` it also
-prints each command's wall time in both and their ratio (second over first).
-Neither affects the exit code.
+operations (or set-up models) whose outputs differ and, where both wrote
+their numbers, the largest absolute and relative difference of those
+numbers.  Where both wrote ``timings.json`` it also prints each command's
+wall time in both and their ratio (second over first).  Neither affects the
+exit code.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ COMMANDS = ("validate", "analyze", "mfun", "eigen", "tau", "expand", "verify")
 RUNS = [(c, p) for p in ("P1", "P2", "P3", "P4") for c in COMMANDS] + [("fatou-demo", "fatou_demo")]
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 WORKLOAD_SEED, WORKLOAD_OPS = 7, 60
-PARSEVAL_RUNS = 3
+TIMED_RUNS = 3
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -86,9 +91,17 @@ def _feed(digest, numbers: list, obj) -> None:
             _feed(digest, numbers, item)
 
 
+def _digest(obj) -> tuple[str, list[float]]:
+    """sha256 of the data of ``obj`` (:func:`_feed`) and its numbers."""
+    digest, numbers = hashlib.sha256(), []
+    _feed(digest, numbers, obj)
+    return digest.hexdigest(), numbers
+
+
 def workload_outputs() -> tuple[dict[str, list[str]], dict[str, list[list[float]]]]:
     """sha256 of the outputs of the first operations of each benchmark workload,
-    and the numbers in each output."""
+    and the numbers in each output; under ``"<workload> set-up"``, the same of
+    the atoms of each spectral model its set-up builds."""
     sys.path[:0] = [str(SRC), str(PERFBENCH)]
     import blockweyl
     from workloads import WORKLOADS
@@ -97,33 +110,56 @@ def workload_outputs() -> tuple[dict[str, list[str]], dict[str, list[list[float]
     for name, make in WORKLOADS.items():
         workload = make(WORKLOAD_SEED)
         state = workload.setup()
+        models = [problem.model for problem in state if getattr(problem, "model", None) is not None]
+        if models:
+            digests[f"{name} set-up"], values[f"{name} set-up"] = map(list, zip(*(_digest(m.atoms) for m in models)))
         specs = workload.operations(state)
         digests[name], values[name] = [], []
         for _ in range(WORKLOAD_OPS):
-            digest, numbers = hashlib.sha256(), []
             try:
-                _feed(digest, numbers, workload.run(state, next(specs)))
+                digest, numbers = _digest(workload.run(state, next(specs)))
             except blockweyl.BlockweylError as exc:
-                digest.update(f"{type(exc).__name__}: {exc}".encode())
-            digests[name].append(digest.hexdigest())
+                digest, numbers = hashlib.sha256(f"{type(exc).__name__}: {exc}".encode()).hexdigest(), []
+            digests[name].append(digest)
             values[name].append(numbers)
     return digests, values
+
+
+def _fresh_engine_time(build) -> float:
+    """Wall time, in seconds, of ``build(cfg, engine)`` on P1 with a fresh
+    engine, config loading left out."""
+    from blockweyl import Engine
+    from blockweyl.config import ProblemConfig
+
+    cfg = ProblemConfig.load("P1")
+    engine = Engine(cfg.system, cfg.boundary)
+    start = time.perf_counter()
+    build(cfg, engine)
+    return time.perf_counter() - start
 
 
 def parseval_200() -> float:
     """Wall time, in seconds, of the Parseval-200 fixture on P1."""
     sys.path[:0] = [str(SRC)]
     import numpy as np
-    from blockweyl import Engine, VectorFunction, parseval_check, spectral_measure_model
-    from blockweyl.config import ProblemConfig
+    from blockweyl import VectorFunction, parseval_check, spectral_measure_model
 
-    cfg = ProblemConfig.load("P1")
-    engine = Engine(cfg.system, cfg.boundary)
-    start = time.perf_counter()
-    model = spectral_measure_model(cfg.system, cfg.boundary, (-200.25, 200.25), engine=engine)
-    f = VectorFunction(lambda x: np.array([1.0, 0.0]))
-    parseval_check(cfg.system, cfg.boundary, model, f, truncation=200.0, engine=engine)
-    return time.perf_counter() - start
+    def fixture(cfg, engine):
+        model = spectral_measure_model(cfg.system, cfg.boundary, (-200.25, 200.25), engine=engine)
+        f = VectorFunction(lambda x: np.array([1.0, 0.0]))
+        parseval_check(cfg.system, cfg.boundary, model, f, truncation=200.0, engine=engine)
+
+    return _fresh_engine_time(fixture)
+
+
+def model_P1_80() -> float:
+    """Wall time, in seconds, of P1's spectral model on (-80.5, 80.5), the
+    model the ``expansion`` workload builds in its set-up."""
+    sys.path[:0] = [str(SRC)]
+    from blockweyl import spectral_measure_model
+
+    return _fresh_engine_time(lambda cfg, engine: spectral_measure_model(
+        cfg.system, cfg.boundary, (-80.5, 80.5), engine=engine, eps_schedule=cfg.eps_schedule))
 
 
 def numeric_difference(a: str, b: str) -> tuple[float, float, int] | None:
@@ -184,7 +220,8 @@ def print_workloads(root_a: Path, root_b: Path) -> None:
     for name in sorted(set(ops_a) | set(ops_b)):
         a, b = ops_a.get(name, []), ops_b.get(name, [])
         differ = [i for i in range(max(len(a), len(b))) if a[i:i + 1] != b[i:i + 1]]
-        line = (f"workload {name}: {max(len(a), len(b)) - len(differ)} operations identical, "
+        what = "models" if name.endswith(" set-up") else "operations"
+        line = (f"workload {name}: {max(len(a), len(b)) - len(differ)} {what} identical, "
                 f"differing: {differ or 'none'}")
         x, y = nums_a.get(name, []), nums_b.get(name, [])
         if differ and all(i < min(len(x), len(y)) for i in differ):
@@ -251,11 +288,13 @@ def main(argv: list[str]) -> int:
     digests, values = json.loads(last_line("json.dumps(cli_artefacts.workload_outputs())"))
     (root / "workloads.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     (root / "workload_values.json").write_text(json.dumps(values, sort_keys=True) + "\n")
-    print(f"{sum(map(len, digests.values()))} workload outputs, {time.perf_counter() - start:.2f} s", flush=True)
-    runs = [float(last_line("cli_artefacts.parseval_200()")) for _ in range(PARSEVAL_RUNS)]
-    timings["parseval_200"] = statistics.median(runs)
-    print(f"Parseval-200 fixture: median {timings['parseval_200']:.2f} s of "
-          f"{', '.join(f'{t:.2f}' for t in runs)} s", flush=True)
+    models = sum(len(v) for k, v in digests.items() if k.endswith(" set-up"))
+    print(f"{sum(map(len, digests.values())) - models} workload outputs, {models} set-up models, "
+          f"{time.perf_counter() - start:.2f} s", flush=True)
+    for key in ("parseval_200", "model_P1_80"):
+        runs = [float(last_line(f"cli_artefacts.{key}()")) for _ in range(TIMED_RUNS)]
+        timings[key] = statistics.median(runs)
+        print(f"{key}: median {timings[key]:.2f} s of {', '.join(f'{t:.2f}' for t in runs)} s", flush=True)
     (root / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
     print(f"{len(manifest['artefacts'])} artefacts, {len(RUNS)} commands -> {root / 'manifest.json'}")
     return 0
