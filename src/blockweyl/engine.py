@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import IntervalSpec, integrate_bv
-from .propagation import SolutionRow, solution_row
+from .propagation import SolutionRow, drive_row, solution_row
 from .system import (
     BoundaryConditions,
     BoundedStore,
@@ -93,16 +93,43 @@ class Engine:
         """Cached solution rows at the parameters ``lams``, in order.
 
         The rows that a peek at the store does not find are built together by
-        one array call of :meth:`row`, so that a resolvent's rows at ``lam``
-        and ``conj(lam)`` share their Magnus rounds, and each is stored as its
-        slice of that stack, bitwise the row its own build would store.
+        one array call of :meth:`row`, so that their Magnus meshes share
+        their rounds, and each is stored as its slice of that stack, bitwise
+        the row its own build would store.  Every row is then stored again
+        or refreshed, but none is looked up anew: in a batch larger than the
+        store the later rows push out earlier ones, which are not rebuilt.
         """
+        return self._stored_rows(lams, lambda missing: self.row(np.array(missing)))
+
+    def drive_row(self, lam: complex, f: Callable[[float], np.ndarray]) -> tuple[SolutionRow, SolutionRow]:
+        """The cached row at ``lam`` and the drive row of ``f`` there
+        (:func:`~blockweyl.propagation.drive_row`).
+
+        The rows at ``lam`` and ``conj(lam)`` that the store does not hold
+        are built with the drive, in one pass per block, so that the drive
+        rides on the steps of the row at ``lam``; they are stored as
+        :meth:`rows` stores them.
+        """
+        lam = complex(lam)
+        drives = []
+
+        def build(missing):
+            drive, row = drive_row(self.sys, lam, f, rows=missing, sing=self.sing, anchors=self.anchors)
+            drives.append(drive)
+            return row
+
+        row = self._stored_rows([lam, lam.conjugate()], build)[0]  # the symmetry witness reads the other
+        return row, drives[0] if drives else drive_row(self.sys, lam, f, sing=self.sing, anchors=self.anchors)[0]
+
+    def _stored_rows(self, lams, build: Callable[[list[complex]], SolutionRow]) -> list[SolutionRow]:
+        """:meth:`rows`, the missing rows stacked by ``build(missing)``."""
         lams = [complex(lam) for lam in lams]
-        stored = self._rows.peek(lams)
-        missing = list(dict.fromkeys(lam for lam in lams if lam not in stored))
-        built = self.row(np.array(missing)) if missing else []
-        fresh = {lam: self._rows.get(lam, lambda i=i: built[i]) for i, lam in enumerate(missing)}
-        return [fresh[lam] if lam in fresh else self.row(lam) for lam in lams]
+        known = {lam: (lambda row=row: row) for lam, row in self._rows.peek(lams).items()}
+        missing = [lam for lam in dict.fromkeys(lams) if lam not in known]
+        if missing:
+            built = build(missing)
+            known.update((lam, lambda i=i: built[i]) for i, lam in enumerate(missing))
+        return [self._rows.get(lam, known[lam]) for lam in lams]
 
     # -- derived values --------------------------------------------------------
 

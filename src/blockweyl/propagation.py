@@ -36,6 +36,9 @@ decomposition or, when both densities are present, through stacked LAPACK
 calls; atom transfers are stacked too.  Every other stretch gets a mesh per
 parameter, and a solve builds all its meshes in lockstep doubling rounds
 (:func:`_magnus_meshes`), each mesh bitwise the one its parameter gets alone.
+A drive ``f`` is one more column of the coefficients, the top rows of an
+augmented matrix (:func:`_expm_stack`), which rides on the steps of the row
+at the same parameter where a pass has both.
 The Magnus path takes its stacked products of small matrices (the
 coefficients, commutators, Padé powers and squarings, the prefix scan and
 the dense-output sub-steps) by broadcast entries (:func:`_small_matmul`),
@@ -197,7 +200,8 @@ def _small_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     on a single matrix.  Each product depends only on its own operands, not
     on the stack's length, its other matrices or the product's place in it,
     so a stack's products are bitwise those of any slice of it and of each
-    matrix alone.  Both operands are first given the same number of axes:
+    matrix alone, and a column of ``Y`` gets the same bits whatever columns
+    stand beside it.  Both operands are first given the same number of axes:
     numpy's complex multiply takes another inner loop for one-element
     operands whose axis counts differ, which changes the last bit.
     """
@@ -209,34 +213,62 @@ def _small_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
+# Augmented matrices.  A drive adds the column b = J^-1 w f to the coefficient
+# A, and the flow of [[A, b], [0, 0]] carries (u, 1) (Van Loan, IEEE TAC 23,
+# 1978).  Such a matrix and every exponential or product of them keeps the
+# last row of a generator, 0, or of a flow, (0, 1); so the kernels below take
+# the top rows [X | x], n x (n + 1), and a square stack is the case without a
+# column.  The n x n block of every result is formed from n x n blocks alone,
+# by the operations it gets without a column, so it is bitwise the same.
+
+
+def _times(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The top rows of the product of two augmented generators: ``[X Y | X y]``."""
+    return _small_matmul(X[..., : X.shape[-2]], Y)
+
+
+def _compose(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The top rows of the product of two augmented flows: ``[X Y | X y + x]``."""
+    out = _times(X, Y)
+    out[..., X.shape[-2] :] += X[..., X.shape[-2] :]
+    return out
+
+
 def _expm_stack(A: np.ndarray, order: tuple[int, int] | None = None) -> np.ndarray:
-    """``exp(A)`` of every matrix of a stack ``(..., n, n)``.
+    """``exp(A)`` of every matrix of a stack ``(..., n, n)``, or of every
+    augmented generator given by its top rows ``(..., n, n + 1)``.
 
     Scaling and squaring of the diagonal Padé approximant ``r = (V - U)^-1
     (V + U)``, ``U`` odd and ``V`` even in ``A`` (Higham 2005): one degree
-    serves the stack, by default the lowest whose ``theta`` bounds its
-    largest 1-norm; beyond ``theta_13`` the stack is scaled by ``2^-s`` and
-    ``r`` squared ``s`` times.  ``order = (m, s)`` imposes degree and
-    scaling, so that stacks joined into one call keep their own.  The
-    powers, ``U`` and the squarings are products of :func:`_small_matmul`
-    and the solve is one stacked LAPACK call, so each matrix's exponential
-    is bitwise the one it gets alone at the same order.  A zero matrix gives
-    the identity exactly.
+    serves the stack, by default the lowest whose ``theta`` bounds the
+    largest 1-norm of its ``n x n`` blocks; beyond ``theta_13`` the stack is
+    scaled by ``2^-s`` and ``r`` squared ``s`` times.  ``order = (m, s)``
+    imposes degree and scaling, so that stacks joined into one call keep
+    their own.  For an augmented generator the last column of ``r`` is
+    ``2 (V - U)^-1 u``, ``u`` the column of ``U``, taken in the same solve,
+    and a squaring maps it ``d -> E d + d``; the ``n x n`` block is bitwise
+    the exponential of that block alone, so a drive's column never moves
+    the bits of a row.  The powers, ``U`` and the squarings are products of
+    :func:`_small_matmul` and the solve is one stacked LAPACK call, so each
+    matrix's exponential is bitwise the one it gets alone at the same order.
+    A zero matrix gives the identity exactly.
     """
-    m, s = order or _pade_order(A)
+    n = A.shape[-2]
+    m, s = order or _pade_order(A[..., :n])
     if s:
         A = A / 2.0**s
     b = _PADE_COEFFS[m]
-    eye = np.eye(A.shape[-1])
-    A2 = _small_matmul(A, A)
+    eye = np.eye(n, A.shape[-1])
+    A2 = _times(A, A)
     powers = [A2]  # A^2, A^4, ..., A^(m-1)
     for _ in range(m // 2 - 1):
-        powers.append(_small_matmul(powers[-1], A2))
-    U = _small_matmul(A, sum((b[2 * k + 3] * P for k, P in enumerate(powers)), b[1] * eye))
-    V = sum((b[2 * k + 2] * P for k, P in enumerate(powers)), b[0] * eye)
-    E = np.linalg.solve(V - U, V + U)
+        powers.append(_times(powers[-1], A2))
+    U = _times(A, sum((b[2 * k + 3] * P for k, P in enumerate(powers)), b[1] * eye))
+    U[..., n:] += b[1] * A[..., n:]  # the corner b_1 of the augmented sum
+    V = sum((b[2 * k + 2] * P[..., :n] for k, P in enumerate(powers)), b[0] * eye[:, :n])
+    E = np.linalg.solve(V - U[..., :n], np.concatenate([V + U[..., :n], 2.0 * U[..., n:]], axis=-1))
     for _ in range(s):
-        E = _small_matmul(E, E)
+        E = _compose(E, E)
     return E
 
 
@@ -353,15 +385,20 @@ _MAX_STEPS = 2**14
 
 
 def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return _small_matmul(X, Y) - _small_matmul(Y, X)
+    """``[X, Y]`` of augmented generators: ``[X Y - Y X | X y - Y x]``."""
+    return _times(X, Y) - _times(Y, X)
 
 
 def _magnus_exponents(A: np.ndarray, h) -> np.ndarray:
     """Sixth-order Magnus exponents of steps of signed length ``h``.
 
-    ``A[..., i, :, :]`` is the coefficient at the step's Gauss node ``i``; the
-    scheme is that of Blanes, Casas and Ros (BIT 40, 2000), with real weights,
-    so ``conj(lam)`` gets the exponents ``-(J Omega J^-1)^*`` of ``lam``.
+    ``A[..., i, :, :]`` is the coefficient at the step's Gauss node ``i``,
+    square or the top rows ``[A | b]`` of an augmented generator; the scheme
+    is that of Blanes, Casas and Ros (BIT 40, 2000), with real weights, so
+    ``conj(lam)`` gets the exponents ``-(J Omega J^-1)^*`` of ``lam``.  It is
+    linear combinations and commutators, so the exponent of an augmented
+    generator is augmented, and its ``n x n`` block is bitwise the exponent
+    of the square coefficients alone.
     """
     h = np.reshape(h, np.shape(h) + (1, 1))
     a1 = h * A[..., 1, :, :]
@@ -382,11 +419,11 @@ def _stretch_is_constant(sys: SystemSpec, lo: float, hi: float) -> bool:
     return all(_density_degree(meas, lo, hi) == 0 for meas in (sys.q, sys.w))
 
 
-def _stretch_fits(sys: SystemSpec, lo: float, hi: float) -> tuple[list, tuple]:
+def _stretch_fits(sys: SystemSpec, lo: float, hi: float) -> list:
     """Chebyshev fits of the ``q`` and ``w`` densities of one stretch (None for
-    a generic density), and the pairings of :func:`_transfer_pairs` without and
-    with a drive row.  A degree-0 fit is the density itself, at the stretch's
-    middle, which for an unbounded (constant) stretch is its infinite end."""
+    a generic density).  A degree-0 fit is the density itself, at the
+    stretch's middle, which for an unbounded (constant) stretch is its
+    infinite end."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fits = []
     for meas in (sys.q, sys.w):
@@ -399,15 +436,10 @@ def _stretch_fits(sys: SystemSpec, lo: float, hi: float) -> tuple[list, tuple]:
             t = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
             vals = meas.density_many(mid + half * t).reshape(d + 1, -1)
             fits.append(np.linalg.solve(chebvander(t, d), vals))
-    # J and J^-1, padded for the drive row, pair a transfer with that of conj(lam)
-    n = sys.dim
-    pairings = tuple([np.eye(n + pad, dtype=complex) for _ in range(2)] for pad in (0, 1))
-    for J, Jinv in pairings:
-        J[:n, :n], Jinv[:n, :n] = sys.J, sys.J_inv
-    return fits, pairings
+    return fits
 
 
-def _fitted(sys: SystemSpec, lo: float, hi: float) -> tuple[list, tuple]:
+def _fitted(sys: SystemSpec, lo: float, hi: float) -> list:
     """:func:`_stretch_fits` of a stretch, made on its first solve and kept
     in the system's store; a stretch fitted again gets the fit it had."""
     return sys.derived.get(("fit", lo, hi), lambda: _stretch_fits(sys, lo, hi))
@@ -419,54 +451,55 @@ class _StretchCoefficients:
     A density whose segment gives its degree ``d`` is evaluated once, at
     ``d + 1`` Chebyshev points of the stretch, and interpolated from there; a
     generic one is evaluated at every point asked for.  The fits are kept in
-    the system's store (:func:`_fitted`).  With a drive ``f`` the matrices
-    are augmented to ``[[A, J^-1 w f], [0, 0]]``, whose flow carries
-    ``(u, 1)``.
+    the system's store (:func:`_fitted`), so a row and a drive on one stretch
+    read the same densities.  With a drive ``f`` each matrix gets one more
+    column, ``J^-1 w f``: the top rows of the augmented generator
+    ``[[A, J^-1 w f], [0, 0]]``, whose flow carries ``(u, 1)``.
     """
 
     def __init__(self, sys: SystemSpec, lo: float, hi: float, f: Callable[[float], np.ndarray] | None):
-        self.sys, self.f = sys, f
+        self.sys, self.lo, self.hi, self.f = sys, lo, hi, f
         self.n = sys.dim
-        self.dim = self.n + (f is not None)
         self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        self.fits, pairings = _fitted(sys, lo, hi)
-        self.pairing = pairings[f is not None]
+        self.fits = _fitted(sys, lo, hi)
 
     def densities(self, xs: np.ndarray) -> tuple:
-        """``(q, w, f)`` at the points ``xs``, ``f`` None without a drive: what
-        :meth:`assemble` needs, the same for every parameter.  Both fits read
-        the leading columns of one Chebyshev matrix."""
+        """``(q, w)`` at the points ``xs``: what :meth:`assemble` needs with
+        the drive's values, the same for every parameter and every drive.
+        Both fits read the leading columns of one Chebyshev matrix."""
         degree = max((len(fit) - 1 for fit in self.fits if fit is not None), default=-1)
         basis = chebvander((xs - self.mid) / self.half, degree) if degree >= 0 else None
-        q, w = (
+        return tuple(
             meas.density_many(xs) if fit is None else (basis[:, : len(fit)] @ fit).reshape(len(xs), self.n, self.n)
             for meas, fit in zip((self.sys.q, self.sys.w), self.fits)
         )
-        return q, w, None if self.f is None else evaluate_many(self.f, xs)
+
+    def drive(self, xs: np.ndarray) -> np.ndarray | None:
+        """The drive's values at the points ``xs``, None without a drive."""
+        return None if self.f is None else evaluate_many(self.f, xs)
 
     def assemble(self, lam: complex, q: np.ndarray, w: np.ndarray, fs: np.ndarray | None) -> np.ndarray:
-        """Stacked coefficient matrices at ``lam`` from :meth:`densities`."""
+        """Stacked coefficient matrices at ``lam`` from :meth:`densities` and :meth:`drive`."""
         A = _small_matmul(self.sys.J_inv, lam * w - q)
         if fs is None:
             return A
-        out = np.zeros((len(fs), self.dim, self.dim), dtype=complex)
-        out[:, : self.n, : self.n] = A
-        out[:, : self.n, self.n] = (self.sys.J_inv @ (w @ fs[..., None]))[..., 0]
-        return out
+        return np.concatenate([A, self.sys.J_inv @ (w @ fs[..., None])], axis=-1)
 
     def at(self, lam: complex, xs: np.ndarray) -> np.ndarray:
         """Stacked coefficient matrices at the points ``xs``."""
-        return self.assemble(lam, *self.densities(xs))
+        return self.assemble(lam, *self.densities(xs), self.drive(xs))
 
 
 def _with_identity(E: np.ndarray) -> np.ndarray:
-    """The stacks ``E[j]`` of steps, each led by the identity."""
-    return np.concatenate([np.broadcast_to(np.eye(E.shape[-1], dtype=complex), (len(E), 1) + E.shape[2:]), E], axis=1)
+    """The stacks ``E[j]`` of steps, each led by the identity (with a zero column where ``E`` has one)."""
+    eye = np.eye(*E.shape[-2:], dtype=complex)
+    return np.concatenate([np.broadcast_to(eye, (len(E), 1) + E.shape[2:]), E], axis=1)
 
 
 def _prefix_products(E: np.ndarray) -> np.ndarray:
     """``M[j, k] = E[j, k-1] ... E[j, 0]``, ``M[j, 0]`` the identity, by a
-    doubling scan over the steps ``k`` of each stack ``E[j]``.
+    doubling scan over the steps ``k`` of each stack ``E[j]`` of flows,
+    square or augmented (:func:`_compose`).
 
     Round ``s = 1, 2, 4, ...`` takes ``M[k] <- M[k] M[k - s]`` for ``k >= s``,
     ``sum_s (L + 1 - s)`` products of :func:`_small_matmul` for ``L`` steps;
@@ -475,7 +508,7 @@ def _prefix_products(E: np.ndarray) -> np.ndarray:
     M = _with_identity(E)
     shift = 1
     while shift < M.shape[1]:
-        M[:, shift:] = _small_matmul(M[:, shift:], M[:, :-shift])
+        M[:, shift:] = _compose(M[:, shift:], M[:, :-shift])
         shift *= 2
     return M
 
@@ -494,17 +527,22 @@ def _total_products(E: np.ndarray) -> np.ndarray:
     while shift <= last:
         # M holds the entries last % shift, last % shift + shift, ..., last
         if (last // shift) % 2:
-            M = _small_matmul(M[:, 1::2], M[:, 0:-1:2])
+            M = _compose(M[:, 1::2], M[:, 0:-1:2])
         else:
-            M = np.concatenate([M[:, :1], _small_matmul(M[:, 2::2], M[:, 1:-1:2])], axis=1)
+            M = np.concatenate([M[:, :1], _compose(M[:, 2::2], M[:, 1:-1:2])], axis=1)
         shift *= 2
     return M[:, -1]
 
 
 def _refined(fine, coarse, tols) -> bool:
-    """Richardson test for a sixth-order method: ``|fine - coarse| / 63`` within tolerance."""
+    """Richardson test for a sixth-order method: ``|fine - coarse| / 63`` within tolerance.
+
+    An augmented flow, given by its top rows, counts its last row
+    ``(0, ..., 0, 1)`` in the scale, as the whole matrix would.
+    """
     return all(
-        np.abs(f - c).max() <= 63.0 * (tols.ode_atol + tols.ode_rtol * np.abs(f).max())
+        np.abs(f - c).max()
+        <= 63.0 * (tols.ode_atol + tols.ode_rtol * np.abs(f).max(initial=float(f.shape[-1] > f.shape[-2])))
         for f, c in zip(fine, coarse)
     )
 
@@ -516,39 +554,47 @@ class _MagnusMesh:
     ``values[k]`` is the solution at ``x0 + k h``.  A point between mesh
     points is reached by one Magnus sub-step from the mesh point before it in
     the direction of propagation, with the coefficient ``coeff`` at the
-    sub-step's Gauss nodes.  Rows past ``dim`` carry the drive of an
-    inhomogeneous solve and are dropped.
+    sub-step's Gauss nodes.  Where ``coeff`` has a drive column, the
+    sub-step's column is added to the state columns ``driven``: every column
+    of a drive solve, the last of a row read beside its drive
+    (:func:`_paired_row`), none of a row.
     """
 
     x0: float
     h: float
     values: np.ndarray
     coeff: Callable[[np.ndarray], np.ndarray]
-    dim: int
+    driven: slice
 
     @property
     def end(self) -> np.ndarray:
-        return self.values[-1][: self.dim]
+        return self.values[-1]
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         k = np.clip(np.floor((xs - self.x0) / self.h).astype(int), 0, len(self.values) - 2)
         s = xs - (self.x0 + k * self.h)
-        d = self.values.shape[1]
-        A = self.coeff(((xs - s)[:, None] + s[:, None] * _GAUSS).ravel()).reshape(len(xs), 3, d, d)
+        n = self.values.shape[1]
+        A = self.coeff(((xs - s)[:, None] + s[:, None] * _GAUSS).ravel())
+        E = _expm_stack(_magnus_exponents(A.reshape((len(xs), 3) + A.shape[1:]), s))
         start = self.values[k]
-        out = _small_matmul(_expm_stack(_magnus_exponents(A, s)), start.reshape(len(xs), d, -1))
-        return out.reshape(start.shape)[:, : self.dim]
+        out = _small_matmul(E[..., :n], start.reshape(len(xs), n, -1))
+        out[..., self.driven] += E[..., n:]
+        return out.reshape(start.shape)
 
 
-def _transfer_pairs(P: np.ndarray, J: np.ndarray, Jinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked transfers ``P`` of a stretch and ``J P^-1 J^-1``, the adjoints of those at ``conj(lam)``."""
+def _transfer_pairs(T: np.ndarray, J: np.ndarray, Jinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked transfers ``T = [P | p]`` of a stretch and ``J T^-1 J^-1``, the
+    adjoints of those at ``conj(lam)``, as top rows of augmented flows:
+    ``[J P^-1 J^-1 | -J P^-1 p]``, with ``J`` padded by a 1 (none for a square ``T``)."""
+    n = T.shape[-2]
     try:
-        return P, J @ np.linalg.inv(P) @ Jinv
+        JPinv = J @ np.linalg.inv(T[..., :n])
+        return T, np.concatenate([JPinv @ Jinv, -(JPinv @ T[..., n:])], axis=-1)
     except np.linalg.LinAlgError:  # a mesh too coarse to resolve anything
-        if len(P) == 1:
-            return P, np.full_like(P, np.nan)
-        return P, np.concatenate([_transfer_pairs(p[None], J, Jinv)[1] for p in P])
+        if len(T) == 1:
+            return T, np.full_like(T, np.nan)
+        return T, np.concatenate([_transfer_pairs(t[None], J, Jinv)[1] for t in T])
 
 
 def _grouped(keys: dict) -> list[list]:
@@ -567,32 +613,48 @@ def _joined(fn, stacks: list[np.ndarray], *args) -> list[np.ndarray]:
 def _magnus_meshes(jobs: Sequence[tuple], tols) -> list:
     """Sixth-order Magnus meshes of several parameters and stretches, built in lockstep.
 
-    A job ``(coeff, lam, x_from, x_to)`` is one parameter on one stretch.
-    Its step count starts from ``|x_to - x_from| (1 + |lam|)``, at most half
-    the cap, and doubles until the Richardson estimate of the stretch's
-    transfer matrix meets ``ode_rtol``/``ode_atol``.  The estimate also
-    covers the transfer at ``conj(lam)`` (:func:`_transfer_pairs`), so both
-    parameters choose the same mesh and the Wronskian identity holds to
-    roundoff.
+    A job ``(coeff, lam, x_from, x_to)`` is one parameter on one stretch: a
+    row, or a drive solve where ``coeff`` has a drive; the jobs of one call
+    have at most one drive.  Its step count starts from ``|x_to - x_from|
+    (1 + |lam|)``, at most half the cap, and doubles until the Richardson
+    estimate of the stretch's transfer matrix meets
+    ``ode_rtol``/``ode_atol``.  The estimate also covers the transfer at
+    ``conj(lam)`` (:func:`_transfer_pairs`), so both parameters choose the
+    same mesh and the Wronskian identity holds to roundoff.  A drive's job
+    is tested on its augmented transfer ``[[P, p], [0, 1]]`` and that
+    transfer's pair, as a solve with ``n + 1`` states would be: its
+    ``n x n`` part and its column both count.
 
-    A round takes every unfinished job one doubling further: the densities
-    are evaluated once per stretch and step count, the exponents in one
-    :func:`_magnus_exponents` call per state size, and the step exponentials
-    in one :func:`_expm_stack` call per group of meshes of equal size and
-    Padé order, each mesh at the order its own stack selects (Higham 2005).
-    The Richardson test reads only the transfer of each mesh, which
+    A round takes every unfinished job one doubling further.  The jobs of
+    one parameter on one directed stretch at one step count share one stack
+    of steps: a drive rides on the row's steps as their extra column (the
+    top rows of augmented matrices, see :func:`_expm_stack`), and a drive
+    with no such row computes its ``n x n`` part itself.  When the call has
+    a drive every stack carries a column, zero for a row without its drive,
+    so that all stacks join.  The densities are evaluated once per stretch
+    and step count, the exponents in one :func:`_magnus_exponents` call, and
+    the step exponentials in one :func:`_expm_stack` call per Padé order,
+    each stack at the order its own ``n x n`` blocks select (Higham 2005).
+    The Richardson test reads only the transfer of each stack, which
     :func:`_total_products` forms without the other products; the full scan
-    :func:`_prefix_products` runs only for the meshes the test accepts.
-    Every product goes through :func:`_small_matmul`, so every mesh is
-    bitwise the mesh its job gets alone.  Returns per job ``(h, M)``, the
-    step and the transfer products of :func:`_prefix_products`, or, past
-    ``_MAX_STEPS`` steps, the :class:`AccuracyError` to raise where the
-    propagation reaches that stretch.
+    :func:`_prefix_products` runs only for the stacks with an accepted job.
+    A job that fails while its partner passes goes on alone.  Every product
+    goes through :func:`_small_matmul` and no ``n x n`` block reads a
+    column, so every row is bitwise the row its job builds alone and never
+    depends on a drive.  Returns per job ``(h, M)``, the step and the
+    transfer products of :func:`_prefix_products` (with the drive's column
+    for a drive), or, past ``_MAX_STEPS`` steps, the :class:`AccuracyError`
+    to raise where the propagation reaches that stretch.
     """
     steps = {k: min(max(2, int(np.ceil(abs(x_to - x_from) * (1.0 + abs(lam)) * _STEPS_PER_UNIT))), _MAX_STEPS // 2)
              for k, (_, lam, x_from, x_to) in enumerate(jobs)}
+    if not jobs:
+        return []
     out: list = [None] * len(jobs)
     coarse: dict = {}
+    sys = jobs[0][0].sys
+    n = sys.dim
+    width = n + any(coeff.f is not None for coeff, *_ in jobs)
     while steps:
         for k, (_, lam, x_from, x_to) in enumerate(jobs):
             if steps.get(k, 0) > _MAX_STEPS:
@@ -601,34 +663,52 @@ def _magnus_meshes(jobs: Sequence[tuple], tols) -> list:
                     f"Magnus mesh on [{min(x_from, x_to)}, {max(x_from, x_to)}] needs more than "
                     f"{_MAX_STEPS} steps at lam={complex(lam)}"
                 )
-        h = {k: (jobs[k][3] - jobs[k][2]) / n for k, n in steps.items()}
-        # jobs on one stretch at one step count share their nodes
-        nodesets = _grouped({k: (jobs[k][0], jobs[k][2], n) for k, n in steps.items()})
-        stacks = {}  # per job: coefficients, then exponents, then step exponentials
-        for ks in nodesets:
-            coeff, _, x_from, _ = jobs[ks[0]]
-            n = steps[ks[0]]
-            densities = coeff.densities((x_from + h[ks[0]] * (np.arange(n)[:, None] + _GAUSS)).ravel())
-            for k in ks:
-                stacks[k] = coeff.assemble(jobs[k][1], *densities).reshape(n, 3, coeff.dim, coeff.dim)
-        for ks in _grouped({k: a.shape[-1] for k, a in stacks.items()}):
-            hs = np.repeat([h[k] for k in ks], [steps[k] for k in ks])
-            stacks.update(zip(ks, _joined(_magnus_exponents, [stacks[k] for k in ks], hs)))
-        order = {k: (_pade_order(a), a.shape[-1]) for k, a in stacks.items()}
-        for ks in _grouped(order):
-            stacks.update(zip(ks, _joined(_expm_stack, [stacks[k] for k in ks], order[ks[0]][0])))
-        accepted = []
-        for ks in nodesets:
-            totals = _total_products(np.stack([stacks[k] for k in ks]))
-            for k, ends in zip(ks, zip(*_transfer_pairs(totals, *jobs[ks[0]][0].pairing))):
-                if k in coarse and _refined(ends, coarse[k], tols):
-                    accepted.append(k)
-                    del steps[k]
-                else:
-                    coarse[k], steps[k] = ends, 2 * steps[k]
-        for ks in _grouped({k: stacks[k].shape for k in accepted}):
-            for k, M in zip(ks, _prefix_products(np.stack([stacks[k] for k in ks]))):
-                out[k] = (h[k], M)
+        if not steps:
+            break
+        h = {k: (jobs[k][3] - jobs[k][2]) / n_k for k, n_k in steps.items()}
+        key = {k: (jobs[k][0].lo, jobs[k][0].hi, jobs[k][2], n_k, jobs[k][1]) for k, n_k in steps.items()}
+        units = _grouped(key)  # the jobs sharing one stack
+        # units on one stretch at one step count share their nodes
+        nodesets = _grouped({u: key[ks[0]][:4] for u, ks in enumerate(units)})
+        stacks = {}  # per unit: coefficients, then exponents, then step exponentials
+        for us in nodesets:
+            k0 = units[us[0]][0]
+            x_from, n_k = jobs[k0][2], steps[k0]
+            xs = (x_from + h[k0] * (np.arange(n_k)[:, None] + _GAUSS)).ravel()
+            densities = jobs[k0][0].densities(xs)
+            drive = None
+            for u in us:
+                coeff = next((jobs[k][0] for k in units[u] if jobs[k][0].f is not None), jobs[units[u][0]][0])
+                if coeff.f is not None and drive is None:
+                    drive = coeff.drive(xs)
+                A = coeff.assemble(jobs[units[u][0]][1], *densities, None if coeff.f is None else drive)
+                if A.shape[-1] < width:
+                    A = np.concatenate([A, np.zeros(A.shape[:-1] + (width - n,))], axis=-1)
+                stacks[u] = A.reshape(n_k, 3, n, width)
+        # the exponents of all units in one call; each unit's coefficients are
+        # let go once joined
+        counts = [steps[ks[0]] for ks in units]
+        exponents = _magnus_exponents(np.concatenate([stacks.pop(u) for u in range(len(units))]),
+                                      np.repeat([h[ks[0]] for ks in units], counts))
+        stacks = dict(enumerate(np.split(exponents, np.cumsum(counts)[:-1])))
+        order = {u: _pade_order(a[..., :n]) for u, a in stacks.items()}
+        for us in _grouped(order):
+            stacks.update(zip(us, _joined(_expm_stack, [stacks[u] for u in us], order[us[0]])))
+        done: dict = {}  # per unit, its accepted jobs
+        for us in nodesets:
+            totals = _total_products(np.stack([stacks[u] for u in us]))
+            for u, ends in zip(us, zip(*_transfer_pairs(totals, sys.J, sys.J_inv))):
+                for k in units[u]:
+                    mine = ends if jobs[k][0].f is not None else tuple(end[..., :n] for end in ends)
+                    if k in coarse and _refined(mine, coarse[k], tols):
+                        done.setdefault(u, []).append(k)
+                        del steps[k]
+                    else:
+                        coarse[k], steps[k] = mine, 2 * steps[k]
+        for us in _grouped({u: stacks[u].shape for u in done}):
+            for u, M in zip(us, _prefix_products(np.stack([stacks[u] for u in us]))):
+                for k in done[u]:
+                    out[k] = (h[k], M if jobs[k][0].f is not None else np.ascontiguousarray(M[..., :n]))
     return out
 
 
@@ -692,15 +772,17 @@ def _solve_stretch(
         for transfer in transfers:
             if isinstance(transfer, AccuracyError):
                 raise transfer
-        if coeff.dim > coeff.n:  # the drive row
-            Y_from = np.concatenate([Y_from, np.ones((len(lams), 1) + Y_from.shape[2:])], axis=1)
-        meshes = [
-            _MagnusMesh(x0=x_from, h=h, values=M @ Y, coeff=lambda pts, lam=lam: coeff.at(lam, pts), dim=coeff.n)
-            for lam, (h, M), Y in zip(lams, transfers, Y_from)
-        ]
+        n = sys.dim
+        driven = slice(None) if coeff.f is not None else slice(0)  # a drive reaches every column
+        meshes = []
+        for lam, (h, M), Y in zip(lams, transfers, Y_from):
+            values = M[..., :n] @ Y.reshape(n, -1)
+            values[..., driven] += M[..., n:]
+            meshes.append(_MagnusMesh(x0=x_from, h=h, values=values.reshape((len(M),) + Y.shape),
+                                      coeff=lambda pts, lam=lam: coeff.at(lam, pts), driven=driven))
         return _Piece(lo=lo, hi=hi, meshes=meshes), np.stack([mesh.end for mesh in meshes])
     x_to = hi if x_from == lo else lo
-    Q, W = (fit.reshape(sys.dim, sys.dim) for fit in _fitted(sys, lo, hi)[0])
+    Q, W = (fit.reshape(sys.dim, sys.dim) for fit in _fitted(sys, lo, hi))
     if Q.any() and W.any():
         flow = _PencilFlow.of(sys.J_inv @ (lams[:, None, None] * W - Q))
     else:
@@ -883,48 +965,67 @@ def _assert_jump_consistency(sys, lams, sol: PiecewiseSolution, f) -> None:
 
 def _propagate(
     sys: SystemSpec,
-    lams: np.ndarray,
     lo: float,
     hi: float,
     x0: float,
-    Y0: np.ndarray,
-    f: Callable[[float], np.ndarray] | None,
+    solves: Sequence[tuple],
     interval_index: int | None,
-) -> PiecewiseSolution:
-    """Solutions through ``u(x0) = Y0`` for every parameter of the 1-D array ``lams``."""
+) -> list[PiecewiseSolution]:
+    """Per solve ``(lams, Y0, f)``, the solutions through ``u(x0) = Y0`` for
+    every parameter of the 1-D array ``lams``, driven by ``f`` (None for
+    none); at most one solve has a drive.
+
+    The Magnus meshes of all solves are built first, in one
+    :func:`_magnus_meshes` pass, so that a drive shares the steps of the row
+    at its parameter on every stretch where their breakpoints agree.
+    """
     if not (lo <= x0 <= hi):
         raise StructuralError(f"initial point {x0} outside [{lo}, {hi}]")
     if sys.is_atom(x0):
         raise StructuralError("initial point must not carry an atom")
-    Y0 = np.repeat(np.asarray(Y0, dtype=complex)[None], len(lams), axis=0)
+    plans, jobs = [], []
+    for lams, Y0, f in solves:
+        extra = [x0]
+        if f is not None:
+            extra += list(getattr(f, "breakpoints", ()))
+            supp = getattr(f, "support", None)
+            if supp is not None:
+                extra += list(supp)
+        points = [lo] + _breakpoints_in(sys, lo, hi, extra) + [hi]
+        i0 = points.index(x0)
+        # the transfer products of a stretch do not depend on the value entering it
+        smooth = [(i, coeff) for i in range(len(points) - 1)
+                  if (coeff := _smooth_coefficients(sys, points[i], points[i + 1], f)) is not None]
+        jobs += [(coeff, lam, *((points[i], points[i + 1]) if i >= i0 else (points[i + 1], points[i])))
+                 for i, coeff in smooth for lam in lams]
+        plans.append((points, i0, smooth))
+    built = iter(_magnus_meshes(jobs, sys.tols))
+    sols = []
+    for (lams, Y0, f), (points, i0, smooth) in zip(solves, plans):
+        meshed = {i: (coeff, [next(built) for _ in lams]) for i, coeff in smooth}
+        sols.append(_chain(sys, lams, points, i0, np.asarray(Y0, dtype=complex), f, meshed, interval_index))
+    return sols
 
-    extra = [x0]
-    if f is not None:
-        extra += list(getattr(f, "breakpoints", ()))
-        supp = getattr(f, "support", None)
-        if supp is not None:
-            extra += list(supp)
-    points = [lo] + _breakpoints_in(sys, lo, hi, extra) + [hi]
+
+def _chain(
+    sys: SystemSpec,
+    lams: np.ndarray,
+    points: list[float],
+    i0: int,
+    Y0: np.ndarray,
+    f: Callable[[float], np.ndarray] | None,
+    meshed: dict,
+    interval_index: int | None,
+) -> PiecewiseSolution:
+    """One solve of :func:`_propagate` from the point ``points[i0]``: forward
+    to the last point, then backward to the first, each point's limit from
+    the side the chain meets first, its transfer, then its other limit."""
     npts = len(points)
-    i0 = points.index(x0)
-
+    Y0 = np.repeat(Y0[None], len(lams), axis=0)
     left_vals: list[np.ndarray | None] = [None] * npts
     right_vals: list[np.ndarray | None] = [None] * npts
     pieces: list[_Piece | None] = [None] * (npts - 1)
     left_vals[i0] = right_vals[i0] = Y0
-
-    # every Magnus mesh first, in shared rounds: the transfer products of a
-    # stretch do not depend on the value entering it
-    smooth = [(i, coeff) for i in range(npts - 1)
-              if (coeff := _smooth_coefficients(sys, points[i], points[i + 1], f)) is not None]
-    built = iter(_magnus_meshes([
-        (coeff, lam, *((points[i], points[i + 1]) if i >= i0 else (points[i + 1], points[i])))
-        for i, coeff in smooth for lam in lams
-    ], sys.tols))
-    meshed = {i: (coeff, [next(built) for _ in lams]) for i, coeff in smooth}
-
-    # forward to hi, then backward to lo: a point's limit from the side the
-    # chain meets first, its transfer, then its other limit
     for step, end, met, other in ((1, npts - 1, left_vals, right_vals), (-1, 0, right_vals, left_vals)):
         cur = Y0
         for i in range(i0, end, step):
@@ -940,8 +1041,8 @@ def _propagate(
 
     sol = PiecewiseSolution(
         lam=lams,
-        lo=lo,
-        hi=hi,
+        lo=points[0],
+        hi=points[-1],
         points=points,
         left_values=left_vals,
         right_values=right_vals,
@@ -970,7 +1071,7 @@ def solve_ivp(
     partition points).  An array ``lam`` gives the solutions stacked over it.
     """
     lo, hi = subintervals(sys, sing)[j]
-    sol = _propagate(sys, _spectral_parameters(lam), lo, hi, x0, u0, f, j)
+    (sol,) = _propagate(sys, lo, hi, x0, [(_spectral_parameters(lam), u0, f)], j)
     return sol if np.ndim(lam) else sol[0]
 
 
@@ -1105,6 +1206,90 @@ def solution_row(
     return row if np.ndim(lam) else row[0]
 
 
+def drive_row(
+    sys: SystemSpec,
+    lam: complex,
+    f: Callable[[float], np.ndarray],
+    *,
+    rows=(),
+    sing: SingularitySet | None = None,
+    anchors: Sequence[float] | None = None,
+) -> tuple[SolutionRow, SolutionRow | None]:
+    """The drive solutions of ``f`` at ``lam``, and the solution row at the parameters ``rows``.
+
+    Block ``j`` of the drive row is the solution of ``J u' + q u = lam w u +
+    w f`` on subinterval ``j`` that vanishes at the block's anchor, one
+    column.  The row at the array ``rows`` (None when it is empty) is built
+    with it, one :func:`_magnus_meshes` pass per block, so that the drive
+    rides on the steps of the row at ``lam`` where both have a mesh; the row
+    is bitwise :func:`solution_row` of ``rows``, and so is a failure of it.
+    """
+    if sing is None:
+        sing = partition_points(sys)
+    if anchors is None:
+        anchors = choose_anchors(sys, sing)
+    lams = _spectral_parameters(rows)
+    solves = [(lams, np.eye(sys.dim, dtype=complex), None)] if len(lams) else []
+    solves.append((_spectral_parameters(lam), np.zeros((sys.dim, 1), dtype=complex), f))
+    try:
+        blocks = [_propagate(sys, lo, hi, x0, solves, j)
+                  for j, ((lo, hi), x0) in enumerate(zip(subintervals(sys, sing), anchors))]
+    except BlockweylError:
+        if len(lams):
+            solution_row(sys, lams, sing=sing, anchors=anchors)
+        raise
+    *funds, drives = (SolutionRow(sys, fundamentals) for fundamentals in zip(*blocks))
+    return drives[0], funds[0] if funds else None
+
+
+def _paired_row(row: SolutionRow, drives: SolutionRow) -> SolutionRow | None:
+    """A row and the drive row at its parameter as one row, block ``j`` the
+    columns of its fundamental matrix then its drive column; None when the
+    breakpoints of a block differ.
+
+    Where the two meshes of a stretch coincide (start, step and step count)
+    one mesh carries both, and a point between its nodes takes one sub-step
+    for the row and the drive, the sub-step's drive column going to the last
+    column; elsewhere each piece is read on its own.  Either way every value
+    is bitwise the one the row or the drive row gives alone.
+    """
+    funds = []
+    for Y, u in zip(row.fundamentals, drives.fundamentals):
+        if Y.points != u.points:
+            return None
+        funds.append(PiecewiseSolution(
+            lam=Y.lam, lo=Y.lo, hi=Y.hi, points=Y.points,
+            left_values=[np.concatenate(pair, axis=-1) for pair in zip(Y.left_values, u.left_values)],
+            right_values=[np.concatenate(pair, axis=-1) for pair in zip(Y.right_values, u.right_values)],
+            pieces=[_paired_piece(a, b) for a, b in zip(Y.pieces, u.pieces)],
+            interval_index=Y.interval_index,
+        ))
+    return SolutionRow(row.sys, funds)
+
+
+def _paired_piece(a: _Piece, b: _Piece):
+    """The pieces ``a`` and ``b`` of one stretch, read side by side (:func:`_paired_row`)."""
+    if a.meshes is not None and b.meshes is not None:
+        (ma,), (mb,) = a.meshes, b.meshes
+        if (ma.x0, ma.h, len(ma.values)) == (mb.x0, mb.h, len(mb.values)):
+            values = np.concatenate([ma.values, mb.values], axis=-1)
+            driven = slice(ma.values.shape[-1], None) if mb.driven == slice(None) else mb.driven
+            mesh = _MagnusMesh(ma.x0, ma.h, values, mb.coeff, driven)
+            return _Piece(a.lo, a.hi, meshes=[mesh])
+    return _SideBySide(a, b)
+
+
+@dataclass
+class _SideBySide:
+    """Two pieces of one stretch whose values are read apart and joined."""
+
+    a: _Piece
+    b: _Piece
+
+    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        return np.concatenate([self.a.eval_many(xs), self.b.eval_many(xs)], axis=-1)
+
+
 def row_integrand(
     row: SolutionRow, f: Callable[[float], np.ndarray]
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -1140,7 +1325,7 @@ def _row_rate(sys: SystemSpec, lam: complex, lo: float, hi: float) -> float:
     degrees = [_density_degree(meas, lo, hi) for meas in (sys.q, sys.w)]
     if None in degrees or (max(degrees) and not np.isfinite(hi - lo)):
         return 0.0
-    q, w = (fit.reshape(len(fit), sys.dim, sys.dim) for fit in _fitted(sys, lo, hi)[0])
+    q, w = (fit.reshape(len(fit), sys.dim, sys.dim) for fit in _fitted(sys, lo, hi))
     C = np.zeros((max(len(q), len(w)), sys.dim, sys.dim), dtype=complex)
     C[: len(w)] += lam * w
     C[: len(q)] -= q

@@ -39,7 +39,7 @@ from . import quadrature
 from .assembly import assemble_blocks, norm_zero_space
 from .engine import Engine
 from .errors import AccuracyError, BlockweylError, StructuralError, TheoryViolationError
-from .propagation import SolutionRow, _atom_drive, solve_ivp
+from .propagation import SolutionRow, _atom_drive, _paired_row
 from .system import BoundaryConditions, SystemSpec
 from .weyl import m_function, m_function_many
 
@@ -78,7 +78,11 @@ class ResolventFunction:
     quantities give the transform, ``(Ff)_j = J (z_hi - z_lo) + A_lo + A_hi``.
     ``drives`` holds the ``u_j`` as a row of one column per block, so the
     drive term is zero off its block and halved at a partition point, like
-    the row.
+    the row.  The drives are built with the rows at ``lam`` and
+    ``conj(lam)`` that the engine lacks (:meth:`Engine.drive_row
+    <blockweyl.engine.Engine.drive_row>`): on each smooth stretch where the
+    two share their breakpoints and steps, the drive is one more column of
+    the row's Magnus steps, and the rows stay bitwise those built alone.
     """
 
     def __init__(
@@ -96,12 +100,9 @@ class ResolventFunction:
         self.lam = complex(lam)
         eng = engine or Engine(sys, bc)
         self.engine = eng
-        self.row = eng.rows([self.lam, self.lam.conjugate()])[0]  # the witness reads the other
+        self.row, self.drives = eng.drive_row(self.lam, f)
+        self._paired = _paired_row(self.row, self.drives)
         n = sys.dim
-        self.drives = SolutionRow(sys, [
-            solve_ivp(sys, j, self.lam, x0, np.zeros((n, 1), dtype=complex), f, sing=eng.sing)
-            for j, x0 in enumerate(eng.anchors)
-        ])
         blocks, offsets = [], []
         for Y, u in zip(self.row.fundamentals, self.drives.fundamentals):
             ends = []
@@ -124,8 +125,19 @@ class ResolventFunction:
         self.breakpoints = tuple(sorted(p for p in pts if a < p < b))
 
     def many(self, xs: np.ndarray, side: str = "balanced") -> np.ndarray:
-        """Values at an ascending array of points, stacked: ``row @ coeffs`` plus the drive solutions."""
-        return self.row.many(xs, side) @ self.coeffs + self.drives.many(xs, side).sum(-1)
+        """Values at an ascending array of points, stacked: ``row @ coeffs`` plus the drive solutions.
+
+        The row and the drives are read together where their breakpoints
+        agree (:func:`~blockweyl.propagation._paired_row`), bitwise as
+        ``row.many`` and ``drives.many`` read them.
+        """
+        if self._paired is None:
+            rows, drives = self.row.many(xs, side), self.drives.many(xs, side)
+        else:
+            both = self._paired.many(xs, side)
+            width = self.sys.dim + 1
+            rows, drives = np.delete(both, np.s_[width - 1 :: width], axis=-1), both[..., width - 1 :: width].copy()
+        return rows @ self.coeffs + drives.sum(-1)
 
     def value(self, x: float, side: str = "balanced") -> np.ndarray:
         return self.many(np.array([x]), side)[0]

@@ -160,7 +160,7 @@ class SystemSpec:
         atoms = sorted(set(self.q.atom_locations).union(self.w.atom_locations))
         object.__setattr__(self, "_atoms", tuple(atoms))
         object.__setattr__(self, "_atom_set", frozenset(atoms))
-        # filled by propagation: the density fits and pairings of a stretch
+        # filled by propagation: the density fits of a stretch
         # under ("fit", lo, hi), the flow of a constant stretch under ("flow",
         # Q bytes, W bytes), the condition number of a lam-free jump matrix
         # at an atom without w mass under ("cond", x, direction)

@@ -101,15 +101,14 @@ def forward_transform(
     if supp is not None and np.isfinite(supp[0]) and np.isfinite(supp[1]):
         direct = True
 
+    # every atom row from one fetch: the missing ones are built in one array call
+    rows = eng.rows([np.conj(complex(s)) for s in support])
+
     def sample_all(fn) -> np.ndarray:
-        rows = [
-            forward_transform_compact(
-                sys, fn, s, row_conj=eng.row(np.conj(complex(s))),
-                sing=eng.sing, anchors=eng.anchors,
-            )
-            for s in support
-        ]
-        return np.stack(rows)
+        return np.stack([
+            forward_transform_compact(sys, fn, s, row_conj=row, sing=eng.sing, anchors=eng.anchors)
+            for s, row in zip(support, rows)
+        ])
 
     if direct:
         return TauVector(model, sample_all(f))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import FAMILIES, assemble_blocks
+from .assembly import FAMILIES, BlockAssembly, assemble_blocks
 from .engine import Engine
 from .system import BoundaryConditions, SystemSpec
 
@@ -64,16 +64,19 @@ def symmetry_witness(
     lam: complex,
     *,
     engine: Engine | None = None,
+    asm: BlockAssembly | None = None,
 ) -> tuple[np.ndarray, float, dict]:
     """The matrix certifying ``M(lam) = M(conj lam)^*`` when it vanishes.
 
     Returns the witness, its Frobenius norm and a per-block norm table built
     from the one-sided row stacks, keyed by pairs of
     :data:`~blockweyl.assembly.FAMILIES` (the projector block row is
-    identically zero).
+    identically zero).  ``asm`` is the assembly at ``lam`` where the caller
+    has made it; it is made here otherwise.
     """
     eng = engine or Engine(sys, bc)
-    asm = assemble_blocks(sys, bc, lam, engine=eng, check_rank=False)
+    if asm is None:
+        asm = assemble_blocks(sys, bc, lam, engine=eng, check_rank=False)
     asm_c = assemble_blocks(sys, bc, np.conj(lam), engine=eng, check_rank=False)
     Jinv = eng.J_blocks_inv
     P = asm.projector
@@ -133,20 +136,22 @@ def m_function_many(
         m_right = np.reshape(P @ Fd @ asm.source_right @ Jinv @ P, stack)
         F = asm.constraints.reshape(len(batch), *asm.constraints.shape[-2:])
         svals = asm.svd[1].reshape(len(batch), -1)
+        # a batch of one hands its assembly to the witness
+        asms = [asm] if len(batch) == 1 else [None] * len(batch)
         return [_sample(sys, bc, eng, *one, with_witness)
-                for one in zip(batch, F, svals, m_left, m_right)]
+                for one in zip(batch, F, svals, m_left, m_right, asms)]
 
     return eng.memo_many([("weyl", bc, lam, with_witness) for lam in lams], build)
 
 
-def _sample(sys, bc, eng, lam, F, svals, m_left, m_right, with_witness) -> WeylSample:
-    """One sample from its constraint matrix, that matrix's singular values and
-    the one-sided Weyl matrices."""
+def _sample(sys, bc, eng, lam, F, svals, m_left, m_right, asm, with_witness) -> WeylSample:
+    """One sample from its constraint matrix, that matrix's singular values,
+    the one-sided Weyl matrices and, where the batch has it, its assembly."""
     cond = float(svals[0] / svals[-1]) if svals.size and svals[-1] > 0 else np.inf
     wnorm = 0.0
     verified = True
     if with_witness:
-        _, wnorm, _ = symmetry_witness(sys, bc, lam, engine=eng)
+        _, wnorm, _ = symmetry_witness(sys, bc, lam, engine=eng, asm=asm)
         scale = max(1.0, float(np.linalg.norm(F)))
         verified = wnorm <= WITNESS_TOL * scale
         if not verified:

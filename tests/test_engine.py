@@ -70,6 +70,22 @@ def test_rows_builds_the_missing_rows_in_one_array_call(p1, monkeypatch):
     assert_same_row(rows[2], Engine(*p1).row(2 - 1j))
 
 
+def test_rows_of_a_batch_larger_than_the_store_are_not_rebuilt(p1, monkeypatch):
+    # the batch's own inserts push its two stored rows, asked for last, out
+    # of a store of four; they are returned as the peek found them, not
+    # built again
+    monkeypatch.setattr(engine_module, "ROW_CAPACITY", 4)
+    eng = Engine(*p1)
+    stored = [eng.row(lam) for lam in (1j, 2j)]
+    builds = []
+    build = engine_module.solution_row
+    monkeypatch.setattr(engine_module, "solution_row",
+                        lambda sys, lam, **kw: builds.append(np.shape(lam)) or build(sys, lam, **kw))
+    rows = eng.rows([3j, 4j, 5j, 6j, 1j, 2j])
+    assert builds == [(4,)] and rows[4] is stored[0] and rows[5] is stored[1]
+    assert len(eng._rows) == 4
+
+
 def test_gram_of_rotation_rows_on_p1(p1):
     # P1 rows at real s are rotations and w = I dx on (0, pi): the Gram matrix is pi I
     eng = Engine(*p1)

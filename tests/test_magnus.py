@@ -6,11 +6,13 @@ import threading
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import J2
 from blockweyl import propagation
+from blockweyl.assembly import norm_zero_space
 from blockweyl.config import ProblemConfig
 from blockweyl.engine import Engine
 from blockweyl.errors import AccuracyError
@@ -412,3 +414,69 @@ def test_full_scan_runs_once_per_accepted_mesh(monkeypatch):
     solve_ivp(sysm, 0, 2.0 + 0.5j, ANCHOR, np.array([1.0, 0.0]), f=VectorFunction(lambda x: np.array([x, 1.0])))
     assert len(row.fundamentals[0].pieces) == 3
     assert accepted == [9, 3] and scanned == accepted
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 50), st.floats(-3.0, 0.5), st.floats(-6.0, 6.0), st.integers(0, 2**32 - 1))
+def test_expm_column_matches_the_augmented_exponential(n, length, log_size, log_beta, seed):
+    # a drive column b on top rows [A | b]: the last column of exp([[A, b], [0, 0]]),
+    # while the n x n block stays bitwise the exponential of A alone
+    rng = np.random.default_rng(seed)
+    A = 10.0**log_size * random_stack(rng, (length, n, n), True) * np.exp(-rng.uniform(0.0, 3.0))
+    b = 10.0**log_beta * random_stack(rng, (length, n, 1), True)
+    E = propagation._expm_stack(np.concatenate([A, b], axis=-1))
+    assert np.array_equal(E[..., :n], propagation._expm_stack(A))
+    for Ai, bi, Ei in zip(A, b, E):
+        augmented = np.zeros((n + 1, n + 1), dtype=complex)
+        augmented[:n, :n], augmented[:n, n:] = Ai, bi
+        ref = scipy.linalg.expm(augmented)[:n, n]
+        assert np.max(np.abs(Ei[:, n] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_resolvent_forms_no_augmented_stack_and_one_mesh_pass_per_block(monkeypatch):
+    # the drive rides on the n x n steps of its row as a column: no kernel sees
+    # an (n + 1) x (n + 1) matrix, and the rows at lam and conj(lam) and the
+    # drive of each block are meshed in one pass
+    shapes, passes = [], []
+    matmul, meshes = propagation._small_matmul, propagation._magnus_meshes
+
+    def recorded(X, Y):
+        shapes.extend((X.shape[-2:], Y.shape[-2:]))
+        return matmul(X, Y)
+
+    def counted(jobs, tols):
+        passes.append(sorted({(complex(lam), coeff.f is not None) for coeff, lam, *_ in jobs}, key=str))
+        return meshes(jobs, tols)
+
+    sysm = smooth_system(None, atoms=((1.1, np.diag([0.5, -0.25])),))
+    bc = ProblemConfig.load("P1").boundary
+    eng = Engine(sysm, bc)
+    norm_zero_space(sysm, engine=eng)  # its rows at 0 are not the resolvent's
+    monkeypatch.setattr(propagation, "_small_matmul", recorded)
+    monkeypatch.setattr(propagation, "_magnus_meshes", counted)
+    lam = 2.0 + 0.5j
+    R = ResolventFunction(sysm, bc, lam, VectorFunction(lambda x: np.array([1.0, x])), engine=eng)
+    R.many(np.linspace(0.1, 1.4, 7))
+    assert len(passes) == eng.block_count
+    assert all(p == sorted({(lam, False), (np.conj(lam), False), (lam, True)}, key=str) for p in passes)
+    assert shapes and (3, 3) not in shapes and {(2, 2), (2, 3)} <= set(shapes)
+
+
+@pytest.mark.parametrize("case", ["P1", "split"])
+def test_drive_without_a_row_mesh_matches_dop853(case):
+    # P1's stretch is constant, so its rows flow in closed form and the drive
+    # makes its own steps; on the smooth system the drive's breakpoints split
+    # the row's stretches, so only the stretch left of the anchor is shared
+    lam = 2.7 + 0.4j
+    if case == "P1":
+        sysm, anchor, f = ProblemConfig.load("P1").system, 1.0, VectorFunction(lambda x: np.array([1.0, np.cos(x)]))
+    else:
+        sysm, anchor = smooth_system(None), ANCHOR
+        f = VectorFunction(lambda x: np.array([1.0, np.cos(x)]), support=(0.0, 0.9), breakpoints=(1.2,))
+    drives, row = propagation.drive_row(sysm, lam, f, rows=[lam, np.conj(lam)], anchors=[anchor])
+    (fund,) = drives.fundamentals
+    assert row.fundamentals[0].pieces[0].flow is not None if case == "P1" else len(fund.points) == 5
+    a, b = sysm.interval
+    for side in ([a + 0.1, 0.5 * (a + anchor)], [anchor + 0.3, b - 0.05]):
+        for x, ref in zip(side, reference(sysm, lam, anchor, np.zeros(2), side, drive=f)):
+            assert_close(fund(x)[:, 0], ref)

@@ -13,7 +13,7 @@ from blockweyl import propagation, spectral
 from blockweyl.engine import Engine
 from blockweyl.errors import StructuralError, TheoryViolationError
 from blockweyl.measures import IntervalSpec, MatrixMeasure, Segment, integrate_bv
-from blockweyl.propagation import VectorFunction, row_integrand, solve_ivp
+from blockweyl.propagation import SolutionRow, VectorFunction, row_integrand, solution_row, solve_ivp
 from blockweyl.spectral import (
     ResolventFunction,
     atom_weight,
@@ -524,6 +524,30 @@ def test_conjugate_row_of_a_resolvent_is_built_independently(p1, monkeypatch):
     assert_same_row(eng.row(np.conj(lam)), clean.row(np.conj(lam)))
     assert not np.array_equal(R.row.fundamentals[0].left_values[-1], clean.row(lam).fundamentals[0].left_values[-1])
     assert R.weyl.witness_norm > WITNESS_TOL
+
+
+@pytest.mark.parametrize("support", [None, (0.0, 1.7)], ids=["no-breakpoints", "support"])
+def test_rows_of_a_resolvent_are_the_rows_built_alone(p1, support):
+    # the drive rides on the steps of the row at lam; the rows, stored by the
+    # engine, are bitwise the rows built alone, and so is the drive row, built
+    # with its rows or after them
+    sysm, bc = smooth_p1(p1)
+    lam = 2.5 + 0.75j
+    f = VectorFunction(lambda x: np.array([1.0, 0.5 * x]), support=support)
+    eng = Engine(sysm, bc)
+    R = ResolventFunction(sysm, bc, lam, f, engine=eng)
+    for one in (lam, np.conj(lam)):
+        assert_same_row(eng.row(one), solution_row(sysm, one))
+    zero = np.zeros((2, 1))
+    alone = SolutionRow(sysm, [solve_ivp(sysm, j, lam, x0, zero, f, sing=eng.sing) for j, x0 in enumerate(eng.anchors)])
+    assert_same_row(R.drives, alone)
+    assert_same_row(ResolventFunction(sysm, bc, lam, f, engine=eng).drives, alone)  # its rows cached
+    # the row and the drive read together, bitwise as each alone
+    assert (R._paired is None) == (support is not None)
+    xs = np.sort(np.concatenate([np.linspace(0.05, PI - 0.05, 23), [1.1, 1.7]]))
+    for side in ("left", "right", "balanced"):
+        apart = R.row.many(xs, side) @ R.coeffs + R.drives.many(xs, side).sum(-1)
+        assert np.array_equal(R.many(xs, side), apart)
 
 
 def test_resolvent_satisfies_equation_and_bcs(p1, e1):

@@ -531,3 +531,24 @@ def test_no_period_on_an_unbounded_stretch_with_a_non_constant_density():
     assert widest(1.0, 2.0) == np.inf
     assert abs(widest(0.0, 0.5) - 2 * PI / 30.0) < 1e-14
     assert widest(0.5, 1.5) == widest(0.0, 0.5)
+
+
+def test_rows_of_a_transform_are_built_in_one_array_call(p1, monkeypatch):
+    # ten atoms and a store of four rows: every atom row comes from one array
+    # call, and none is rebuilt when the later ones push it out of the store
+    from blockweyl import engine as engine_module
+
+    sysm, bc = p1
+    model = spectral_measure_model(sysm, bc, (-4.5, 5.5))
+    assert len(model.atoms) == 10
+    monkeypatch.setattr(engine_module, "ROW_CAPACITY", 4)
+    builds = []
+    build = engine_module.solution_row
+    monkeypatch.setattr(engine_module, "solution_row",
+                        lambda sys, lam, **kw: builds.append(np.shape(lam)) or build(sys, lam, **kw))
+    eng = Engine(sysm, bc)
+    fhat = forward_transform(sysm, bc, model, const_f(), engine=eng)
+    assert builds == [(10,)] and len(eng._rows) == 4
+    loop = [forward_transform_compact(sysm, const_f(), atom.s, row_conj=propagation.solution_row(sysm, atom.s))
+            for atom in model.atoms]
+    assert np.array_equal(fhat.values, np.stack(loop))

@@ -154,3 +154,23 @@ def test_batch_with_an_exceptional_parameter_raises_like_the_scalar_call():
         m_function_many(sysm, bc, [0.5j, bad, 2j], engine=eng)
     assert str(batch.value) == str(scalar.value)
     assert not [key for key in eng._memo if isinstance(key, tuple) and key[0] == "weyl"]
+
+
+@pytest.mark.parametrize("name", ["p1", "p3"])
+def test_witness_takes_the_assembly_of_its_batch(name, request, monkeypatch):
+    # a sample with its witness assembles lam once and conj(lam) once; the
+    # witness is bitwise the one that assembles lam again
+    from blockweyl import weyl
+
+    sysm, bc = request.getfixturevalue(name)
+    eng = Engine(sysm, bc)
+    norm_zero_space(sysm, engine=eng)
+    calls = []
+    assemble = weyl.assemble_blocks
+    monkeypatch.setattr(weyl, "assemble_blocks", lambda *args, **kw: calls.append(args[2]) or assemble(*args, **kw))
+    lam = 0.4 + 0.9j
+    sample = m_function(sysm, bc, lam, engine=eng)
+    assert calls == [lam, np.conj(lam)]
+    monkeypatch.undo()
+    _, norm, _ = symmetry_witness(sysm, bc, lam, engine=Engine(sysm, bc))
+    assert sample.witness_norm == norm

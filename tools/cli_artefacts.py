@@ -20,8 +20,13 @@ one thread as the benchmark pins it, and writes ``OUTDIR/workloads.json``:
 per workload, the sha256 of each operation's output (its arrays, numbers and
 strings, or the error it raised), and under ``"<workload> set-up"`` the
 sha256 of the atoms of each spectral model its set-up builds (the two of
-``expansion``), so that a change to the set-up shows too.  The numbers of
-each output, complex ones as real and imaginary part, go to
+``expansion``), so that a change to the set-up shows too.  Under
+``"resolvent drives"`` go the same of 20 resolvents, each read at 5 points:
+10 on P1, whose constant stretch gives its drive no row mesh to share, and
+10 on P1 with a quadratic ``q`` density and a ``q`` atom, for a drive
+supported on (0, 1.7), whose edge splits a stretch of the rows; the
+``smooth_resolvent`` workload reaches neither case.  The numbers of each
+output, complex ones as real and imaginary part, go to
 ``OUTDIR/workload_values.json``.  More processes, with BLAS pinned the same
 way, time the Parseval-200 fixture of acceptance criterion 07 (P1's
 ``spectral_measure_model`` on (-200.25, 200.25) and ``parseval_check`` at
@@ -101,7 +106,8 @@ def _digest(obj) -> tuple[str, list[float]]:
 def workload_outputs() -> tuple[dict[str, list[str]], dict[str, list[list[float]]]]:
     """sha256 of the outputs of the first operations of each benchmark workload,
     and the numbers in each output; under ``"<workload> set-up"``, the same of
-    the atoms of each spectral model its set-up builds."""
+    the atoms of each spectral model its set-up builds, and under
+    ``"resolvent drives"`` those of :func:`resolvent_drives`."""
     sys.path[:0] = [str(SRC), str(PERFBENCH)]
     import blockweyl
     from workloads import WORKLOADS
@@ -122,6 +128,34 @@ def workload_outputs() -> tuple[dict[str, list[str]], dict[str, list[list[float]
                 digest, numbers = hashlib.sha256(f"{type(exc).__name__}: {exc}".encode()).hexdigest(), []
             digests[name].append(digest)
             values[name].append(numbers)
+    digests["resolvent drives"], values["resolvent drives"] = resolvent_drives()
+    return digests, values
+
+
+def resolvent_drives() -> tuple[list[str], list[list[float]]]:
+    """sha256 of the values of 20 resolvents at 5 points each, and their numbers
+    (the ``"resolvent drives"`` entry of ``workloads.json``)."""
+    sys.path[:0] = [str(SRC)]
+    import numpy as np
+    from blockweyl import Engine, MatrixMeasure, ResolventFunction, Segment, SystemSpec, VectorFunction
+    from blockweyl.config import ProblemConfig
+
+    cfg = ProblemConfig.load("P1")
+    p1, bc = cfg.system, cfg.boundary
+    c0, c1, c2 = np.array([[0.3, 0.1], [0.1, -0.2]]), np.array([[0.0, 0.05], [0.05, 0.1]]), 0.02 * np.eye(2)
+    q = MatrixMeasure(dim=2, segments=(Segment((0.0, np.pi), lambda x: c0 + c1 * x + c2 * x * x, degree=2),),
+                      atoms=((1.1, np.diag([0.5, -0.25])),))
+    smooth = SystemSpec(J=p1.J, q=q, w=p1.w, interval=p1.interval, tols=p1.tols)
+    xs = np.array([0.2, 0.9, 1.5, 2.1, 2.9])
+    digests, values = [], []
+    for sysm, support in ((p1, None), (smooth, (0.0, 1.7))):
+        eng = Engine(sysm, bc)
+        for k in range(10):
+            lam = complex(-12.0 + 2.7 * k, 0.3 + 0.2 * k)
+            f = VectorFunction(lambda x, k=k: np.array([1.0, np.cos(k * x)]), support=support)
+            digest, numbers = _digest(ResolventFunction(sysm, bc, lam, f, engine=eng).many(xs))
+            digests.append(digest)
+            values.append(numbers)
     return digests, values
 
 
