@@ -584,9 +584,10 @@ class _MagnusMesh:
 
 
 def _transfer_pairs(T: np.ndarray, J: np.ndarray, Jinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked transfers ``T = [P | p]`` of a stretch and ``J T^-1 J^-1``, the
-    adjoints of those at ``conj(lam)``, as top rows of augmented flows:
-    ``[J P^-1 J^-1 | -J P^-1 p]``, with ``J`` padded by a 1 (none for a square ``T``)."""
+    """Stacked transfers ``T`` of a stretch and ``J T^-1 J^-1``, the adjoints
+    of those at ``conj(lam)``.  For the top rows ``T = [P | p]`` of augmented
+    flows the pair is the top rows of the augmented flow's pair,
+    ``[J P^-1 J^-1 | -J P^-1 p]``."""
     n = T.shape[-2]
     try:
         JPinv = J @ np.linalg.inv(T[..., :n])

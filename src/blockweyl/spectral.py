@@ -136,6 +136,7 @@ class ResolventFunction:
         else:
             both = self._paired.many(xs, side)
             width = self.sys.dim + 1
+            # contiguous copies, so that the product and the sum below see the arrays that apart reads give
             rows, drives = np.delete(both, np.s_[width - 1 :: width], axis=-1), both[..., width - 1 :: width].copy()
         return rows @ self.coeffs + drives.sum(-1)
 
