@@ -240,6 +240,15 @@ class BlockAssembly:
         """The constraint rows of one family of :data:`FAMILIES`."""
         return self.constraints[..., self.rows[name], :]
 
+    def split(self) -> list["BlockAssembly"]:
+        """The assembly of each parameter of a stacked one, as views of its
+        fields; an assembly of one parameter is a list of itself."""
+        if not np.ndim(self.lam):
+            return [self]
+        return [BlockAssembly(lam=complex(lam), right=self.right[i], left=self.left[i], rows=self.rows,
+                              projector=self.projector, constraints=self.constraints[i])
+                for i, lam in enumerate(self.lam)]
+
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.linalg.svd(self.constraints, full_matrices=False)

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, pairwise
 from typing import Callable, Sequence
@@ -86,7 +86,8 @@ def evaluate_many(f: Callable[[float], np.ndarray], xs: np.ndarray) -> np.ndarra
 
     ``f.many(xs)`` is called once when ``f`` has that method; a plain callable
     is called once per point, on Python floats, and no points give an empty
-    array of shape ``(0,)``.
+    array of shape ``(0,)``.  The transforms read a plain callable through
+    its :class:`ChebyshevForm` instead (:func:`sampled`).
     """
     many = getattr(f, "many", None)
     if many is not None:
@@ -102,8 +103,11 @@ class VectorFunction:
     transforms never infer them.  :meth:`many` evaluates it on an array of
     points: one ``fn.many`` call when ``fn`` has that method (a nested
     :class:`VectorFunction`, an :class:`ArrayForm`, a
-    :class:`~blockweyl.transform.SpectralSynthesis`), otherwise one ``fn``
-    call per point.  A single point is a batch of one.
+    :class:`ChebyshevForm`, a :class:`~blockweyl.transform.SpectralSynthesis`),
+    otherwise one ``fn`` call per point.  A single point is a batch of one.
+    The transforms sample a plain ``fn`` once per smooth piece
+    (:func:`sampled`), so ``breakpoints`` should mark every jump and kink of
+    ``fn`` inside ``support``.
     """
 
     fn: Callable[[float], np.ndarray]
@@ -133,6 +137,139 @@ class ArrayForm:
 
     def __call__(self, x: float) -> np.ndarray:
         return self.many(np.array([x]))[0]
+
+
+# sizes of the Chebyshev samples of a smooth piece, and the relative size
+# below which a trailing quarter of coefficients is roundoff (Trefethen,
+# Approximation Theory and Approximation Practice, SIAM 2013; Aurentz and
+# Trefethen, Chopping a Chebyshev series, ACM TOMS 43, 2017)
+_CHEB_SIZES = (16, 32, 64, 128)
+_CHEB_TAIL = 1e-14
+
+
+def _chebyshev_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` first-kind Chebyshev points ``cos(pi (2j + 1) / 2n)`` on
+    ``[-1, 1]`` and the matrix taking values there to the coefficients of
+    their interpolant: ``2/n cos(pi k (2j + 1) / 2n)``, halved for ``k = 0``,
+    its angles reduced mod ``2 pi`` in integers so that every entry is
+    within roundoff (the three-term recurrence loses about ``k`` ulps)."""
+    odd = 2 * np.arange(n) + 1
+    to_coeffs = np.cos(np.pi / (2 * n) * (np.outer(np.arange(n), odd) % (4 * n))) * (2.0 / n)
+    to_coeffs[0] *= 0.5
+    return np.cos(np.pi / (2 * n) * odd), to_coeffs
+
+
+_CHEB_BASES = {n: _chebyshev_basis(n) for n in _CHEB_SIZES}
+
+
+def _chebyshev_coefficients(fn: Callable[[float], np.ndarray], lo: float, hi: float) -> np.ndarray | None:
+    """Chebyshev coefficients of the plain callable ``fn`` on ``(lo, hi)``,
+    stacked along a leading axis, or None when no size resolves it.
+
+    ``fn`` is sampled at 16, 32, 64 and 128 first-kind points, interior ones,
+    so never at the edges.  A size is taken when its trailing quarter of
+    coefficients is below ``_CHEB_TAIL`` times the largest sample of the
+    piece, and the next size's coefficients agree with its own to that bound.
+    """
+    prev = None
+    for n in _CHEB_SIZES:
+        t, to_coeffs = _CHEB_BASES[n]
+        vals = evaluate_many(fn, lo + (hi - lo) * 0.5 * (t + 1.0))
+        coeffs = (to_coeffs @ vals.reshape(n, -1)).reshape(vals.shape)
+        scale = float(np.abs(vals).max(initial=0.0))
+        if prev is not None:
+            c, tol = prev[0], _CHEB_TAIL * max(prev[1], scale)
+            m = len(c)
+            gap = np.abs(coeffs - np.concatenate([c, np.zeros_like(c)])).max()
+            if np.abs(c[3 * m // 4:]).max() <= tol and gap <= tol:
+                return c
+        prev = coeffs, scale
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class ChebyshevForm:
+    """A plain callable ``fn`` read through its Chebyshev series on smooth pieces.
+
+    ``edges[i]`` is ``(lo, hi)`` of the ``i``-th piece that
+    :func:`_chebyshev_coefficients` resolved, ascending, and ``coeffs[i]``
+    its series, padded with zeros to the longest one.  :meth:`many` takes
+    the Chebyshev polynomials at every point of the batch inside a piece in
+    one three-term recurrence, and sums each piece's series over its points
+    with one product; a point on a piece edge, such as an atom, or outside
+    every resolved piece gets ``fn``'s own value, one call per point.
+    """
+
+    fn: Callable[[float], np.ndarray]
+    edges: np.ndarray
+    coeffs: np.ndarray
+
+    def __call__(self, x: float) -> np.ndarray:
+        return self.many(np.array([x]))[0]
+
+    def many(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        k = np.searchsorted(self.edges[:, 0], xs, side="right") - 1
+        lo, hi = self.edges[k].T
+        inside = (k >= 0) & (lo < xs) & (xs < hi)
+        if not inside.any():
+            return evaluate_many(self.fn, xs)
+        k, lo, hi = k[inside], lo[inside], hi[inside]
+        n, shape = self.coeffs.shape[1], self.coeffs.shape[2:]
+        T = chebvander((2.0 * xs[inside] - (lo + hi)) / (hi - lo), n - 1)
+        vals = np.empty((len(k), math.prod(shape)), dtype=complex)
+        for piece in np.unique(k):
+            at = k == piece
+            vals[at] = T[at] @ self.coeffs[piece].reshape(n, -1)
+        out = np.empty((len(xs),) + shape, dtype=complex)
+        out[inside] = vals.reshape((-1,) + shape)
+        if not inside.all():
+            out[~inside] = evaluate_many(self.fn, xs[~inside])
+        return out
+
+
+def sampled(sys: SystemSpec, f: Callable[[float], np.ndarray]) -> Callable[[float], np.ndarray]:
+    """``f`` as the transforms integrate it: each plain callable in it read
+    through its :class:`ChebyshevForm`.
+
+    The pieces are the stretches of the segments of ``w``, where quadrature
+    nodes fall, within the interval and the support of ``f``, cut at the
+    atoms of the system and the breakpoints of ``f``.  A :class:`VectorFunction`
+    gets its ``fn`` sampled on its own support and breakpoints; anything else
+    with a ``many`` (an :class:`ArrayForm`, a form already sampled) is
+    returned as it is, so sampling twice changes nothing.
+    """
+    return _sampled(f, sys.w, sys.interval, tuple(sys.atom_positions()))
+
+
+def _sampled(f, w, span: tuple[float, float], breaks: tuple[float, ...]):
+    """:func:`sampled` of ``f`` on the part of ``span`` in its support, cut at ``breaks``."""
+    lo, hi = span
+    supp = getattr(f, "support", None)
+    if supp is not None:
+        lo, hi = max(lo, supp[0]), min(hi, supp[1])
+    breaks += tuple(getattr(f, "breakpoints", ()))
+    if isinstance(f, VectorFunction):
+        fn = _sampled(f.fn, w, (lo, hi), breaks)
+        return f if fn is f.fn else replace(f, fn=fn)
+    if hasattr(f, "many"):
+        return f
+    pieces = []
+    for seg in w.segments:
+        s_lo, s_hi = max(seg.interval[0], lo), min(seg.interval[1], hi)
+        if s_hi <= s_lo or not (np.isfinite(s_lo) and np.isfinite(s_hi)):
+            continue
+        edges = [s_lo] + sorted({x for x in breaks if s_lo < x < s_hi}) + [s_hi]
+        for a, b in pairwise(edges):
+            coeffs = _chebyshev_coefficients(f, a, b)
+            if coeffs is not None:
+                pieces.append((a, b, coeffs))
+    if not pieces:
+        return f
+    padded = np.zeros((len(pieces), max(len(c) for *_, c in pieces)) + pieces[0][2].shape[1:], dtype=complex)
+    for row, (*_, c) in zip(padded, pieces):
+        row[: len(c)] = c
+    return ChebyshevForm(f, np.array([(a, b) for a, b, _ in pieces]), padded)
 
 
 # ---------------------------------------------------------------------------
@@ -1298,9 +1435,9 @@ def row_integrand(
 
     With ``row`` built at ``conj(lam)`` its integral is the transform of ``f``
     at ``lam``.  The row and ``f`` are evaluated once per batch of points,
-    ``f`` through :func:`evaluate_many` (point by point only when it is a
-    plain callable); ``f`` must evaluate to balanced values at atoms of the
-    measure.
+    ``f`` through :func:`evaluate_many`, so point by point when it is a plain
+    callable: the transforms hand it ``f`` already :func:`sampled`.  ``f``
+    must evaluate to balanced values at atoms of the measure.
     """
 
     def integrand(xs: np.ndarray, dms: np.ndarray) -> np.ndarray:
@@ -1367,10 +1504,13 @@ def forward_transform_compact(
     ``f`` must be compactly supported (or the interval finite) and evaluate to
     balanced values at atoms of ``w``.  The integral is
     :func:`blockweyl.measures.integrate_bv` of :func:`row_integrand` over the
-    support of ``f`` clipped to the interval.  Its quadrature starts on panels
-    no wider than one period of the row (:func:`_row_period`): a wider
-    panel fails the Kronrod-Gauss test at the default tolerance, so the
-    adaptive loop would bisect it anyway, and it still certifies the result.
+    support of ``f`` clipped to the interval, with ``f`` read through
+    :func:`sampled`: a plain callable is called on its Chebyshev points and at
+    the atoms, not once per node, and a form already sampled is used as it
+    is.  Its quadrature starts on panels no wider than one period of the row
+    (:func:`_row_period`): a wider panel fails the Kronrod-Gauss test at the
+    default tolerance, so the adaptive loop would bisect it anyway, and it
+    still certifies the result.
     """
     if row_conj is None:
         row_conj = solution_row(sys, np.conj(lam), sing=sing, anchors=anchors)
@@ -1382,7 +1522,7 @@ def forward_transform_compact(
         return np.zeros(sys.dim * row_conj.blocks, dtype=complex)
     breaks = list(getattr(f, "breakpoints", ())) + sys.atom_positions()
     return integrate_bv(
-        row_integrand(row_conj, f), sys.w, IntervalSpec(lo, hi),
+        row_integrand(row_conj, sampled(sys, f)), sys.w, IntervalSpec(lo, hi),
         breakpoints=breaks, tols=sys.tols, widest=_row_period(sys, np.conj(lam), lo, hi),
     )
 

@@ -17,17 +17,21 @@ import numpy as np
 from .engine import Engine
 from .errors import AccuracyError
 from .measures import IntervalSpec, integrate_bv
-from .propagation import ArrayForm, VectorFunction, evaluate_many, forward_transform_compact
+from .propagation import ArrayForm, VectorFunction, evaluate_many, forward_transform_compact, sampled
 from .spectral import SpectralMeasureModel
 from .system import BoundaryConditions, SystemSpec
 
 
 def w_inner(sys: SystemSpec, g1, g2) -> complex:
-    """Weighted inner product ``int g1^* w g2``, each function sampled once
-    per quadrature batch (:func:`~blockweyl.propagation.evaluate_many`)."""
+    """Weighted inner product ``int g1^* w g2``, each function read through
+    :func:`~blockweyl.propagation.sampled` and evaluated once per quadrature
+    batch (:func:`~blockweyl.propagation.evaluate_many`)."""
     a, b = sys.interval
     breaks = list(getattr(g1, "breakpoints", ())) + list(getattr(g2, "breakpoints", ()))
     breaks += sys.atom_positions()
+    same = g2 is g1
+    g1 = sampled(sys, g1)
+    g2 = g1 if same else sampled(sys, g2)
 
     def pairing(xs: np.ndarray, dws: np.ndarray) -> np.ndarray:
         G1 = evaluate_many(g1, xs)
@@ -105,6 +109,7 @@ def forward_transform(
     rows = eng.rows([np.conj(complex(s)) for s in support])
 
     def sample_all(fn) -> np.ndarray:
+        fn = sampled(sys, fn)  # one form for every atom
         return np.stack([
             forward_transform_compact(sys, fn, s, row_conj=row, sing=eng.sing, anchors=eng.anchors)
             for s, row in zip(support, rows)

@@ -65,19 +65,22 @@ def symmetry_witness(
     *,
     engine: Engine | None = None,
     asm: BlockAssembly | None = None,
+    asm_c: BlockAssembly | None = None,
 ) -> tuple[np.ndarray, float, dict]:
     """The matrix certifying ``M(lam) = M(conj lam)^*`` when it vanishes.
 
     Returns the witness, its Frobenius norm and a per-block norm table built
     from the one-sided row stacks, keyed by pairs of
     :data:`~blockweyl.assembly.FAMILIES` (the projector block row is
-    identically zero).  ``asm`` is the assembly at ``lam`` where the caller
-    has made it; it is made here otherwise.
+    identically zero).  ``asm`` and ``asm_c`` are the assemblies at ``lam``
+    and ``conj(lam)`` where the caller has made them; each is made here
+    otherwise.
     """
     eng = engine or Engine(sys, bc)
     if asm is None:
         asm = assemble_blocks(sys, bc, lam, engine=eng, check_rank=False)
-    asm_c = assemble_blocks(sys, bc, np.conj(lam), engine=eng, check_rank=False)
+    if asm_c is None:
+        asm_c = assemble_blocks(sys, bc, np.conj(lam), engine=eng, check_rank=False)
     Jinv = eng.J_blocks_inv
     P = asm.projector
     omega = (
@@ -120,14 +123,16 @@ def m_function_many(
     cached are assembled in one stacked pass (a single one at its cached
     solution row) with one stacked pseudoinverse.  A parameter on the
     exceptional set raises as it does on its own.  The symmetry witness is
-    computed per parameter.
+    computed per parameter, from its slice of the batch's assembly and of
+    one more stacked assembly at the conjugate parameters.
     """
     eng = engine or Engine(sys, bc)
     lams = [complex(lam) for lam in np.ravel(lams)]
 
     def build(missing: list[int]) -> list[WeylSample]:
         batch = [lams[i] for i in missing]
-        asm = assemble_blocks(sys, bc, batch[0] if len(batch) == 1 else np.array(batch), engine=eng)
+        stacked = batch[0] if len(batch) == 1 else np.array(batch)
+        asm = assemble_blocks(sys, bc, stacked, engine=eng)
         P = asm.projector
         Jinv = eng.J_blocks_inv
         Fd = _pinv(asm.svd, sys.tols.pinv_rel)
@@ -136,22 +141,24 @@ def m_function_many(
         m_right = np.reshape(P @ Fd @ asm.source_right @ Jinv @ P, stack)
         F = asm.constraints.reshape(len(batch), *asm.constraints.shape[-2:])
         svals = asm.svd[1].reshape(len(batch), -1)
-        # a batch of one hands its assembly to the witness
-        asms = [asm] if len(batch) == 1 else [None] * len(batch)
-        return [_sample(sys, bc, eng, *one, with_witness)
-                for one in zip(batch, F, svals, m_left, m_right, asms)]
+        pairs = [None] * len(batch)
+        if with_witness:
+            conj = assemble_blocks(sys, bc, np.conj(stacked), engine=eng, check_rank=False)
+            pairs = list(zip(asm.split(), conj.split()))
+        return [_sample(sys, bc, eng, *one) for one in zip(batch, F, svals, m_left, m_right, pairs)]
 
     return eng.memo_many([("weyl", bc, lam, with_witness) for lam in lams], build)
 
 
-def _sample(sys, bc, eng, lam, F, svals, m_left, m_right, asm, with_witness) -> WeylSample:
+def _sample(sys, bc, eng, lam, F, svals, m_left, m_right, pair) -> WeylSample:
     """One sample from its constraint matrix, that matrix's singular values,
-    the one-sided Weyl matrices and, where the batch has it, its assembly."""
+    the one-sided Weyl matrices and, for a sample with its witness, its
+    assemblies at ``lam`` and ``conj(lam)``."""
     cond = float(svals[0] / svals[-1]) if svals.size and svals[-1] > 0 else np.inf
     wnorm = 0.0
     verified = True
-    if with_witness:
-        _, wnorm, _ = symmetry_witness(sys, bc, lam, engine=eng, asm=asm)
+    if pair is not None:
+        _, wnorm, _ = symmetry_witness(sys, bc, lam, engine=eng, asm=pair[0], asm_c=pair[1])
         scale = max(1.0, float(np.linalg.norm(F)))
         verified = wnorm <= WITNESS_TOL * scale
         if not verified:

@@ -13,8 +13,8 @@ from blockweyl.config import ProblemConfig
 from blockweyl.engine import Engine
 from blockweyl.errors import AccuracyError
 from blockweyl.measures import IntervalSpec, MatrixMeasure, Segment, integrate_bv
-from blockweyl.propagation import SolutionRow, VectorFunction, forward_transform_compact, row_integrand
-from blockweyl.spectral import ResolventFunction, eigen_scan, spectral_measure_model
+from blockweyl.propagation import ArrayForm, SolutionRow, VectorFunction, forward_transform_compact, row_integrand
+from blockweyl.spectral import ResolventFunction, SpectralMeasureModel, eigen_scan, spectral_measure_model
 from blockweyl.system import EndpointSpec, SystemSpec
 from blockweyl.transform import (
     TauVector,
@@ -353,7 +353,10 @@ def test_synthesis_and_resolvent_read_a_point_as_a_batch_of_one(name):
 
 def test_w_inner_of_a_synthesis_samples_it_on_arrays(p1, e1, model1, monkeypatch):
     synth = inverse_transform(p1[0], model1, forward_transform(*p1, model1, const_f(), engine=e1), engine=e1)
-    pointwise = w_inner(p1[0], lambda x: synth(x), lambda x: synth(x))
+    # the reference reads the synthesis point by point; a plain callable would
+    # be read through its Chebyshev form instead
+    one_by_one = VectorFunction(ArrayForm(lambda xs: np.array([synth(x) for x in xs])))
+    pointwise = w_inner(p1[0], one_by_one, one_by_one)
     calls, balanced = [], SolutionRow.balanced
 
     def counted(self, x):
@@ -478,7 +481,7 @@ def test_no_split_point_where_one_period_covers_the_panel(row_systems, name):
     assert initial_panels(sysm, 1.9, [1.3]) == initial_panels(sysm, 1.9, [1.3], period=False)
     row = eng.row(np.conj(2.0))
     f = const_f()
-    plain = integrate_bv(row_integrand(row, f), sysm.w, IntervalSpec(*sysm.interval),
+    plain = integrate_bv(row_integrand(row, propagation.sampled(sysm, f)), sysm.w, IntervalSpec(*sysm.interval),
                          breakpoints=atoms, tols=sysm.tols)
     assert forward_transform_compact(sysm, f, 2.0, row_conj=row).tobytes() == plain.tobytes()
 
@@ -510,7 +513,7 @@ def test_transform_with_more_base_panels_than_half_the_budget(p1, e1):
     f = VectorFunction(lambda x: np.array([np.cos(x), 1.0]), support=(0.0, PI),
                        breakpoints=tuple(np.linspace(0.0, PI, 2102)[1:-1]))
     row = e1.row(np.conj(80.0))
-    plain = integrate_bv(row_integrand(row, f), sysm.w, IntervalSpec(*sysm.interval),
+    plain = integrate_bv(row_integrand(row, propagation.sampled(sysm, f)), sysm.w, IntervalSpec(*sysm.interval),
                          breakpoints=list(f.breakpoints) + sysm.atom_positions(), tols=sysm.tols)
     assert forward_transform_compact(sysm, f, 80.0, row_conj=row).tobytes() == plain.tobytes()
 
@@ -552,3 +555,124 @@ def test_rows_of_a_transform_are_built_in_one_array_call(p1, monkeypatch):
     loop = [forward_transform_compact(sysm, const_f(), atom.s, row_conj=propagation.solution_row(sysm, atom.s))
             for atom in model.atoms]
     assert np.array_equal(fhat.values, np.stack(loop))
+
+
+# -- a plain callable read through its Chebyshev form --------------------
+
+
+def counted(fn, calls):
+    """``fn`` recording each point it is called at in ``calls``."""
+    return lambda x: calls.append(x) or fn(x)
+
+
+def piecewise_exp(breaks, coeffs, k):
+    """``p_j(x) exp(ikx)`` with the quartic ``p_j`` of ``coeffs[j]`` on the
+    ``j``-th piece between ``breaks``, balanced at them: as a plain callable
+    and as an array form."""
+    def pieces(xs):
+        powers = xs[:, None] ** np.arange(5)
+        phase = np.exp(1j * k * xs)[:, None]
+        at = np.searchsorted(breaks, xs)
+        left = np.einsum("md,mdc->mc", powers, coeffs[at]) * phase
+        right = np.einsum("md,mdc->mc", powers, coeffs[np.minimum(at + 1, len(breaks))]) * phase
+        on_break = np.isin(xs, breaks)[:, None]
+        return np.where(on_break, 0.5 * (left + right), left)
+
+    hints = dict(support=(0.0, PI), breakpoints=tuple(breaks))
+    return (VectorFunction(lambda x: pieces(np.array([x]))[0], **hints),
+            VectorFunction(ArrayForm(pieces), **hints))
+
+
+breaks_in_pi = st.lists(st.floats(0.1, PI - 0.1), max_size=3, unique=True).map(sorted).filter(
+    lambda b: all(y - x > 1e-2 for x, y in zip(b, b[1:])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["P1", "P2"]), s=st.floats(-80.0, 80.0), breaks=breaks_in_pi,
+       k=st.floats(-8.0, 8.0), seed=st.integers(0, 2**32 - 1))
+def test_sampled_transform_matches_the_array_form(row_systems, name, s, breaks, k, seed):
+    # piecewise quartics times exp(ikx): the sampled plain callable gives the
+    # transform and the weighted norm of the array form to 1e-12
+    sysm, eng = row_systems[name]
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(len(breaks) + 1, 5, 2)) + 1j * rng.normal(size=(len(breaks) + 1, 5, 2))
+    plain, array = piecewise_exp(np.array(breaks), coeffs, k)
+    assert isinstance(propagation.sampled(sysm, plain).fn, propagation.ChebyshevForm)
+    row = eng.row(np.conj(s))
+    want, scale = plain_transform(sysm, row, array)
+    got = forward_transform_compact(sysm, plain, s, row_conj=row)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert abs(w_inner(sysm, plain, plain) - w_inner(sysm, array, array)) <= 1e-12 * w_inner(sysm, array, array).real
+
+
+def test_sampling_is_idempotent_and_leaves_forms_alone(p1):
+    sysm, _ = p1
+    f = const_f()
+    once = propagation.sampled(sysm, f)
+    assert once is not f and propagation.sampled(sysm, once) is once
+    array = VectorFunction(ArrayForm(lambda xs: np.ones((len(xs), 2))))
+    assert propagation.sampled(sysm, array) is array
+    assert propagation.sampled(sysm, array.fn) is array.fn
+
+
+def test_a_size_is_taken_only_when_the_next_one_confirms_it(p1):
+    # T_32 of the piece reads -1 at the 16 points and has a negligible tail
+    # there; the 32 points disagree, and only 64, confirmed by 128, holds it
+    sysm, _ = p1
+    calls = []
+    f = VectorFunction(counted(lambda x: np.array([np.cos(32 * np.arccos(2 * x / PI - 1)), 1.0]), calls))
+    form = propagation.sampled(sysm, f).fn
+    assert form.coeffs.shape == (1, 64, 2) and len(calls) == 16 + 32 + 64 + 128
+    xs = np.linspace(0.0, PI, 1001)[1:-1]
+    assert np.max(np.abs(form.many(xs) - np.array([f(x) for x in xs]))) <= 1e-13
+
+
+def test_an_undeclared_jump_keeps_the_per_node_calls(p1, e1):
+    # no size resolves a jump, so f is called at every node as it is unsampled
+    sysm, _ = p1
+    f = VectorFunction(lambda x: np.array([1.0, 0.5]) if x < 1.1 else np.array([-0.3, 2.0]))
+    assert propagation.sampled(sysm, f) is f
+    row = e1.row(np.conj(3.0))
+    plain = integrate_bv(row_integrand(row, f), sysm.w, IntervalSpec(*sysm.interval), tols=sysm.tols)
+    assert forward_transform_compact(sysm, f, 3.0, row_conj=row).tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["P3", "P3-with-density"])
+def test_a_w_atom_gets_the_value_f_takes_there(p3, density):
+    # f jumps at P3's w atom x = 1 and gives its balanced value there; two f
+    # differing only at 1 differ in their transforms by the atom's term alone
+    sysm, _ = p3
+    if density:
+        w = MatrixMeasure(dim=2, segments=(Segment((0.0, 2.0), coeffs=np.eye(2)[None]),), atoms=sysm.w.atoms)
+        sysm = SystemSpec(J=sysm.J, q=sysm.q, w=w, interval=sysm.interval, tols=sysm.tols)
+    left, right = np.array([1.0, -0.5j]), np.array([0.25, 2.0])
+    at_atom = {"balanced": 0.5 * (left + right), "other": np.array([3.0, 1.0])}
+    calls = {key: [] for key in at_atom}
+    transforms = {}
+    row = propagation.solution_row(sysm, np.conj(1.7))
+    for key, value in at_atom.items():
+        fn = lambda x, value=value: left if x < 1.0 else right if x > 1.0 else value
+        transforms[key] = forward_transform_compact(sysm, VectorFunction(counted(fn, calls[key])), 1.7, row_conj=row)
+        assert calls[key].count(1.0) == 1
+    weight = dict(sysm.w.atoms)[1.0]
+    atom_term = np.conj(row.balanced(1.0)).T @ weight @ (at_atom["balanced"] - at_atom["other"])
+    assert np.max(np.abs(transforms["balanced"] - transforms["other"] - atom_term)) <= 1e-14 * np.max(np.abs(atom_term))
+
+
+def test_a_transform_calls_a_plain_f_a_bounded_number_of_times(p1, e1, model1):
+    # a one-atom transform of a piecewise quadratic, as the expansion
+    # benchmark makes it, and the Parseval-200 fixture's constant f: at most
+    # 100 calls each (16 + 32 per resolved piece), against one per node
+    sysm, bc = p1
+    calls = []
+    f = quadratic_pieces(1.3, np.array([[1.0, 0.5], [0.2, -1.0], [0.1, 0.3]]),
+                         np.array([[-0.4, 1.0], [0.7, 0.2], [0.0, -0.1]]))
+    f = dataclasses.replace(f, fn=counted(f.fn, calls))
+    one = SpectralMeasureModel(atoms=[model1.atoms[-1]], scan_range=model1.scan_range)
+    forward_transform(sysm, bc, one, f, engine=e1)
+    assert 0 < len(calls) <= 100
+    calls.clear()
+    model = spectral_measure_model(sysm, bc, (-200.25, 200.25), engine=e1)
+    parseval_check(sysm, bc, model, VectorFunction(counted(lambda x: np.array([1.0, 0.0]), calls)),
+                   truncation=200.0, engine=e1)
+    assert 0 < len(calls) <= 100

@@ -174,3 +174,25 @@ def test_witness_takes_the_assembly_of_its_batch(name, request, monkeypatch):
     monkeypatch.undo()
     _, norm, _ = symmetry_witness(sysm, bc, lam, engine=Engine(sysm, bc))
     assert sample.witness_norm == norm
+
+
+@pytest.mark.parametrize("name", ["p1", "p4"])
+def test_diagnostics_witnesses_read_slices_of_the_batch_assemblies(name, request, monkeypatch):
+    # a grid of four: the samples, the witnesses' conjugates, the conjugate
+    # samples and the probes are one stacked assembly each, and every witness
+    # is bitwise the one that assembles its own pair
+    from blockweyl import weyl
+
+    sysm, bc = request.getfixturevalue(name)
+    grid = [0.3 + 0.5j, -1.2 + 0.1j, 2.0 + 1.0j, 0.7 - 0.4j]
+    eng = Engine(sysm, bc)
+    norm_zero_space(sysm, engine=eng)
+    calls = []
+    assemble = weyl.assemble_blocks
+    monkeypatch.setattr(weyl, "assemble_blocks",
+                        lambda *args, **kw: calls.append(np.shape(args[2])) or assemble(*args, **kw))
+    rep = nevanlinna_diagnostics(sysm, bc, grid, engine=eng)
+    assert calls == [(4,), (4,), (4,), (32,)]
+    monkeypatch.undo()
+    for lam, row in zip(grid, rep.rows):
+        assert row.witness_norm == symmetry_witness(sysm, bc, lam, engine=Engine(sysm, bc))[1]

@@ -34,7 +34,8 @@ truncation 200 with f = (1, 0)) and P1's ``spectral_measure_model`` on
 (-80.5, 80.5), the model of the ``expansion`` set-up, imports and config
 loading left out.  Each runs once in each of three fresh processes, since
 single runs are noisy; the median times go to ``timings.json`` as
-``parseval_200`` and ``model_P1_80``.
+``parseval_200`` and ``model_P1_80``, and next to them, as
+``parseval_200_f_calls``, how many times the fixture calls its ``f``.
 
 ``--compare`` reads the manifests and files of two such runs.  For every
 artefact (and standard output) whose content differs it prints the largest
@@ -46,8 +47,8 @@ Where both runs wrote ``workloads.json`` it prints, per workload, the
 operations (or set-up models) whose outputs differ and, where both wrote
 their numbers, the largest absolute and relative difference of those
 numbers.  Where both wrote ``timings.json`` it also prints each command's
-wall time in both and their ratio (second over first).  Neither affects the
-exit code.
+wall time in both and their ratio (second over first), and the call counts
+of both.  Neither affects the exit code.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ RUNS = [(c, p) for p in ("P1", "P2", "P3", "P4") for c in COMMANDS] + [("fatou-d
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 WORKLOAD_SEED, WORKLOAD_OPS = 7, 60
 TIMED_RUNS = 3
+COUNT_SUFFIX = "_f_calls"  # a count in timings.json, not a time
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -172,28 +174,31 @@ def _fresh_engine_time(build) -> float:
     return time.perf_counter() - start
 
 
-def parseval_200() -> float:
-    """Wall time, in seconds, of the Parseval-200 fixture on P1."""
+def parseval_200() -> dict[str, float]:
+    """Wall time, in seconds, of the Parseval-200 fixture on P1, and how many
+    times it calls its ``f``."""
     sys.path[:0] = [str(SRC)]
     import numpy as np
     from blockweyl import VectorFunction, parseval_check, spectral_measure_model
 
+    calls = []
+
     def fixture(cfg, engine):
         model = spectral_measure_model(cfg.system, cfg.boundary, (-200.25, 200.25), engine=engine)
-        f = VectorFunction(lambda x: np.array([1.0, 0.0]))
+        f = VectorFunction(lambda x: calls.append(x) or np.array([1.0, 0.0]))
         parseval_check(cfg.system, cfg.boundary, model, f, truncation=200.0, engine=engine)
 
-    return _fresh_engine_time(fixture)
+    return {"parseval_200": _fresh_engine_time(fixture), "parseval_200_f_calls": len(calls)}
 
 
-def model_P1_80() -> float:
+def model_P1_80() -> dict[str, float]:
     """Wall time, in seconds, of P1's spectral model on (-80.5, 80.5), the
     model the ``expansion`` workload builds in its set-up."""
     sys.path[:0] = [str(SRC)]
     from blockweyl import spectral_measure_model
 
-    return _fresh_engine_time(lambda cfg, engine: spectral_measure_model(
-        cfg.system, cfg.boundary, (-80.5, 80.5), engine=engine, eps_schedule=cfg.eps_schedule))
+    return {"model_P1_80": _fresh_engine_time(lambda cfg, engine: spectral_measure_model(
+        cfg.system, cfg.boundary, (-80.5, 80.5), engine=engine, eps_schedule=cfg.eps_schedule))}
 
 
 def numeric_difference(a: str, b: str) -> tuple[float, float, int] | None:
@@ -271,16 +276,20 @@ def print_workloads(root_a: Path, root_b: Path) -> None:
 
 
 def print_timings(root_a: Path, root_b: Path) -> None:
-    """Each command's wall time in two runs and their ratio, where both recorded it."""
+    """Each command's wall time in two runs and their ratio, and each call
+    count in both, where both recorded it."""
     paths = [root / "timings.json" for root in (root_a, root_b)]
     if not all(path.exists() for path in paths):
         return
     time_a, time_b = (json.loads(path.read_text()) for path in paths)
-    common = sorted(set(time_a) & set(time_b))
+    counts = sorted(key for key in set(time_a) & set(time_b) if key.endswith(COUNT_SUFFIX))
+    common = sorted(set(time_a) & set(time_b) - set(counts))
     rows = [(key, time_a[key], time_b[key]) for key in common]
     rows.append(("total", sum(time_a[key] for key in common), sum(time_b[key] for key in common)))
     for key, a, b in rows:
         print(f"{key}: {a:.2f} s -> {b:.2f} s, ratio {b / a:.3f}")
+    for key in counts:
+        print(f"{key}: {time_a[key]:.0f} -> {time_b[key]:.0f}")
 
 
 def main(argv: list[str]) -> int:
@@ -325,10 +334,11 @@ def main(argv: list[str]) -> int:
     models = sum(len(v) for k, v in digests.items() if k.endswith(" set-up"))
     print(f"{sum(map(len, digests.values())) - models} workload outputs, {models} set-up models, "
           f"{time.perf_counter() - start:.2f} s", flush=True)
-    for key in ("parseval_200", "model_P1_80"):
-        runs = [float(last_line(f"cli_artefacts.{key}()")) for _ in range(TIMED_RUNS)]
-        timings[key] = statistics.median(runs)
-        print(f"{key}: median {timings[key]:.2f} s of {', '.join(f'{t:.2f}' for t in runs)} s", flush=True)
+    for fixture in ("parseval_200", "model_P1_80"):
+        runs = [json.loads(last_line(f"json.dumps(cli_artefacts.{fixture}())")) for _ in range(TIMED_RUNS)]
+        for key in runs[0]:
+            timings[key] = statistics.median(run[key] for run in runs)
+            print(f"{key}: median {timings[key]:.2f} of {', '.join(f'{run[key]:.2f}' for run in runs)}", flush=True)
     (root / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
     print(f"{len(manifest['artefacts'])} artefacts, {len(RUNS)} commands -> {root / 'manifest.json'}")
     return 0
