@@ -4,7 +4,8 @@ A coefficient here is an ``n x n`` matrix whose entries are measures with an
 absolutely continuous part (given per segment by a density evaluator) and a
 finite set of point masses.  :func:`integrate_bv` is the one routine that
 integrates against such a measure: the transforms and the Gram matrix pass
-it their integrands.  It combines adaptive quadrature of the density part
+it their integrands.  It combines adaptive quadrature of the density part,
+or a fixed Gauss-Legendre rule on the pieces a caller has sized one for,
 with exact atom sums, where the integrand contributes its *balanced* value
 (mean of one-sided limits) at every atom.
 Only finitely many atoms are supported; the countable case is reported as out
@@ -270,6 +271,7 @@ def integrate_bv(
     breakpoints: Sequence[float] = (),
     tols: Tolerances = DEFAULT_TOLS,
     widest: Callable[[float, float], float] | None = None,
+    fixed: Sequence[tuple[float, float, int]] = (),
 ) -> np.ndarray:
     """Integrate ``integrand`` against ``dm`` over ``iv``.
 
@@ -284,6 +286,14 @@ def integrate_bv(
     adaptive Gauss-Kronrod quadrature with panel edges pinned at atoms,
     segment edges and any caller-supplied breakpoints; ``widest``, when given,
     cuts those panels further (:func:`blockweyl.quadrature.integrate`).
+
+    ``fixed`` lists disjoint pieces ``(a, b, n)`` of the segments inside
+    ``iv`` that take the ``n``-point Gauss-Legendre rule instead
+    (:func:`blockweyl.quadrature.gauss_legendre`), a caller that has bounded
+    that rule's error a priori; the nodes of all of them go to the integrand
+    in one call.  Each stretch of a segment left between them takes the
+    adaptive quadrature, so without ``fixed`` the result is that of the
+    adaptive quadrature alone.
     """
     lo, hi = iv.lower, iv.upper
 
@@ -291,6 +301,13 @@ def integrate_bv(
         return integrand(xs, m.density_many(xs))
 
     parts = []
+    fixed = sorted(fixed)
+    if fixed:
+        rules = [quadrature.gauss_legendre(n) for _, _, n in fixed]
+        vals = on_nodes(np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * t for (a, b, _), (t, _) in zip(fixed, rules)]))
+        stops = np.cumsum([n for _, _, n in fixed])
+        for (a, b, n), (_, w), stop in zip(fixed, rules, stops):
+            parts.append(0.5 * (b - a) * np.tensordot(w, vals[stop - n : stop], axes=1))
     inner_breaks = list(breakpoints) + [x for x, _ in m.atoms]
     for seg in m.segments:
         s_lo = max(seg.interval[0], lo)
@@ -299,17 +316,22 @@ def integrate_bv(
             continue
         if not (np.isfinite(s_lo) and np.isfinite(s_hi)):
             raise StructuralError(f"segment {seg.interval} meets [{lo}, {hi}] on an unbounded range")
-        val, _ = quadrature.integrate(
-            on_nodes,
-            s_lo,
-            s_hi,
-            breakpoints=inner_breaks,
-            rel_tol=tols.quad_rel,
-            abs_tol=tols.quad_abs,
-            vectorized=True,
-            widest=widest,
-        )
-        parts.append(val)
+        # the stretches of the segment that no fixed piece covers
+        edges = [s_lo] + [x for a, b, _ in fixed if s_lo <= a and b <= s_hi for x in (a, b)] + [s_hi]
+        for g_lo, g_hi in zip(edges[::2], edges[1::2]):
+            if g_hi <= g_lo:
+                continue
+            val, _ = quadrature.integrate(
+                on_nodes,
+                g_lo,
+                g_hi,
+                breakpoints=inner_breaks,
+                rel_tol=tols.quad_rel,
+                abs_tol=tols.quad_abs,
+                vectorized=True,
+                widest=widest,
+            )
+            parts.append(val)
     for x, w in m.atoms:
         if iv.contains_atom(x):
             parts.append(integrand(np.array([x]), w[None])[0])

@@ -47,6 +47,14 @@ kernel is chosen by stack size, since that would tie a mesh's bits to the
 meshes sharing its round.  The ``diag`` and ``series`` flows, atom
 transfers and the solve of each Padé step keep numpy's ``matmul`` and
 LAPACK.
+
+A transform (:func:`forward_transform_compact`) integrates the row against
+``w f``.  On a constant stretch that integrand is entire wherever ``f`` is
+a polynomial, which a plain ``f`` read through its :class:`ChebyshevForm`
+is on each resolved piece; such a piece takes a Gauss-Legendre rule whose
+size an a-priori bound fixes (:func:`_gauss_rules`), capped at the adaptive
+budget's node count.  Unresolved pieces, pieces on Magnus stretches and
+pieces above the cap take the adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, pairwise
 from typing import Callable, Sequence
 
@@ -65,6 +73,7 @@ from numpy.polynomial.chebyshev import chebvander
 from scipy.integrate import solve_ivp as _scipy_solve_ivp
 from scipy.linalg import expm as _scipy_expm
 
+from . import quadrature
 from .errors import AccuracyError, BlockweylError, SingularTransferError, StructuralError
 from .measures import IntervalSpec, integrate_bv
 from .system import (
@@ -170,6 +179,9 @@ def _chebyshev_coefficients(fn: Callable[[float], np.ndarray], lo: float, hi: fl
     so never at the edges.  A size is taken when its trailing quarter of
     coefficients is below ``_CHEB_TAIL`` times the largest sample of the
     piece, and the next size's coefficients agree with its own to that bound.
+    The piece is given up when a size's trailing quarter is above that bound
+    and the next size's is not below half of it: the series is not
+    converging, as for data that is noise relative to its own size.
     """
     prev = None
     for n in _CHEB_SIZES:
@@ -177,13 +189,15 @@ def _chebyshev_coefficients(fn: Callable[[float], np.ndarray], lo: float, hi: fl
         vals = evaluate_many(fn, lo + (hi - lo) * 0.5 * (t + 1.0))
         coeffs = (to_coeffs @ vals.reshape(n, -1)).reshape(vals.shape)
         scale = float(np.abs(vals).max(initial=0.0))
+        tail = np.abs(coeffs[3 * n // 4:]).max()
         if prev is not None:
-            c, tol = prev[0], _CHEB_TAIL * max(prev[1], scale)
-            m = len(c)
+            c, prev_tail, tol = prev[0], prev[2], _CHEB_TAIL * max(prev[1], scale)
             gap = np.abs(coeffs - np.concatenate([c, np.zeros_like(c)])).max()
-            if np.abs(c[3 * m // 4:]).max() <= tol and gap <= tol:
+            if prev_tail <= tol and gap <= tol:
                 return c
-        prev = coeffs, scale
+            if prev_tail > tol and tail >= 0.5 * prev_tail:
+                return None
+        prev = coeffs, scale, tail
     return None
 
 
@@ -320,11 +334,17 @@ _PADE_COEFFS = {m: [math.comb(m, j) / math.perm(2 * m, j) for j in range(m + 1)]
 
 
 def _pade_order(A: np.ndarray) -> tuple[int, int]:
-    """Degree ``m`` and scaling ``s`` of :func:`_expm_stack` for the stack ``A``."""
+    """Degree ``m`` and scaling ``s`` of :func:`_expm_stack` for the stack ``A``.
+
+    At degree 13 the stack is scaled by one more halving than ``theta_13``
+    asks for: that ``theta`` bounds the backward error, and on non-normal
+    matrices whose exponential has entries near 1e15 it lets the forward
+    error reach 2e-13 of the largest entry; one more squaring keeps it below
+    1e-13 (measured against 40-digit exponentials)."""
     norm = np.abs(A).sum(axis=-2).max(initial=0.0)
     m = next((m for m, theta in _PADE_THETA if norm <= theta), 13)
     s = int(np.ceil(np.log2(norm / _PADE_THETA[-1][1]))) if norm > _PADE_THETA[-1][1] else 0
-    return m, s
+    return (m, s + 1) if m == 13 else (m, s)
 
 
 def _small_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -1448,6 +1468,34 @@ def row_integrand(
     return integrand
 
 
+def _matrix_rates(C: np.ndarray) -> tuple[float, float, float]:
+    """``(||C||_2, spectral radius, condition number of the eigenbasis)`` of
+    one matrix; where LAPACK finds no eigenbasis the norm stands for the radius."""
+    norm = float(np.linalg.norm(C, 2))
+    try:
+        mu, V = np.linalg.eig(C)
+    except np.linalg.LinAlgError:
+        return norm, norm, 1.0
+    return norm, float(np.max(np.abs(mu))), float(np.linalg.cond(V))
+
+
+def _stretch_rates(sys: SystemSpec, lam: complex, lo: float, hi: float) -> tuple[float, float, float]:
+    """:func:`_matrix_rates` of ``J^-1 (lam W - Q)`` on the constant stretch ``(lo, hi)``.
+
+    Where the coefficient is ``lam M`` (no ``q`` density) or ``M`` (no ``w``
+    density) they are ``|lam|`` or 1 times those of ``M``, kept in the
+    system's store by the stretch's pencil ``(Q, W)``: every stretch of that
+    pencil, and every parameter, shares one decomposition.
+    """
+    Q, W = (fit.reshape(sys.dim, sys.dim) for fit in _fitted(sys, lo, hi))
+    if Q.any() and W.any():
+        return _matrix_rates(sys.J_inv @ (lam * W - Q))
+    norm, radius, cond = sys.derived.get(("rates", Q.tobytes(), W.tobytes()),
+                                         lambda: _matrix_rates(sys.J_inv @ (W if W.any() else -Q)))
+    scale = abs(lam) if W.any() else 1.0
+    return scale * norm, scale * radius, cond
+
+
 def _row_rate(sys: SystemSpec, lam: complex, lo: float, hi: float) -> float:
     """A bound on the rate of the solution row at ``lam`` on the stretch
     ``(lo, hi)``, 0 where it has no fit: a generic density, or a non-constant
@@ -1455,39 +1503,126 @@ def _row_rate(sys: SystemSpec, lam: complex, lo: float, hi: float) -> float:
 
     On a constant stretch it is the spectral radius of ``J^-1 (lam W - Q)``,
     never above the 2-norm that bounds it, since the eigenvalue solver may
-    round past it (P1's at 2 reads 2 + 4e-16, its norm 2); on a fitted one it
-    is ``sum_k ||C_k||_2`` over the Chebyshev coefficients ``C_k`` of
-    ``J^-1 (lam w(x) - q(x))`` in the stretch's fit (:func:`_fitted`), a
-    bound of that matrix's norm there.
+    round past it (P1's at 2 reads 2 + 4e-16, its norm 2), both from
+    :func:`_stretch_rates`; on a fitted one it is ``sum_k ||C_k||_2`` over
+    the Chebyshev coefficients ``C_k`` of ``J^-1 (lam w(x) - q(x))`` in the
+    stretch's fit (:func:`_fitted`), a bound of that matrix's norm there.
     """
     degrees = [_density_degree(meas, lo, hi) for meas in (sys.q, sys.w)]
     if None in degrees or (max(degrees) and not np.isfinite(hi - lo)):
         return 0.0
+    if not max(degrees):
+        norm, radius, _ = _stretch_rates(sys, lam, lo, hi)
+        return min(norm, radius)
     q, w = (fit.reshape(len(fit), sys.dim, sys.dim) for fit in _fitted(sys, lo, hi))
     C = np.zeros((max(len(q), len(w)), sys.dim, sys.dim), dtype=complex)
     C[: len(w)] += lam * w
     C[: len(q)] -= q
     C = sys.J_inv @ C
-    norms = np.linalg.norm(C, 2, axis=(1, 2))
-    if len(C) == 1:
-        return float(min(norms[0], np.max(np.abs(np.linalg.eigvals(C[0])))))
-    return float(np.sum(norms))
+    return float(np.sum(np.linalg.norm(C, 2, axis=(1, 2))))
 
 
 def _row_period(sys: SystemSpec, lam: complex, lo: float, hi: float) -> Callable[[float, float], float]:
     """``widest`` of :func:`blockweyl.quadrature.integrate` for a transform
     integral over ``[lo, hi]``: one period ``2 pi / rho`` of the row at
     ``lam`` on a panel, ``rho`` the largest :func:`_row_rate` of the stretches
-    it meets, and no limit where that is 0."""
+    it meets, and no limit where that is 0.  The rates are taken on the first
+    call, so a transform that leaves no stretch to the adaptive quadrature
+    takes none."""
     a, b = sys.interval
-    points = [a] + _breakpoints_in(sys, a, b, ()) + [b]
-    rates = [(s, t, _row_rate(sys, lam, s, t)) for s, t in pairwise(points) if s < hi and t > lo]
+
+    @cache
+    def rates() -> list:
+        points = [a] + _breakpoints_in(sys, a, b, ()) + [b]
+        return [(s, t, _row_rate(sys, lam, s, t)) for s, t in pairwise(points) if s < hi and t > lo]
 
     def widest(s: float, t: float) -> float:
-        rho = max((r for u, v, r in rates if u < t and v > s), default=0.0)
+        rho = max((r for u, v, r in rates() if u < t and v > s), default=0.0)
         return 2 * np.pi / rho if rho else np.inf
 
     return widest
+
+
+# Sizes of the Gauss-Legendre rules of the transforms on constant stretches,
+# the Bernstein-ellipse parameters r their error bound is minimized over, and
+# the splits of a piece into 2^j equal parts; 2^13 parts of the smallest size
+# would exceed the node cap
+_GAUSS_SIZES = np.array(sorted({int(m * 2**k) for k in range(3, 10) for m in (1.0, 1.5)} | {1024}))
+_ELLIPSE = 1.0 + np.geomspace(1e-3, 30.0, 48)
+_SPLITS = tuple(2**j for j in range(13))
+_LOG_R = np.log(_ELLIPSE)
+_BOUND_CONST = math.log(64 / 15) - np.log(_ELLIPSE**2 - 1.0)
+
+
+def _gauss_need(rates: tuple[float, float, float], half: float, K: int, tol: float) -> float:
+    """Fewest Gauss-Legendre nodes whose error bound (:func:`_gauss_rules`)
+    is at most ``tol`` on a piece of half-width ``half``, minimized over ``r``."""
+    norm, radius, cond = rates
+    reach = half * (_ELLIPSE - 1.0)
+    log_m = np.minimum(norm * reach, radius * reach + math.log(cond)) + K * _LOG_R
+    return float(((log_m + _BOUND_CONST - math.log(tol)) / (2 * _LOG_R)).min())
+
+
+def _gauss_rules(sys: SystemSpec, row: SolutionRow, f, lam: complex) -> list[tuple[float, float, int]]:
+    """The ``fixed`` pieces of :func:`blockweyl.measures.integrate_bv` for the
+    transform of ``f``, as :func:`sampled` gives it, against ``row`` built at ``lam``.
+
+    A piece of ``f``'s :class:`ChebyshevForm` that lies in one constant
+    stretch of the row (a :class:`_PencilFlow` of any kind) has an entire
+    integrand there: the row is ``exp((x - x0) A) Y0`` and ``f`` a polynomial
+    of degree below the padded series length ``K``; the stretch may be cut
+    where the row is smooth, at an anchor.  On the Bernstein ellipse
+    ``E_r`` of a piece of half-width ``h`` that integrand is at most ``M``
+    times its scale on the piece, ``log M <= rho h (r - 1) + K log r +
+    log kappa`` with ``rho`` the spectral radius of ``A`` and ``kappa`` the
+    condition of its eigenbasis, or ``rho`` the norm of ``A`` and ``kappa =
+    1`` where that is smaller (:func:`_stretch_rates`); an ``n``-point
+    Gauss-Legendre rule is then within ``64 M / (15 (r^2 - 1) r^(2n))`` of
+    the integral (L. N. Trefethen, Is Gauss quadrature better than
+    Clenshaw-Curtis?, SIAM Review 50, 2008).  The fewest nodes that bring
+    this bound, minimized over ``r``, down to the quadrature's relative
+    tolerance are rounded up to ``_GAUSS_SIZES``; a piece that needs more
+    than the largest size is split into the fewest equal parts (a power of
+    two) that each need at most that, sized the same way.  A piece whose
+    nodes would exceed the adaptive budget's (``MAX_PANELS`` panels of 15),
+    one of a Magnus stretch, one that meets two flows and a piece the form
+    did not resolve keep the adaptive quadrature.
+    """
+    form = f
+    while isinstance(form, VectorFunction):
+        form = form.fn
+    if not isinstance(form, ChebyshevForm):
+        return []
+    edges, _ = row._layout
+    rules = []
+    for a, b in form.edges.tolist():
+        j = int(np.searchsorted(edges, a, "right")) - 1
+        if not 0 <= j < row.blocks or b > edges[j + 1]:
+            continue
+        fund = row.fundamentals[j]
+        # the stretches of the block that the piece meets: one flow, cut at
+        # most at points where the row is smooth (an anchor, an edge between
+        # equal densities), since the piece has no atom inside
+        i, k = bisect.bisect_right(fund.points, a) - 1, bisect.bisect_left(fund.points, b)
+        stretches = list(pairwise(fund.points[i : k + 1]))
+        if any(piece.flow is None for piece in fund.pieces[i:k]):
+            continue
+        if len(stretches) > 1:
+            fits = [np.concatenate(_fitted(sys, *st), axis=None) for st in stretches]
+            if any(not np.array_equal(fit, fits[0]) for fit in fits[1:]):
+                continue
+        rates = _stretch_rates(sys, lam, *stretches[0])
+        for parts in _SPLITS:
+            need = _gauss_need(rates, 0.5 * (b - a) / parts, form.coeffs.shape[1], sys.tols.quad_rel)
+            if need <= _GAUSS_SIZES[-1]:
+                break
+        else:
+            continue
+        size = int(_GAUSS_SIZES[np.searchsorted(_GAUSS_SIZES, need)])
+        if parts * size <= quadrature.MAX_PANELS * 15:
+            cuts = np.linspace(a, b, parts + 1).tolist() if parts > 1 else (a, b)
+            rules += [(c, d, size) for c, d in pairwise(cuts)]
+    return rules
 
 
 def forward_transform_compact(
@@ -1507,7 +1642,10 @@ def forward_transform_compact(
     support of ``f`` clipped to the interval, with ``f`` read through
     :func:`sampled`: a plain callable is called on its Chebyshev points and at
     the atoms, not once per node, and a form already sampled is used as it
-    is.  Its quadrature starts on panels no wider than one period of the row
+    is.  Each resolved piece of that form inside a constant stretch takes a
+    Gauss-Legendre rule sized a priori (:func:`_gauss_rules`), all of them in
+    one evaluation of the integrand.  The rest takes adaptive quadrature
+    started on panels no wider than one period of the row
     (:func:`_row_period`): a wider panel fails the Kronrod-Gauss test at the
     default tolerance, so the adaptive loop would bisect it anyway, and it
     still certifies the result.
@@ -1521,9 +1659,11 @@ def forward_transform_compact(
     if hi <= lo:
         return np.zeros(sys.dim * row_conj.blocks, dtype=complex)
     breaks = list(getattr(f, "breakpoints", ())) + sys.atom_positions()
+    f = sampled(sys, f)
     return integrate_bv(
-        row_integrand(row_conj, sampled(sys, f)), sys.w, IntervalSpec(lo, hi),
+        row_integrand(row_conj, f), sys.w, IntervalSpec(lo, hi),
         breakpoints=breaks, tols=sys.tols, widest=_row_period(sys, np.conj(lam), lo, hi),
+        fixed=_gauss_rules(sys, row_conj, f, np.conj(lam)),
     )
 
 

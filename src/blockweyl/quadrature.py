@@ -24,18 +24,28 @@ the loop bisects, so the loop starts on panels it would itself have made
 its edges), is accepted with the largest absolute entry of its value as
 error when that exceeds its Kronrod-Gauss gap, since its nodes may straddle
 a jump.
+
+:func:`gauss_legendre` gives the nodes and weights of a fixed Gauss-Legendre
+rule, for callers that size one a priori (the transforms on constant
+stretches, through :func:`blockweyl.measures.integrate_bv`); it is not part
+of the adaptive loop.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from itertools import pairwise
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from .errors import AccuracyError
+
+#: the panel budget of :func:`integrate`
+MAX_PANELS = 4096
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half) and weights, together
 # with the weights of the embedded 7-point Gauss rule (QUADPACK dqk15 data).
@@ -78,6 +88,16 @@ _GAUSS_W = np.zeros(15)
 _GAUSS_W[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 #: the gap between the two closest nodes of a half, in widths of its parent
 _HALF_GAP = 0.25 * float(_XGK[0] - _XGK[1])
+
+
+@functools.lru_cache(maxsize=32)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` ascending nodes of the Gauss-Legendre rule on ``[-1, 1]`` and
+    their weights, built once per size and kept in a bounded store."""
+    t, w = roots_legendre(n)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 def _weigh(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -157,7 +177,7 @@ def integrate(
     breakpoints: Sequence[float] = (),
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-13,
-    max_panels: int = 4096,
+    max_panels: int = MAX_PANELS,
     vectorized: bool = False,
     widest: Callable[[float, float], float] | None = None,
 ) -> tuple[np.ndarray, float]:

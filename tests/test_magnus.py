@@ -428,6 +428,7 @@ def mp_expm_column(augmented: np.ndarray, dps: int = 40) -> np.ndarray:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 50), st.floats(-3.0, 0.5), st.floats(-6.0, 6.0), st.integers(0, 2**32 - 1))
 @example(n=4, length=31, log_size=0.5, log_beta=0.0, seed=227190)
+@example(n=4, length=37, log_size=0.0, log_beta=0.0, seed=4)
 def test_expm_column_matches_the_augmented_exponential(n, length, log_size, log_beta, seed):
     # a drive column b on top rows [A | b]: the last column of exp([[A, b], [0, 0]]),
     # while the n x n block stays bitwise the exponential of A alone.  Where

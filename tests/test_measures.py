@@ -101,6 +101,24 @@ def test_integrate_rejects_an_unbounded_segment():
     assert abs(val[0, 0] - (1.0 - np.exp(-1.0))) < 1e-12
 
 
+def test_fixed_rules_take_their_pieces_and_leave_the_rest_adaptive():
+    # cos(5x) against a density with an atom on (0, 3): the pieces (0.5, 1)
+    # and (1, 2) take 24- and 32-point rules, evaluated in one call, and the
+    # stretches (0, 0.5) and (2, 3) take the adaptive quadrature
+    m = MatrixMeasure(dim=1, segments=(Segment((0.0, 3.0), coeffs=np.ones((1, 1, 1))),),
+                      atoms=((2.5, 2.0 * np.ones((1, 1))),))
+    batches = []
+
+    def integrand(xs, dms):
+        batches.append(len(xs))
+        return np.cos(5.0 * xs)[:, None, None] * dms
+
+    want = (np.sin(15.0) / 5.0 + 2.0 * np.cos(12.5)) * np.ones((1, 1))
+    val = integrate_bv(integrand, m, IntervalSpec(0.0, 3.0), fixed=[(1.0, 2.0, 32), (0.5, 1.0, 24)])
+    assert np.max(np.abs(val - want)) < 1e-13
+    assert batches[0] == 56 and len(batches) > 2
+
+
 def test_integrate_balanced_step_against_atom():
     # g is the balanced step: identity left of 0, zero right, g(0) = I/2
     def g(x):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_sides_are_batches_of_one, rotation
+from conftest import J2, assert_sides_are_batches_of_one, rotation
 from test_spectral import smooth_p1
 from blockweyl import propagation, quadrature
 from blockweyl.config import ProblemConfig
@@ -471,17 +471,24 @@ def test_split_points_are_repeated_midpoints_of_the_base_panels(row_systems, nam
         assert max(b - a for a, b in pieces) <= 2 * PI / abs(s)
 
 
+def array_f(fn, **kwargs):
+    """``fn`` of an array of points as an :class:`ArrayForm`, which :func:`propagation.sampled`
+    passes through, so that its transform takes the adaptive quadrature."""
+    return VectorFunction(ArrayForm(fn), **kwargs)
+
+
 @pytest.mark.parametrize("name", ["P1", "P2"])
 def test_no_split_point_where_one_period_covers_the_panel(row_systems, name):
     # the free row at 2 has period pi, which covers (0, pi) and both halves
-    # of P2: the README example's two integrals are the same bits
+    # of P2: the adaptive transform of an array form is the integral from
+    # the base panels, bit for bit
     sysm, eng = row_systems[name]
     atoms = sysm.atom_positions()
     assert initial_panels(sysm, 2.0, atoms) == initial_panels(sysm, 2.0, atoms, period=False)
     assert initial_panels(sysm, 1.9, [1.3]) == initial_panels(sysm, 1.9, [1.3], period=False)
     row = eng.row(np.conj(2.0))
-    f = const_f()
-    plain = integrate_bv(row_integrand(row, propagation.sampled(sysm, f)), sysm.w, IntervalSpec(*sysm.interval),
+    f = array_f(lambda xs: np.repeat([[1.0, 0.0]], len(xs), axis=0))
+    plain = integrate_bv(row_integrand(row, f), sysm.w, IntervalSpec(*sysm.interval),
                          breakpoints=atoms, tols=sysm.tols)
     assert forward_transform_compact(sysm, f, 2.0, row_conj=row).tobytes() == plain.tobytes()
 
@@ -510,10 +517,10 @@ def test_transform_with_more_base_panels_than_half_the_budget(p1, e1):
     # 2100 breakpoints of f at 80: no cut fits in half the budget, so the
     # transform starts from its base panels, the same bits as without cuts
     sysm, _ = p1
-    f = VectorFunction(lambda x: np.array([np.cos(x), 1.0]), support=(0.0, PI),
-                       breakpoints=tuple(np.linspace(0.0, PI, 2102)[1:-1]))
+    f = array_f(lambda xs: np.stack([np.cos(xs), np.ones_like(xs)], axis=-1), support=(0.0, PI),
+                breakpoints=tuple(np.linspace(0.0, PI, 2102)[1:-1]))
     row = e1.row(np.conj(80.0))
-    plain = integrate_bv(row_integrand(row, propagation.sampled(sysm, f)), sysm.w, IntervalSpec(*sysm.interval),
+    plain = integrate_bv(row_integrand(row, f), sysm.w, IntervalSpec(*sysm.interval),
                          breakpoints=list(f.breakpoints) + sysm.atom_positions(), tols=sysm.tols)
     assert forward_transform_compact(sysm, f, 80.0, row_conj=row).tobytes() == plain.tobytes()
 
@@ -676,3 +683,87 @@ def test_a_transform_calls_a_plain_f_a_bounded_number_of_times(p1, e1, model1):
     parseval_check(sysm, bc, model, VectorFunction(counted(lambda x: np.array([1.0, 0.0]), calls)),
                    truncation=200.0, engine=e1)
     assert 0 < len(calls) <= 100
+
+
+# -- Gauss-Legendre rules on constant stretches --------------------------
+
+# w densities whose flow J^-1 W takes each kind: a well-conditioned
+# eigenbasis, a nilpotent matrix, and an eigenbasis conditioned near 1e4
+FLOW_WEIGHTS = {
+    "diag": np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.5]]),
+    "series": np.diag([1.0, 0.0]),
+    "expm": np.diag([1.0, 1e-8]),
+}
+
+
+def chebyshev_data(rng, length, pieces, K, decay):
+    """A :class:`ChebyshevForm` on ``pieces`` equal pieces of ``(0, length)``,
+    series of length ``K`` with random coefficients shrinking like ``decay^k``."""
+    edges = np.linspace(0.0, length, pieces + 1)
+    coeffs = (rng.normal(size=(pieces, K, 2)) + 1j * rng.normal(size=(pieces, K, 2))) * decay ** np.arange(K)[:, None]
+    return propagation.ChebyshevForm(lambda x: np.zeros(2), np.column_stack([edges[:-1], edges[1:]]), coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(FLOW_WEIGHTS)), size=st.floats(0.2, 3.0), length=st.floats(0.3, 3.0),
+       with_q=st.booleans(), s=st.floats(-200.0, 200.0), pieces=st.integers(1, 3), K=st.integers(1, 128),
+       decay=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_gauss_rules_match_adaptive_quadrature_on_constant_stretches(kind, size, length, with_q, s, pieces, K,
+                                                                     decay, seed):
+    # every piece of the form takes a fixed rule, within 1e-12 of the integral
+    # of the integrand's absolute value from the adaptive quadrature
+    rng = np.random.default_rng(seed)
+    q = MatrixMeasure.zero(2)
+    if with_q:
+        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        q = MatrixMeasure.constant(h + h.conj().T, (0.0, length))
+    sysm = SystemSpec(J=J2, q=q, w=MatrixMeasure.constant(size * FLOW_WEIGHTS[kind], (0.0, length)),
+                      interval=(0.0, length))
+    row = propagation.solution_row(sysm, np.conj(s))
+    if not with_q:
+        assert [piece.flow.kind for piece in row.fundamentals[0].pieces] == [kind] * len(row.fundamentals[0].pieces)
+    form = chebyshev_data(rng, length, pieces, K, decay)
+    rules = propagation._gauss_rules(sysm, row, form, np.conj(s))
+    assert sorted({(a, b) for a, b, _ in rules}) == [tuple(edge) for edge in form.edges.tolist()]
+    got = forward_transform_compact(sysm, form, s, row_conj=row)
+    integrand = row_integrand(row, form)
+    whole = IntervalSpec(0.0, length)
+    tight = dataclasses.replace(sysm.tols, quad_rel=1e-12, quad_abs=1e-300)
+    want = integrate_bv(integrand, sysm.w, whole, breakpoints=form.edges.ravel(), tols=tight)
+    scale = integrate_bv(lambda xs, dms: np.abs(integrand(xs, dms)), sysm.w, whole, breakpoints=form.edges.ravel())
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(scale))
+
+
+@pytest.mark.parametrize("name", ["P1", "P2"])
+def test_a_resolved_f_takes_no_adaptive_quadrature(p1, p2, e1, e2, name, monkeypatch):
+    # a piecewise quadratic, read through its Chebyshev form, on P1 and P2:
+    # every piece lies in a constant stretch (P2's right one across its
+    # anchor) and takes a fixed rule, so no quadrature.integrate call is made
+    (sysm, bc), eng = {"P1": (p1, e1), "P2": (p2, e2)}[name]
+    model = spectral_measure_model(sysm, bc, (-6.5, 6.5), engine=eng)
+    f = quadratic_pieces(1.3, np.array([[1.0, 0.5], [0.2, -1.0], [0.1, 0.3]]),
+                         np.array([[-0.4, 1.0], [0.7, 0.2], [0.0, -0.1]]))
+    want = forward_transform(sysm, bc, model, f, engine=eng).values
+    calls = []
+    integrate = quadrature.integrate
+    monkeypatch.setattr(quadrature, "integrate", lambda *args, **kwargs: calls.append(args) or integrate(*args, **kwargs))
+    got = forward_transform(sysm, bc, model, f, engine=eng).values
+    assert not calls and np.array_equal(got, want)
+
+
+def test_a_piece_above_the_node_cap_takes_the_adaptive_quadrature(p1, e1, monkeypatch):
+    # with a budget of one panel (15 nodes) no piece fits, and the transform
+    # is bitwise the adaptive one; at 1e6 the row needs more nodes than the
+    # real budget allows
+    sysm, _ = p1
+    f = propagation.sampled(sysm, quadratic_pieces(1.3, np.array([[1.0, 0.5], [0.2, -1.0], [0.1, 0.3]]),
+                                                   np.array([[-0.4, 1.0], [0.7, 0.2], [0.0, -0.1]])))
+    assert not propagation._gauss_rules(sysm, e1.row(1e6), f, 1e6)
+    row = e1.row(np.conj(80.0))
+    assert propagation._gauss_rules(sysm, row, f, np.conj(80.0))
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
+    assert not propagation._gauss_rules(sysm, row, f, np.conj(80.0))
+    adaptive = integrate_bv(row_integrand(row, f), sysm.w, IntervalSpec(*sysm.interval),
+                            breakpoints=list(f.breakpoints) + sysm.atom_positions(), tols=sysm.tols,
+                            widest=propagation._row_period(sysm, np.conj(80.0), 0.0, PI))
+    assert forward_transform_compact(sysm, f, 80.0, row_conj=row).tobytes() == adaptive.tobytes()

@@ -35,7 +35,9 @@ truncation 200 with f = (1, 0)) and P1's ``spectral_measure_model`` on
 loading left out.  Each runs once in each of three fresh processes, since
 single runs are noisy; the median times go to ``timings.json`` as
 ``parseval_200`` and ``model_P1_80``, and next to them, as
-``parseval_200_f_calls``, how many times the fixture calls its ``f``.
+``parseval_200_f_calls``, how many times the fixture calls its ``f``, and
+as ``parseval_200_integrate_calls`` how many adaptive quadratures
+(``quadrature.integrate`` calls) it makes.
 
 ``--compare`` reads the manifests and files of two such runs.  For every
 artefact (and standard output) whose content differs it prints the largest
@@ -47,8 +49,9 @@ Where both runs wrote ``workloads.json`` it prints, per workload, the
 operations (or set-up models) whose outputs differ and, where both wrote
 their numbers, the largest absolute and relative difference of those
 numbers.  Where both wrote ``timings.json`` it also prints each command's
-wall time in both and their ratio (second over first), and the call counts
-of both.  Neither affects the exit code.
+wall time in both and their ratio (second over first), and each call count
+that either recorded, ``-`` where one did not.  Neither affects the exit
+code.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ RUNS = [(c, p) for p in ("P1", "P2", "P3", "P4") for c in COMMANDS] + [("fatou-d
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 WORKLOAD_SEED, WORKLOAD_OPS = 7, 60
 TIMED_RUNS = 3
-COUNT_SUFFIX = "_f_calls"  # a count in timings.json, not a time
+COUNT_SUFFIX = "_calls"  # a count in timings.json, not a time
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -175,20 +178,30 @@ def _fresh_engine_time(build) -> float:
 
 
 def parseval_200() -> dict[str, float]:
-    """Wall time, in seconds, of the Parseval-200 fixture on P1, and how many
-    times it calls its ``f``."""
+    """Wall time, in seconds, of the Parseval-200 fixture on P1, how many
+    times it calls its ``f`` and how many ``quadrature.integrate`` calls it makes."""
     sys.path[:0] = [str(SRC)]
     import numpy as np
-    from blockweyl import VectorFunction, parseval_check, spectral_measure_model
+    from blockweyl import VectorFunction, parseval_check, quadrature, spectral_measure_model
 
-    calls = []
+    calls, integrals = [], []
+    integrate = quadrature.integrate
+
+    def counted(*args, **kwargs):
+        integrals.append(None)
+        return integrate(*args, **kwargs)
 
     def fixture(cfg, engine):
         model = spectral_measure_model(cfg.system, cfg.boundary, (-200.25, 200.25), engine=engine)
         f = VectorFunction(lambda x: calls.append(x) or np.array([1.0, 0.0]))
         parseval_check(cfg.system, cfg.boundary, model, f, truncation=200.0, engine=engine)
 
-    return {"parseval_200": _fresh_engine_time(fixture), "parseval_200_f_calls": len(calls)}
+    quadrature.integrate = counted
+    try:
+        timed = _fresh_engine_time(fixture)
+    finally:
+        quadrature.integrate = integrate
+    return {"parseval_200": timed, "parseval_200_f_calls": len(calls), "parseval_200_integrate_calls": len(integrals)}
 
 
 def model_P1_80() -> dict[str, float]:
@@ -282,14 +295,14 @@ def print_timings(root_a: Path, root_b: Path) -> None:
     if not all(path.exists() for path in paths):
         return
     time_a, time_b = (json.loads(path.read_text()) for path in paths)
-    counts = sorted(key for key in set(time_a) & set(time_b) if key.endswith(COUNT_SUFFIX))
-    common = sorted(set(time_a) & set(time_b) - set(counts))
+    common = sorted(key for key in set(time_a) & set(time_b) if not key.endswith(COUNT_SUFFIX))
     rows = [(key, time_a[key], time_b[key]) for key in common]
     rows.append(("total", sum(time_a[key] for key in common), sum(time_b[key] for key in common)))
     for key, a, b in rows:
         print(f"{key}: {a:.2f} s -> {b:.2f} s, ratio {b / a:.3f}")
-    for key in counts:
-        print(f"{key}: {time_a[key]:.0f} -> {time_b[key]:.0f}")
+    for key in sorted(key for key in set(time_a) | set(time_b) if key.endswith(COUNT_SUFFIX)):
+        a, b = (f"{times[key]:.0f}" if key in times else "-" for times in (time_a, time_b))
+        print(f"{key}: {a} -> {b}")
 
 
 def main(argv: list[str]) -> int:
