@@ -11,9 +11,9 @@ lock-guarded and least recently used out first: solution rows
 (:data:`ROW_CAPACITY` entries) and every other derived value
 (:data:`MEMO_CAPACITY` entries: Weyl samples keyed by their boundary data,
 Gram matrices, the norm-zero space, boundary validation).  Cached objects are
-immutable after construction, so concurrent readers are safe.  The partition
-and the anchors are computed on first use; two threads racing there compute
-equal values.
+immutable after construction, so concurrent readers are safe.  The partition,
+the anchors and the block inverse of ``J`` are computed on first use; two
+threads racing there compute equal values.
 """
 
 from __future__ import annotations
@@ -67,9 +67,11 @@ class Engine:
     def coeff_dim(self) -> int:
         return self.sys.dim * self.block_count
 
-    @property
+    @cached_property
     def J_blocks_inv(self) -> np.ndarray:
-        return np.kron(np.eye(self.block_count), self.sys.J_inv)
+        J_inv = np.kron(np.eye(self.block_count), self.sys.J_inv)
+        J_inv.setflags(write=False)
+        return J_inv
 
     # -- fundamental rows ----------------------------------------------------
 

@@ -35,7 +35,11 @@ one.  Constant stretches flow all parameters at once, through the system's
 decomposition or, when both densities are present, through stacked LAPACK
 calls; atom transfers are stacked too.  Every other stretch gets a mesh per
 parameter, and a solve builds all its meshes in lockstep doubling rounds
-(:func:`_magnus_meshes`), each mesh bitwise the one its parameter gets alone.
+(:func:`_magnus_meshes`), each mesh bitwise the one its parameter gets alone;
+the first round builds each mesh at its a-priori step count and at twice
+that, so that most meshes are accepted in one round.  Its coefficients are
+assembled as ``lam (J^-1 w) - J^-1 q`` from density fits premultiplied by
+``J^-1`` once per stretch (:class:`_StretchCoefficients`).
 A drive ``f`` is one more column of the coefficients, the top rows of an
 augmented matrix (:func:`_expm_stack`), which rides on the steps of the row
 at the same parameter where a pass has both.
@@ -609,8 +613,11 @@ class _StretchCoefficients:
     ``d + 1`` Chebyshev points of the stretch, and interpolated from there; a
     generic one is evaluated at every point asked for.  The fits are kept in
     the system's store (:func:`_fitted`), so a row and a drive on one stretch
-    read the same densities.  With a drive ``f`` each matrix gets one more
-    column, ``J^-1 w f``: the top rows of the augmented generator
+    read the same densities, and premultiplied by ``J^-1`` once per stretch:
+    the matrix at ``lam`` is then ``lam (J^-1 w) - J^-1 q``.  On a ``J``
+    whose inverse has entries 0 and +-1 (every shipped problem's) that
+    premultiplication is exact.  With a drive ``f`` each matrix gets one
+    more column, ``(J^-1 w) f``: the top rows of the augmented generator
     ``[[A, J^-1 w f], [0, 0]]``, whose flow carries ``(u, 1)``.
     """
 
@@ -618,16 +625,18 @@ class _StretchCoefficients:
         self.sys, self.lo, self.hi, self.f = sys, lo, hi, f
         self.n = sys.dim
         self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        self.fits = _fitted(sys, lo, hi)
+        self.fits = [None if fit is None else _small_matmul(sys.J_inv, fit.reshape(len(fit), self.n, self.n))
+                     .reshape(len(fit), -1) for fit in _fitted(sys, lo, hi)]
 
     def densities(self, xs: np.ndarray) -> tuple:
-        """``(q, w)`` at the points ``xs``: what :meth:`assemble` needs with
-        the drive's values, the same for every parameter and every drive.
-        Both fits read the leading columns of one Chebyshev matrix."""
+        """``(J^-1 q, J^-1 w)`` at the points ``xs``: what :meth:`assemble`
+        needs with the drive's values, the same for every parameter and every
+        drive.  Both fits read the leading columns of one Chebyshev matrix."""
         degree = max((len(fit) - 1 for fit in self.fits if fit is not None), default=-1)
         basis = chebvander((xs - self.mid) / self.half, degree) if degree >= 0 else None
         return tuple(
-            meas.density_many(xs) if fit is None else (basis[:, : len(fit)] @ fit).reshape(len(xs), self.n, self.n)
+            _small_matmul(self.sys.J_inv, meas.density_many(xs)) if fit is None
+            else (basis[:, : len(fit)] @ fit).reshape(len(xs), self.n, self.n)
             for meas, fit in zip((self.sys.q, self.sys.w), self.fits)
         )
 
@@ -637,10 +646,10 @@ class _StretchCoefficients:
 
     def assemble(self, lam: complex, q: np.ndarray, w: np.ndarray, fs: np.ndarray | None) -> np.ndarray:
         """Stacked coefficient matrices at ``lam`` from :meth:`densities` and :meth:`drive`."""
-        A = _small_matmul(self.sys.J_inv, lam * w - q)
+        A = lam * w - q
         if fs is None:
             return A
-        return np.concatenate([A, self.sys.J_inv @ (w @ fs[..., None])], axis=-1)
+        return np.concatenate([A, _small_matmul(w, fs[..., None])], axis=-1)
 
     def at(self, lam: complex, xs: np.ndarray) -> np.ndarray:
         """Stacked coefficient matrices at the points ``xs``."""
@@ -773,9 +782,9 @@ def _magnus_meshes(jobs: Sequence[tuple], tols) -> list:
 
     A job ``(coeff, lam, x_from, x_to)`` is one parameter on one stretch: a
     row, or a drive solve where ``coeff`` has a drive; the jobs of one call
-    have at most one drive.  Its step count starts from ``|x_to - x_from|
-    (1 + |lam|)``, at most half the cap, and doubles until the Richardson
-    estimate of the stretch's transfer matrix meets
+    have at most one drive.  Its step count starts from ``N = |x_to -
+    x_from| (1 + |lam|)``, at most half the cap, and doubles until the
+    Richardson estimate of the stretch's transfer matrix meets
     ``ode_rtol``/``ode_atol``.  The estimate also covers the transfer at
     ``conj(lam)`` (:func:`_transfer_pairs`), so both parameters choose the
     same mesh and the Wronskian identity holds to roundoff.  A drive's job
@@ -783,33 +792,39 @@ def _magnus_meshes(jobs: Sequence[tuple], tols) -> list:
     transfer's pair, as a solve with ``n + 1`` states would be: its
     ``n x n`` part and its column both count.
 
-    A round takes every unfinished job one doubling further.  The jobs of
-    one parameter on one directed stretch at one step count share one stack
-    of steps: a drive rides on the row's steps as their extra column (the
-    top rows of augmented matrices, see :func:`_expm_stack`), and a drive
-    with no such row computes its ``n x n`` part itself.  When the call has
-    a drive every stack carries a column, zero for a row without its drive,
-    so that all stacks join.  The densities are evaluated once per stretch
-    and step count, the exponents in one :func:`_magnus_exponents` call, and
-    the step exponentials in one :func:`_expm_stack` call per Padé order,
-    each stack at the order its own ``n x n`` blocks select (Higham 2005).
-    The Richardson test reads only the transfer of each stack, which
-    :func:`_total_products` forms without the other products; the full scan
-    :func:`_prefix_products` runs only for the stacks with an accepted job.
-    A job that fails while its partner passes goes on alone.  Every product
-    goes through :func:`_small_matmul` and no ``n x n`` block reads a
-    column, so every row is bitwise the row its job builds alone and never
-    depends on a drive.  Returns per job ``(h, M)``, the step and the
-    transfer products of :func:`_prefix_products` (with the drive's column
-    for a drive), or, past ``_MAX_STEPS`` steps, the :class:`AccuracyError`
-    to raise where the propagation reaches that stretch.
+    The first round builds every job's meshes at ``N`` and ``2N`` steps and
+    tests the second against the first; each later round takes every
+    unfinished job one doubling further.  The jobs of one parameter on one
+    directed stretch at one step count share one stack of steps: a drive
+    rides on the row's steps as their extra column (the top rows of
+    augmented matrices, see :func:`_expm_stack`), and a drive with no such
+    row computes its ``n x n`` part itself.  When the call has a drive every
+    stack carries a column, zero for a row without its drive, so that all
+    stacks join.  A round evaluates the densities once per stretch and step
+    count, the exponents in one :func:`_magnus_exponents` call, the step
+    exponentials in one :func:`_expm_stack` call per Padé order, each stack
+    at the order its own ``n x n`` blocks select (Higham 2005), and the
+    transfer pairs of all its stacks in one :func:`_transfer_pairs` call.  A
+    stack that is compared, at ``2N`` steps or more, gets its full scan
+    :func:`_prefix_products` at once, whose last entry is its transfer; one
+    at ``N`` steps is only a reference and gets just its transfer,
+    :func:`_total_products`, bitwise that last entry.  A job that fails
+    while its partner passes goes on alone.  Every product goes through
+    :func:`_small_matmul` and no ``n x n`` block reads a column, so every
+    row is bitwise the row its job builds alone and never depends on a
+    drive.  Returns per job ``(h, M)``, the step and the transfer products
+    of :func:`_prefix_products` (with the drive's column for a drive), or,
+    past ``_MAX_STEPS`` steps, the :class:`AccuracyError` to raise where the
+    propagation reaches that stretch.
     """
-    steps = {k: min(max(2, int(np.ceil(abs(x_to - x_from) * (1.0 + abs(lam)) * _STEPS_PER_UNIT))), _MAX_STEPS // 2)
-             for k, (_, lam, x_from, x_to) in enumerate(jobs)}
     if not jobs:
         return []
+    first = {k: min(max(2, int(np.ceil(abs(x_to - x_from) * (1.0 + abs(lam)) * _STEPS_PER_UNIT))), _MAX_STEPS // 2)
+             for k, (_, lam, x_from, x_to) in enumerate(jobs)}
+    steps = {k: 2 * n_k for k, n_k in first.items()}  # per unfinished job, its next compared count
+    coarse: dict = {}  # per unfinished job, the transfers its compared mesh is tested against
+    fresh = list(first.items())  # the meshes of a round that only set ``coarse``
     out: list = [None] * len(jobs)
-    coarse: dict = {}
     sys = jobs[0][0].sys
     n = sys.dim
     width = n + any(coeff.f is not None for coeff, *_ in jobs)
@@ -823,50 +838,58 @@ def _magnus_meshes(jobs: Sequence[tuple], tols) -> list:
                 )
         if not steps:
             break
-        h = {k: (jobs[k][3] - jobs[k][2]) / n_k for k, n_k in steps.items()}
-        key = {k: (jobs[k][0].lo, jobs[k][0].hi, jobs[k][2], n_k, jobs[k][1]) for k, n_k in steps.items()}
-        units = _grouped(key)  # the jobs sharing one stack
+        shared: dict = {}  # per stack (stretch, edge, step count, parameter), the jobs sharing it
+        for k, n_k in fresh + list(steps.items()):
+            shared.setdefault((jobs[k][0].lo, jobs[k][0].hi, jobs[k][2], n_k, jobs[k][1]), []).append(k)
+        fresh = []
+        keys, units = list(shared), list(shared.values())
+        counts = [key[3] for key in keys]
+        h = [(jobs[ks[0]][3] - jobs[ks[0]][2]) / n_k for ks, n_k in zip(units, counts)]
+        compared = [n_k > first[ks[0]] for ks, n_k in zip(units, counts)]
         # units on one stretch at one step count share their nodes
-        nodesets = _grouped({u: key[ks[0]][:4] for u, ks in enumerate(units)})
+        nodesets = _grouped({u: key[:4] for u, key in enumerate(keys)})
         stacks = {}  # per unit: coefficients, then exponents, then step exponentials
         for us in nodesets:
-            k0 = units[us[0]][0]
-            x_from, n_k = jobs[k0][2], steps[k0]
-            xs = (x_from + h[k0] * (np.arange(n_k)[:, None] + _GAUSS)).ravel()
-            densities = jobs[k0][0].densities(xs)
+            xs = (keys[us[0]][2] + h[us[0]] * (np.arange(counts[us[0]])[:, None] + _GAUSS)).ravel()
+            densities = jobs[units[us[0]][0]][0].densities(xs)
             drive = None
             for u in us:
                 coeff = next((jobs[k][0] for k in units[u] if jobs[k][0].f is not None), jobs[units[u][0]][0])
                 if coeff.f is not None and drive is None:
                     drive = coeff.drive(xs)
-                A = coeff.assemble(jobs[units[u][0]][1], *densities, None if coeff.f is None else drive)
+                A = coeff.assemble(keys[u][4], *densities, None if coeff.f is None else drive)
                 if A.shape[-1] < width:
                     A = np.concatenate([A, np.zeros(A.shape[:-1] + (width - n,))], axis=-1)
-                stacks[u] = A.reshape(n_k, 3, n, width)
+                stacks[u] = A.reshape(counts[u], 3, n, width)
         # the exponents of all units in one call; each unit's coefficients are
         # let go once joined
-        counts = [steps[ks[0]] for ks in units]
         exponents = _magnus_exponents(np.concatenate([stacks.pop(u) for u in range(len(units))]),
-                                      np.repeat([h[ks[0]] for ks in units], counts))
+                                      np.repeat(h, counts))
         stacks = dict(enumerate(np.split(exponents, np.cumsum(counts)[:-1])))
         order = {u: _pade_order(a[..., :n]) for u, a in stacks.items()}
         for us in _grouped(order):
             stacks.update(zip(us, _joined(_expm_stack, [stacks[u] for u in us], order[us[0]])))
-        done: dict = {}  # per unit, its accepted jobs
-        for us in nodesets:
-            totals = _total_products(np.stack([stacks[u] for u in us]))
-            for u, ends in zip(us, zip(*_transfer_pairs(totals, sys.J, sys.J_inv))):
-                for k in units[u]:
-                    mine = ends if jobs[k][0].f is not None else tuple(end[..., :n] for end in ends)
-                    if k in coarse and _refined(mine, coarse[k], tols):
-                        done.setdefault(u, []).append(k)
-                        del steps[k]
-                    else:
-                        coarse[k], steps[k] = mine, 2 * steps[k]
-        for us in _grouped({u: stacks[u].shape for u in done}):
-            for u, M in zip(us, _prefix_products(np.stack([stacks[u] for u in us]))):
-                for k in done[u]:
-                    out[k] = (h[k], M if jobs[k][0].f is not None else np.ascontiguousarray(M[..., :n]))
+        scans, totals = {}, {}
+        for us in _grouped({u: (counts[u], compared[u]) for u in stacks}):
+            stacked = np.stack([stacks[u] for u in us])
+            if compared[us[0]]:
+                scans.update(zip(us, _prefix_products(stacked)))
+                totals.update((u, scans[u][-1]) for u in us)
+            else:
+                totals.update(zip(us, _total_products(stacked)))
+        ends = _transfer_pairs(np.stack([totals[u] for u in range(len(units))]), sys.J, sys.J_inv)
+        # the meshes at N steps first: each sets what its job's mesh at 2N is tested against
+        for u in sorted(range(len(units)), key=compared.__getitem__):
+            for k in units[u]:
+                mine = tuple(end[u] if jobs[k][0].f is not None else end[u, :, :n] for end in ends)
+                if not compared[u]:
+                    coarse[k] = mine
+                elif _refined(mine, coarse[k], tols):
+                    M = scans[u]
+                    out[k] = (h[u], M if jobs[k][0].f is not None else np.ascontiguousarray(M[..., :n]))
+                    del steps[k], coarse[k]
+                else:
+                    coarse[k], steps[k] = mine, 2 * steps[k]
     return out
 
 

@@ -55,6 +55,14 @@ def test_memo_eviction_bounds_the_store_and_keeps_results(p1, monkeypatch):
     assert np.array_equal(bounded[0], full[0]) and bounded[1] == full[1]
 
 
+def test_block_inverse_of_J_is_built_once_and_read_only(p4):
+    sysm, bc = p4
+    eng = Engine(sysm, bc)
+    Jinv = eng.J_blocks_inv
+    assert eng.block_count > 1 and eng.J_blocks_inv is Jinv and not Jinv.flags.writeable
+    assert np.array_equal(Jinv, np.kron(np.eye(eng.block_count), sysm.J_inv))
+
+
 def test_rows_builds_the_missing_rows_in_one_array_call(p1, monkeypatch):
     from test_magnus import assert_same_row
 

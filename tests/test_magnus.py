@@ -9,6 +9,7 @@ import scipy.integrate
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebvander
 
 from conftest import J2
 from blockweyl import propagation
@@ -22,6 +23,8 @@ from blockweyl.spectral import ResolventFunction
 from blockweyl.system import DERIVED_CAPACITY, SystemSpec, jump_matrices
 
 LENGTH = 1.5
+# skew-hermitian; its inverse [[-3i, 1], [-1, -2i]] / 5 has no entry that multiplies exactly
+J_GENERAL = np.array([[2j, 1.0], [-1.0, 3j]])
 ANCHOR = 0.6
 W_LINEAR = Segment((0.0, LENGTH), lambda x: (1.0 + 0.5 * x) * np.eye(2), degree=1)
 
@@ -99,13 +102,40 @@ def test_wronskian_at_roundoff(q_coeffs, lam):
 
 
 def test_wronskian_at_roundoff_on_quadratic_density():
-    sysm = SystemSpec(
-        J=J2,
-        q=MatrixMeasure(dim=2, segments=(Segment((0.0, 2.0), lambda x: np.diag([x * x, -x]), degree=2),)),
-        w=MatrixMeasure(dim=2, segments=(Segment((0.0, 2.0), lambda x: (1 + 0.5 * x) * np.eye(2), degree=1),)),
-        interval=(0.0, 2.0),
-    )
-    assert wronskian_defect(sysm, 0, 1.5 + 0.5j, 30) <= 1e-12
+    # also on a J whose inverse rounds, so that the fits premultiplied by it
+    # are not those of a signed permutation
+    for J in (J2, J_GENERAL):
+        sysm = SystemSpec(
+            J=J,
+            q=MatrixMeasure(dim=2, segments=(Segment((0.0, 2.0), lambda x: np.diag([x * x, -x]), degree=2),)),
+            w=MatrixMeasure(dim=2, segments=(Segment((0.0, 2.0), lambda x: (1 + 0.5 * x) * np.eye(2), degree=1),)),
+            interval=(0.0, 2.0),
+        )
+        assert wronskian_defect(sysm, 0, 1.5 + 0.5j, 30) <= 1e-12
+
+
+@pytest.mark.parametrize("J", [J2, J_GENERAL], ids=["P1", "general"])
+def test_stretch_coefficients_read_fits_premultiplied_by_J_inverse(J):
+    # lam (J^-1 w) - J^-1 q and (J^-1 w) f from fits premultiplied once per
+    # stretch: bitwise J^-1 (lam w - q) and J^-1 w f of the plain fits where
+    # J^-1 has entries 0 and +-1, within a few ulps of their scale otherwise
+    q = MatrixMeasure(dim=2, segments=(
+        Segment((0.0, LENGTH), lambda x: np.array([[x * x, 0.5 - x], [0.5 - x, -x]]), degree=2),))
+    w = MatrixMeasure(dim=2, segments=(
+        Segment((0.0, LENGTH), lambda x: np.array([[1.0 + x, 0.25 * x], [0.25 * x, 1.5]]), degree=1),))
+    sysm = SystemSpec(J=J, q=q, w=w, interval=(0.0, LENGTH))
+    f = VectorFunction(lambda x: np.array([1.0 + x, np.cos(x)]))
+    coeff = propagation._StretchCoefficients(sysm, 0.0, LENGTH, f)
+    xs, lam = np.linspace(0.0, LENGTH, 13), -7.3 + 0.4j
+    t = (xs - 0.5 * LENGTH) / (0.5 * LENGTH)
+    qs, ws = ((chebvander(t, len(fit) - 1) @ fit).reshape(-1, 2, 2) for fit in propagation._fitted(sysm, 0.0, LENGTH))
+    fs = np.array([f(x) for x in xs])[..., None]
+    A = coeff.at(lam, xs)
+    ref = np.concatenate([sysm.J_inv @ (lam * ws - qs), sysm.J_inv @ (ws @ fs)], axis=-1)
+    if J is J2:
+        assert np.array_equal(A, ref)
+    scale = np.abs(sysm.J_inv) @ np.concatenate([abs(lam) * np.abs(ws) + np.abs(qs), np.abs(ws) @ np.abs(fs)], axis=-1)
+    assert np.all(np.abs(A - ref) <= 4 * np.finfo(float).eps * scale)
 
 
 def test_inhomogeneous_solve_on_smooth_stretch():
@@ -317,9 +347,46 @@ def test_rows_built_together_on_shipped_problems(name, request):
         assert_same_row(together[i], solution_row(sysm, lam))
 
 
+def first_steps(lo, hi, lam):
+    """The a-priori step count ``N`` of a mesh on the stretch ``(lo, hi)`` at ``lam``."""
+    span = (hi - lo) * (1.0 + abs(lam))
+    return min(max(2, int(np.ceil(span * propagation._STEPS_PER_UNIT))), propagation._MAX_STEPS // 2)
+
+
+def doublings(row, lams):
+    """``(piece, lam, mesh, N, j)`` per Magnus mesh of the row's first block, ``2^j N`` its step count."""
+    out = []
+    for piece in row.fundamentals[0].pieces:
+        for lam, mesh in zip(lams, piece.meshes, strict=True):
+            N = first_steps(piece.lo, piece.hi, lam)
+            j = int(np.log2((len(mesh.values) - 1) / N))
+            assert len(mesh.values) - 1 == 2**j * N
+            out.append((piece, lam, mesh, N, j))
+    return out
+
+
+def transfer_pair(coeff, lam, x_from, x_to, count):
+    """The transfer of a stretch on a mesh of ``count`` steps and its pair at
+    ``conj(lam)``: what the Richardson test of a mesh reads."""
+    h = (x_to - x_from) / count
+    A = coeff.at(lam, (x_from + h * (np.arange(count)[:, None] + propagation._GAUSS)).ravel())
+    E = propagation._expm_stack(propagation._magnus_exponents(A.reshape(count, 3, coeff.n, -1), np.full(count, h)))
+    ends = propagation._transfer_pairs(propagation._total_products(E[None]), coeff.sys.J, coeff.sys.J_inv)
+    return tuple(end[0] for end in ends)
+
+
+def round_sizes(meshes):
+    """Steps per round of :func:`doublings`' meshes: each mesh at ``N`` and
+    ``2N`` in the first, at ``2^(r+1) N`` in round ``r`` while ``r < j``."""
+    return [sum(3 * N if r == 0 else 2 ** (r + 1) * N for *_, N, j in meshes if j > r)
+            for r in range(max(j for *_, j in meshes))]
+
+
 def test_smooth_row_takes_one_exponent_call_per_round(monkeypatch):
     # a q atom and the anchor cut the segment into three stretches; the row
-    # at lam and conj(lam) builds its six meshes in shared doubling rounds
+    # at lam and conj(lam) builds its six meshes in shared rounds: the first
+    # takes every mesh at N and 2N steps, each later one the next doubling
+    # of the meshes not yet accepted
     calls = []
     exponents = propagation._magnus_exponents
 
@@ -328,21 +395,40 @@ def test_smooth_row_takes_one_exponent_call_per_round(monkeypatch):
         return exponents(A, h)
 
     monkeypatch.setattr(propagation, "_magnus_exponents", counted)
-    lam = 4.0 + 1.0j
+    lams = np.array([4.0 + 1.0j, 4.0 - 1.0j])
     sysm = smooth_system(None, atoms=((1.1, np.diag([0.5, -0.25])),))
-    row = solution_row(sysm, np.array([lam, np.conj(lam)]), anchors=[ANCHOR])
-    pieces = row.fundamentals[0].pieces
-    assert len(pieces) == 3
+    meshes = doublings(solution_row(sysm, lams, anchors=[ANCHOR]), lams)
+    assert len(meshes) == 6 and min(j for *_, j in meshes) >= 2
+    assert calls == round_sizes(meshes)
 
-    def first_steps(piece):  # the a-priori step count of a mesh on the piece
-        span = (piece.hi - piece.lo) * (1.0 + abs(lam))
-        return min(max(2, int(np.ceil(span * propagation._STEPS_PER_UNIT))), propagation._MAX_STEPS // 2)
 
-    rounds = [int(np.log2((len(mesh.values) - 1) / first_steps(piece))) + 1
-              for piece in pieces for mesh in piece.meshes]
-    assert len(rounds) == 6 and min(rounds) >= 2
-    assert len(calls) == max(rounds)
-    assert calls[0] == 2 * sum(first_steps(piece) for piece in pieces)  # all six meshes in the first round
+def test_meshes_past_the_first_doubling_take_the_first_count_that_passes(monkeypatch):
+    # fewer a-priori steps push the meshes to a third round and beyond; each
+    # mesh is the first 2^j N (j >= 1) whose transfer pair passes against the
+    # one at 2^(j-1) N, and the rows built together stay the rows built alone
+    calls = []
+    exponents = propagation._magnus_exponents
+
+    def counted(A, h):
+        calls.append(len(A))
+        return exponents(A, h)
+
+    monkeypatch.setattr(propagation, "_magnus_exponents", counted)
+    monkeypatch.setattr(propagation, "_STEPS_PER_UNIT", 0.75)
+    sysm = smooth_system(None, atoms=((1.1, np.diag([0.5, -0.25])),))
+    lams = np.array([4.0 + 1.0j, 4.0 - 1.0j, -9.0 + 0.5j])
+    together = solution_row(sysm, lams, anchors=[ANCHOR])
+    meshes = doublings(together, lams)
+    assert min(j for *_, j in meshes) >= 3 and len({j for *_, j in meshes}) > 1  # some go on alone
+    assert calls == round_sizes(meshes)
+    for piece, lam, mesh, N, j in meshes:
+        coeff = propagation._StretchCoefficients(sysm, piece.lo, piece.hi, None)
+        x_to = piece.lo if mesh.x0 == piece.hi else piece.hi
+        pairs = [transfer_pair(coeff, lam, mesh.x0, x_to, 2**i * N) for i in range(j + 1)]
+        passes = [propagation._refined(fine, coarse, sysm.tols) for coarse, fine in zip(pairs, pairs[1:])]
+        assert passes[-1] and not any(passes[:-1])
+    for i, lam in enumerate(lams):
+        assert_same_row(together[i], solution_row(sysm, lam, anchors=[ANCHOR]))
 
 
 def random_stack(rng, shape, complex_):
@@ -392,28 +478,40 @@ def test_total_products_are_the_last_prefix_products(steps, meshes, d, seed):
 
 
 def test_full_scan_runs_once_per_accepted_mesh(monkeypatch):
-    # every round tests the transfers of all unfinished meshes; only those
-    # it accepts get all their products
-    scanned, accepted = [], []
-    scan, meshes = propagation._prefix_products, propagation._magnus_meshes
+    # each job's mesh at N steps gets only its transfer; every compared mesh,
+    # at 2N steps or more, gets its full scan at once, and no mesh is
+    # scanned twice, so an accepted mesh is never scanned again
+    scanned, totalled, compared, first, accepted = [], [], [], [], []
+    scan, total, meshes = propagation._prefix_products, propagation._total_products, propagation._magnus_meshes
 
     def counted_scan(E):
-        scanned[-1] += len(E)
+        scanned.extend(E)
         return scan(E)
 
+    def counted_total(E):
+        totalled.extend(len(e) for e in E)
+        return total(E)
+
     def counted_meshes(jobs, tols):
-        scanned.append(0)
         out = meshes(jobs, tols)
         accepted.append(sum(not isinstance(mesh, AccuracyError) for mesh in out))
+        for (_, lam, x_from, x_to), (_, M) in zip(jobs, out):
+            N = first_steps(min(x_from, x_to), max(x_from, x_to), lam)
+            first.append(N)
+            compared.extend(2**i * N for i in range(1, int(np.log2((len(M) - 1) / N)) + 1))
         return out
 
     monkeypatch.setattr(propagation, "_prefix_products", counted_scan)
+    monkeypatch.setattr(propagation, "_total_products", counted_total)
     monkeypatch.setattr(propagation, "_magnus_meshes", counted_meshes)
     sysm = smooth_system(None, atoms=((1.1, np.diag([0.5, -0.25])),))
     row = solution_row(sysm, np.array([4.0 + 1.0j, 4.0 - 1.0j, -9.0 + 0.5j]), anchors=[ANCHOR])
     solve_ivp(sysm, 0, 2.0 + 0.5j, ANCHOR, np.array([1.0, 0.0]), f=VectorFunction(lambda x: np.array([x, 1.0])))
     assert len(row.fundamentals[0].pieces) == 3
-    assert accepted == [9, 3] and scanned == accepted
+    assert accepted == [9, 3]
+    assert sorted(totalled) == sorted(first)
+    assert sorted(len(E) for E in scanned) == sorted(compared)
+    assert len({E.tobytes() for E in scanned}) == len(scanned)
 
 
 def mp_expm_column(augmented: np.ndarray, dps: int = 40) -> np.ndarray:

@@ -32,11 +32,12 @@ way, time the Parseval-200 fixture of acceptance criterion 07 (P1's
 ``spectral_measure_model`` on (-200.25, 200.25) and ``parseval_check`` at
 truncation 200 with f = (1, 0)) and P1's ``spectral_measure_model`` on
 (-80.5, 80.5), the model of the ``expansion`` set-up, imports and config
-loading left out.  Each runs once in each of three fresh processes, since
+loading left out, and the 60 ``smooth_resolvent`` operations above, their
+set-up left out.  Each runs once in each of three fresh processes, since
 single runs are noisy; the median times go to ``timings.json`` as
-``parseval_200`` and ``model_P1_80``, and next to them, as
-``parseval_200_f_calls``, how many times the fixture calls its ``f``, and
-as ``parseval_200_integrate_calls`` how many adaptive quadratures
+``parseval_200``, ``model_P1_80`` and ``smooth_resolvent_60``, and next to
+them, as ``parseval_200_f_calls``, how many times the fixture calls its
+``f``, and as ``parseval_200_integrate_calls`` how many adaptive quadratures
 (``quadrature.integrate`` calls) it makes.
 
 ``--compare`` reads the manifests and files of two such runs.  For every
@@ -204,6 +205,27 @@ def parseval_200() -> dict[str, float]:
     return {"parseval_200": timed, "parseval_200_f_calls": len(calls), "parseval_200_integrate_calls": len(integrals)}
 
 
+def smooth_resolvent_60() -> dict[str, float]:
+    """Wall time, in seconds, of the first operations of the ``smooth_resolvent``
+    workload, those whose outputs :func:`workload_outputs` records, set-up and
+    operation drawing left out."""
+    sys.path[:0] = [str(SRC), str(PERFBENCH)]
+    import blockweyl
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS["smooth_resolvent"](WORKLOAD_SEED)
+    state = workload.setup()
+    specs = workload.operations(state)
+    ops = [next(specs) for _ in range(WORKLOAD_OPS)]
+    start = time.perf_counter()
+    for op in ops:
+        try:
+            workload.run(state, op)
+        except blockweyl.BlockweylError:
+            pass
+    return {"smooth_resolvent_60": time.perf_counter() - start}
+
+
 def model_P1_80() -> dict[str, float]:
     """Wall time, in seconds, of P1's spectral model on (-80.5, 80.5), the
     model the ``expansion`` workload builds in its set-up."""
@@ -347,7 +369,7 @@ def main(argv: list[str]) -> int:
     models = sum(len(v) for k, v in digests.items() if k.endswith(" set-up"))
     print(f"{sum(map(len, digests.values())) - models} workload outputs, {models} set-up models, "
           f"{time.perf_counter() - start:.2f} s", flush=True)
-    for fixture in ("parseval_200", "model_P1_80"):
+    for fixture in ("parseval_200", "model_P1_80", "smooth_resolvent_60"):
         runs = [json.loads(last_line(f"json.dumps(cli_artefacts.{fixture}())")) for _ in range(TIMED_RUNS)]
         for key in runs[0]:
             timings[key] = statistics.median(run[key] for run in runs)
