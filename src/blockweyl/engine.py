@@ -11,9 +11,11 @@ lock-guarded and least recently used out first: solution rows
 (:data:`ROW_CAPACITY` entries) and every other derived value
 (:data:`MEMO_CAPACITY` entries: Weyl samples keyed by their boundary data,
 Gram matrices, the norm-zero space, boundary validation).  Cached objects are
-immutable after construction, so concurrent readers are safe.  The partition,
-the anchors and the block inverse of ``J`` are computed on first use; two
-threads racing there compute equal values.
+immutable after construction, so concurrent readers are safe; only a row's
+``flow_rates``, which the transforms fill, grows, and threads racing there
+store equal values.  The partition, the anchors and the block inverse of
+``J`` are computed on first use; two threads racing there compute equal
+values.
 """
 
 from __future__ import annotations

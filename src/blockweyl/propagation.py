@@ -156,7 +156,7 @@ class ArrayForm:
 # below which a trailing quarter of coefficients is roundoff (Trefethen,
 # Approximation Theory and Approximation Practice, SIAM 2013; Aurentz and
 # Trefethen, Chopping a Chebyshev series, ACM TOMS 43, 2017)
-_CHEB_SIZES = (16, 32, 64, 128)
+_CHEB_SIZES = (8, 16, 32, 64, 128)
 _CHEB_TAIL = 1e-14
 
 
@@ -179,13 +179,18 @@ def _chebyshev_coefficients(fn: Callable[[float], np.ndarray], lo: float, hi: fl
     """Chebyshev coefficients of the plain callable ``fn`` on ``(lo, hi)``,
     stacked along a leading axis, or None when no size resolves it.
 
-    ``fn`` is sampled at 16, 32, 64 and 128 first-kind points, interior ones,
-    so never at the edges.  A size is taken when its trailing quarter of
-    coefficients is below ``_CHEB_TAIL`` times the largest sample of the
-    piece, and the next size's coefficients agree with its own to that bound.
-    The piece is given up when a size's trailing quarter is above that bound
-    and the next size's is not below half of it: the series is not
-    converging, as for data that is noise relative to its own size.
+    ``fn`` is sampled at 8, 16, 32, 64 and 128 first-kind points, interior
+    ones, so never at the edges.  A size is taken when its trailing quarter
+    of coefficients is below ``_CHEB_TAIL`` times the largest sample of the
+    piece, and the next size's coefficients agree with its own to that bound,
+    so a piece of degree at most 5 costs 8 + 16 calls.  Doubling sizes do
+    not nest, so the confirming size reads ``fn`` at new points only: ``T_k``
+    vanishes at all ``n`` points only when ``k`` is an odd multiple of ``n``,
+    so never at both sizes, where nested sizes (16, then 48) would both read
+    0 for ``T_48`` and take ``1 + T_48`` for 1.  The piece is given up when
+    a size's trailing quarter is above that bound and the next size's is not
+    below half of it: the series is not converging, as for data that is
+    noise relative to its own size.
     """
     prev = None
     for n in _CHEB_SIZES:
@@ -1293,6 +1298,8 @@ class SolutionRow:
         self.fundamentals = list(fundamentals)
         self.lam = self.fundamentals[0].lam
         self.n = sys.dim
+        #: the rates of the row's constant flows that transforms met (:func:`_flow_rates`)
+        self.flow_rates = {}
 
     def __getitem__(self, i) -> "SolutionRow":
         return SolutionRow(self.sys, [fund[i] for fund in self.fundamentals])
@@ -1574,16 +1581,51 @@ _GAUSS_SIZES = np.array(sorted({int(m * 2**k) for k in range(3, 10) for m in (1.
 _ELLIPSE = 1.0 + np.geomspace(1e-3, 30.0, 48)
 _SPLITS = tuple(2**j for j in range(13))
 _LOG_R = np.log(_ELLIPSE)
+_REACH = _ELLIPSE - 1.0
+_TWO_LOG_R = 2 * _LOG_R
 _BOUND_CONST = math.log(64 / 15) - np.log(_ELLIPSE**2 - 1.0)
 
 
-def _gauss_need(rates: tuple[float, float, float], half: float, K: int, tol: float) -> float:
+def _gauss_need(rates: np.ndarray, half: np.ndarray, K: int, tol: float) -> np.ndarray:
     """Fewest Gauss-Legendre nodes whose error bound (:func:`_gauss_rules`)
-    is at most ``tol`` on a piece of half-width ``half``, minimized over ``r``."""
-    norm, radius, cond = rates
-    reach = half * (_ELLIPSE - 1.0)
-    log_m = np.minimum(norm * reach, radius * reach + math.log(cond)) + K * _LOG_R
-    return float(((log_m + _BOUND_CONST - math.log(tol)) / (2 * _LOG_R)).min())
+    is at most ``tol``, minimized over ``r``, on pieces of half-widths
+    ``half``; row ``i`` of ``rates`` is ``(norm, radius, log cond)`` of piece
+    ``i`` (:func:`_flow_rates`)."""
+    norm, radius, log_cond = rates.T[:, :, None]
+    reach = half[:, None] * _REACH
+    log_m = np.minimum(norm * reach, radius * reach + log_cond) + K * _LOG_R
+    return ((log_m + _BOUND_CONST - math.log(tol)) / _TWO_LOG_R).min(axis=1)
+
+
+def _flow_rates(sys: SystemSpec, row: SolutionRow, lam: complex, a: float, b: float) -> tuple | None:
+    """``(norm, radius, log cond)`` of :func:`_stretch_rates` on the one
+    constant flow of ``row``, built at ``lam``, that the piece ``(a, b)``
+    lies in; None where it leaves its block, meets a Magnus stretch or meets
+    two flows.
+
+    The piece may meet several stretches of the block, cut at points where
+    the row is smooth (an anchor, an edge between equal densities), since it
+    has no atom inside; they are one flow when their fits are equal.  The
+    rates are kept on the row, per stretches met, so that the transforms of
+    every ``f`` against it read each flow once.
+    """
+    edges, _ = row._layout
+    j = bisect.bisect_right(edges, a) - 1
+    if not 0 <= j < row.blocks or b > edges[j + 1]:
+        return None
+    fund = row.fundamentals[j]
+    i, k = bisect.bisect_right(fund.points, a) - 1, bisect.bisect_left(fund.points, b)
+    key = (lam, j, i, k)
+    if key not in row.flow_rates:
+        stretches = list(pairwise(fund.points[i : k + 1]))
+        rates = None
+        if all(piece.flow is not None for piece in fund.pieces[i:k]):
+            fits = [np.concatenate(_fitted(sys, *st), axis=None) for st in stretches]
+            if all(np.array_equal(fit, fits[0]) for fit in fits[1:]):
+                norm, radius, cond = _stretch_rates(sys, lam, *stretches[0])
+                rates = norm, radius, math.log(cond)
+        row.flow_rates[key] = rates
+    return row.flow_rates[key]
 
 
 def _gauss_rules(sys: SystemSpec, row: SolutionRow, f, lam: complex) -> list[tuple[float, float, int]]:
@@ -1604,44 +1646,37 @@ def _gauss_rules(sys: SystemSpec, row: SolutionRow, f, lam: complex) -> list[tup
     the integral (L. N. Trefethen, Is Gauss quadrature better than
     Clenshaw-Curtis?, SIAM Review 50, 2008).  The fewest nodes that bring
     this bound, minimized over ``r``, down to the quadrature's relative
-    tolerance are rounded up to ``_GAUSS_SIZES``; a piece that needs more
-    than the largest size is split into the fewest equal parts (a power of
-    two) that each need at most that, sized the same way.  A piece whose
-    nodes would exceed the adaptive budget's (``MAX_PANELS`` panels of 15),
-    one of a Magnus stretch, one that meets two flows and a piece the form
-    did not resolve keep the adaptive quadrature.
+    tolerance are rounded up to ``_GAUSS_SIZES``, for all pieces in one
+    pass; a piece that needs more than the largest size is split into the
+    fewest equal parts (a power of two) that each need at most that, sized
+    the same way.  A piece whose nodes would exceed the adaptive budget's
+    (``MAX_PANELS`` panels of 15), one of a Magnus stretch, one that meets
+    two flows and a piece the form did not resolve keep the adaptive
+    quadrature.
     """
     form = f
     while isinstance(form, VectorFunction):
         form = form.fn
     if not isinstance(form, ChebyshevForm):
         return []
-    edges, _ = row._layout
-    rules = []
-    for a, b in form.edges.tolist():
-        j = int(np.searchsorted(edges, a, "right")) - 1
-        if not 0 <= j < row.blocks or b > edges[j + 1]:
-            continue
-        fund = row.fundamentals[j]
-        # the stretches of the block that the piece meets: one flow, cut at
-        # most at points where the row is smooth (an anchor, an edge between
-        # equal densities), since the piece has no atom inside
-        i, k = bisect.bisect_right(fund.points, a) - 1, bisect.bisect_left(fund.points, b)
-        stretches = list(pairwise(fund.points[i : k + 1]))
-        if any(piece.flow is None for piece in fund.pieces[i:k]):
-            continue
-        if len(stretches) > 1:
-            fits = [np.concatenate(_fitted(sys, *st), axis=None) for st in stretches]
-            if any(not np.array_equal(fit, fits[0]) for fit in fits[1:]):
-                continue
-        rates = _stretch_rates(sys, lam, *stretches[0])
+    pieces = [(a, b, rates) for a, b in form.edges.tolist()
+              if (rates := _flow_rates(sys, row, lam, a, b)) is not None]
+    if not pieces:
+        return []
+    K, tol = form.coeffs.shape[1], sys.tols.quad_rel
+    edges = np.array([(a, b) for a, b, _ in pieces])
+    needs = _gauss_need(np.array([rates for *_, rates in pieces]), 0.5 * (edges[:, 1] - edges[:, 0]), K, tol)
+    chosen = []
+    for (a, b, rates), need in zip(pieces, needs.tolist()):
         for parts in _SPLITS:
-            need = _gauss_need(rates, 0.5 * (b - a) / parts, form.coeffs.shape[1], sys.tols.quad_rel)
+            if parts > 1:
+                need = float(_gauss_need(np.array([rates]), np.array([0.5 * (b - a) / parts]), K, tol)[0])
             if need <= _GAUSS_SIZES[-1]:
+                chosen.append((a, b, parts, need))
                 break
-        else:
-            continue
-        size = int(_GAUSS_SIZES[np.searchsorted(_GAUSS_SIZES, need)])
+    sizes = _GAUSS_SIZES[np.searchsorted(_GAUSS_SIZES, [need for *_, need in chosen])].tolist()
+    rules = []
+    for (a, b, parts, _), size in zip(chosen, sizes):
         if parts * size <= quadrature.MAX_PANELS * 15:
             cuts = np.linspace(a, b, parts + 1).tolist() if parts > 1 else (a, b)
             rules += [(c, d, size) for c, d in pairwise(cuts)]

@@ -282,3 +282,60 @@ def test_bisections_evaluated_ahead_in_few_calls(monkeypatch, breaks, calls_at_m
     val_s, err_s = quadrature.integrate(one, 0.0, np.pi, breakpoints=breaks)
     assert np.array_equal(np.array(nodes), np.concatenate(calls))
     assert val_s == val and err_s == err
+
+
+# -- fixed Gauss-Legendre rules --------------------------------------------
+
+
+def test_gauss_legendre_matches_scipy_at_every_transform_size():
+    # nodes within 2 ulps of the largest node of scipy's, ascending and
+    # symmetric, weights summing to 2
+    from scipy.special import roots_legendre
+
+    from blockweyl.propagation import _GAUSS_SIZES
+
+    for n in _GAUSS_SIZES.tolist():
+        t, w = quadrature.gauss_legendre(n)
+        ts, ws = roots_legendre(n)
+        assert np.max(np.abs(t - ts)) <= 2 * np.spacing(ts[-1])
+        assert np.all(np.diff(t) > 0) and np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+        assert abs(w.sum() - 2.0) <= 8 * np.finfo(float).eps
+        assert not t.flags.writeable and not w.flags.writeable
+
+
+def mp_gauss_node(n, x):
+    """A root of ``P_n`` and its weight at 40 digits, by one Newton step from
+    the double ``x`` on the three-term recurrence."""
+    import mpmath as mp
+
+    def legendre(z):
+        prev, p = mp.mpf(1), z
+        for k in range(1, n):
+            prev, p = p, ((2 * k + 1) * z * p - k * prev) / (k + 1)
+        return p, n * (prev - z * p) / (1 - z * z)
+
+    with mp.workdps(40):
+        z = mp.mpf(x)
+        p, dp = legendre(z)
+        z -= p / dp
+        _, dp = legendre(z)
+        return z, 2 / ((1 - z * z) * dp**2)
+
+
+@pytest.mark.parametrize("n, step", [(8, 1), (128, 8), (1024, 128)])
+def test_gauss_legendre_matches_40_digit_roots(n, step):
+    # nodes within eps / 2; a weight within eps (n + 2 / (1 - x^2)), the
+    # second term the weight's sensitivity to its node's rounding, which
+    # scipy's end weights at n = 1024 (1.8e-9 off) exceed
+    eps = np.finfo(float).eps
+    t, w = quadrature.gauss_legendre(n)
+    for j in sorted(set(range(n // 2, n, step)) | set(range(n - 4, n))):
+        x, weight = mp_gauss_node(n, t[j])
+        assert abs(float(t[j] - x)) <= eps / 2
+        assert abs(float((w[j] - weight) / weight)) <= eps * (n + 2 / (1 - t[j] ** 2))
+
+
+def test_gauss_legendre_of_odd_size_has_a_zero_middle_node():
+    t, w = quadrature.gauss_legendre(7)
+    assert t[3] == 0.0 and np.array_equal(t, -t[::-1])
+    assert abs(w[3] - 512 / 1225) <= 4e-16  # 2 / P_7'(0)^2, P_7'(0) = -35/16

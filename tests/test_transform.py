@@ -622,16 +622,57 @@ def test_sampling_is_idempotent_and_leaves_forms_alone(p1):
     assert propagation.sampled(sysm, array.fn) is array.fn
 
 
+def chebyshev_on_p1(k):
+    """``T_k`` of the variable of (0, pi) mapped to [-1, 1]."""
+    return lambda x: np.cos(k * np.arccos(np.clip(2 * x / PI - 1, -1.0, 1.0)))
+
+
 def test_a_size_is_taken_only_when_the_next_one_confirms_it(p1):
-    # T_32 of the piece reads -1 at the 16 points and has a negligible tail
-    # there; the 32 points disagree, and only 64, confirmed by 128, holds it
+    # T_32 of the piece reads 1 at the 8 points and -1 at the 16, with a
+    # negligible tail at both; the 16 points and then the 32 disagree with
+    # the size before, and only 64, confirmed by 128, holds it
     sysm, _ = p1
     calls = []
-    f = VectorFunction(counted(lambda x: np.array([np.cos(32 * np.arccos(2 * x / PI - 1)), 1.0]), calls))
+    t32 = chebyshev_on_p1(32)
+    f = VectorFunction(counted(lambda x: np.array([t32(x), 1.0]), calls))
     form = propagation.sampled(sysm, f).fn
-    assert form.coeffs.shape == (1, 64, 2) and len(calls) == 16 + 32 + 64 + 128
+    assert form.coeffs.shape == (1, 64, 2) and len(calls) == 8 + 16 + 32 + 64 + 128
     xs = np.linspace(0.0, PI, 1001)[1:-1]
     assert np.max(np.abs(form.many(xs) - np.array([f(x) for x in xs]))) <= 1e-13
+
+
+@pytest.mark.parametrize("degree", range(12))
+def test_a_polynomial_piece_takes_the_fewest_samples_its_degree_allows(p1, degree):
+    # a random complex polynomial of degree <= 5 has a zero trailing quarter
+    # at 8 points and is taken there once the 16 agree: 24 calls, a series
+    # of length 8; degrees 6 to 11 are taken at 16, confirmed by 32
+    sysm, _ = p1
+    rng = np.random.default_rng(degree)
+    coeffs = rng.normal(size=(degree + 1, 2)) + 1j * rng.normal(size=(degree + 1, 2))
+    calls = []
+    fn = lambda x: sum(c * chebyshev_on_p1(k)(x) for k, c in enumerate(coeffs))
+    form = propagation.sampled(sysm, VectorFunction(counted(fn, calls))).fn
+    low = degree <= 5
+    assert len(calls) == (8 + 16 if low else 8 + 16 + 32)
+    assert form.coeffs.shape == (1, 8 if low else 16, 2)
+    xs = np.linspace(0.0, PI, 1002)[1:-1]
+    scale = max(np.max(np.abs(fn(x))) for x in calls)
+    assert np.max(np.abs(form.many(xs) - np.array([fn(x) for x in xs]))) <= 1e-14 * scale
+
+
+def test_a_size_whose_points_miss_a_mode_is_not_taken(p1):
+    # 1 + T_16 reads 0 at the 8 points, a zero series with a zero tail, and
+    # 1 at the 16; neither agrees with the next size until 32, confirmed by 64
+    sysm, _ = p1
+    calls = []
+    t16 = chebyshev_on_p1(16)
+    f = counted(lambda x: np.array([1.0 + t16(x), 0.0]), calls)
+    form = propagation.sampled(sysm, VectorFunction(f)).fn
+    first = np.array([1.0 + t16(x) for x in calls[:8 + 16]])
+    assert np.max(np.abs(first[:8])) <= 1e-13 and np.max(np.abs(first[8:] - 1.0)) <= 1e-13
+    assert form.coeffs.shape == (1, 32, 2) and len(calls) == 8 + 16 + 32 + 64
+    xs = np.linspace(0.0, PI, 1001)[1:-1]
+    assert np.max(np.abs(form.many(xs)[:, 0] - (1.0 + t16(xs)))) <= 1e-13
 
 
 def test_an_undeclared_jump_keeps_the_per_node_calls(p1, e1):
@@ -669,7 +710,7 @@ def test_a_w_atom_gets_the_value_f_takes_there(p3, density):
 def test_a_transform_calls_a_plain_f_a_bounded_number_of_times(p1, e1, model1):
     # a one-atom transform of a piecewise quadratic, as the expansion
     # benchmark makes it, and the Parseval-200 fixture's constant f: at most
-    # 100 calls each (16 + 32 per resolved piece), against one per node
+    # 50 calls each (8 + 16 per resolved piece), against one per node
     sysm, bc = p1
     calls = []
     f = quadratic_pieces(1.3, np.array([[1.0, 0.5], [0.2, -1.0], [0.1, 0.3]]),
@@ -677,12 +718,12 @@ def test_a_transform_calls_a_plain_f_a_bounded_number_of_times(p1, e1, model1):
     f = dataclasses.replace(f, fn=counted(f.fn, calls))
     one = SpectralMeasureModel(atoms=[model1.atoms[-1]], scan_range=model1.scan_range)
     forward_transform(sysm, bc, one, f, engine=e1)
-    assert 0 < len(calls) <= 100
+    assert 0 < len(calls) <= 50
     calls.clear()
     model = spectral_measure_model(sysm, bc, (-200.25, 200.25), engine=e1)
     parseval_check(sysm, bc, model, VectorFunction(counted(lambda x: np.array([1.0, 0.0]), calls)),
                    truncation=200.0, engine=e1)
-    assert 0 < len(calls) <= 100
+    assert 0 < len(calls) <= 50
 
 
 # -- Gauss-Legendre rules on constant stretches --------------------------
@@ -749,6 +790,24 @@ def test_a_resolved_f_takes_no_adaptive_quadrature(p1, p2, e1, e2, name, monkeyp
     monkeypatch.setattr(quadrature, "integrate", lambda *args, **kwargs: calls.append(args) or integrate(*args, **kwargs))
     got = forward_transform(sysm, bc, model, f, engine=eng).values
     assert not calls and np.array_equal(got, want)
+
+
+def test_a_row_reads_the_rates_of_each_constant_flow_once(p2, monkeypatch):
+    # a second f with the same pieces reads no rates from the system, and its
+    # transform is bitwise that against a row that has kept none
+    sysm, _ = p2
+    reads = []
+    rates = propagation._stretch_rates
+    monkeypatch.setattr(propagation, "_stretch_rates", lambda *args: reads.append(args) or rates(*args))
+    row = propagation.solution_row(sysm, np.conj(7.0))
+    rng = np.random.default_rng(3)
+    f, g = (quadratic_pieces(1.3, rng.normal(size=(3, 2)), rng.normal(size=(3, 2))) for _ in "fg")
+    forward_transform_compact(sysm, f, 7.0, row_conj=row)
+    assert len(reads) == len(row.flow_rates) > 0
+    got = forward_transform_compact(sysm, g, 7.0, row_conj=row)
+    assert len(reads) == len(row.flow_rates)
+    fresh = propagation.solution_row(sysm, np.conj(7.0))
+    assert got.tobytes() == forward_transform_compact(sysm, g, 7.0, row_conj=fresh).tobytes()
 
 
 def test_a_piece_above_the_node_cap_takes_the_adaptive_quadrature(p1, e1, monkeypatch):

@@ -38,7 +38,9 @@ single runs are noisy; the median times go to ``timings.json`` as
 ``parseval_200``, ``model_P1_80`` and ``smooth_resolvent_60``, and next to
 them, as ``parseval_200_f_calls``, how many times the fixture calls its
 ``f``, and as ``parseval_200_integrate_calls`` how many adaptive quadratures
-(``quadrature.integrate`` calls) it makes.
+(``quadrature.integrate`` calls) it makes.  As ``expansion_60_f_calls`` goes
+how many times the 60 fingerprinted ``expansion`` operations call their
+plain ``f``, through a counter that returns its values unchanged.
 
 ``--compare`` reads the manifests and files of two such runs.  For every
 artefact (and standard output) whose content differs it prints the largest
@@ -109,16 +111,18 @@ def _digest(obj) -> tuple[str, list[float]]:
     return digest.hexdigest(), numbers
 
 
-def workload_outputs() -> tuple[dict[str, list[str]], dict[str, list[list[float]]]]:
+def workload_outputs() -> tuple[dict[str, list[str]], dict[str, list[list[float]]], dict[str, int]]:
     """sha256 of the outputs of the first operations of each benchmark workload,
     and the numbers in each output; under ``"<workload> set-up"``, the same of
     the atoms of each spectral model its set-up builds, and under
-    ``"resolvent drives"`` those of :func:`resolvent_drives`."""
+    ``"resolvent drives"`` those of :func:`resolvent_drives`.  Last, as
+    ``expansion_60_f_calls``, how many times the ``expansion`` operations
+    call their plain ``f``, counted by a wrapper that returns its values."""
     sys.path[:0] = [str(SRC), str(PERFBENCH)]
     import blockweyl
     from workloads import WORKLOADS
 
-    digests, values = {}, {}
+    digests, values, f_calls = {}, {}, []
     for name, make in WORKLOADS.items():
         workload = make(WORKLOAD_SEED)
         state = workload.setup()
@@ -128,14 +132,18 @@ def workload_outputs() -> tuple[dict[str, list[str]], dict[str, list[list[float]
         specs = workload.operations(state)
         digests[name], values[name] = [], []
         for _ in range(WORKLOAD_OPS):
+            spec = next(specs)
+            if name == "expansion":
+                *head, f = spec
+                spec = (*head, dataclasses.replace(f, fn=lambda x, fn=f.fn: f_calls.append(x) or fn(x)))
             try:
-                digest, numbers = _digest(workload.run(state, next(specs)))
+                digest, numbers = _digest(workload.run(state, spec))
             except blockweyl.BlockweylError as exc:
                 digest, numbers = hashlib.sha256(f"{type(exc).__name__}: {exc}".encode()).hexdigest(), []
             digests[name].append(digest)
             values[name].append(numbers)
     digests["resolvent drives"], values["resolvent drives"] = resolvent_drives()
-    return digests, values
+    return digests, values, {f"expansion_{WORKLOAD_OPS}_f_calls": len(f_calls)}
 
 
 def resolvent_drives() -> tuple[list[str], list[list[float]]]:
@@ -363,7 +371,8 @@ def main(argv: list[str]) -> int:
         return proc.stdout.splitlines()[-1]
 
     start = time.perf_counter()
-    digests, values = json.loads(last_line("json.dumps(cli_artefacts.workload_outputs())"))
+    digests, values, counts = json.loads(last_line("json.dumps(cli_artefacts.workload_outputs())"))
+    timings.update(counts)
     (root / "workloads.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     (root / "workload_values.json").write_text(json.dumps(values, sort_keys=True) + "\n")
     models = sum(len(v) for k, v in digests.items() if k.endswith(" set-up"))
